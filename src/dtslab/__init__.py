@@ -8,7 +8,7 @@ while a per-copy heterodyne strategy does not.
 
 Modules:
     bounds    -- RLD Fisher matrix inverses, bound formulas, Gaussian trade-off
-    states    -- analytic outcome laws and samplers (heterodyne, photon counting)
+    states    -- analytic outcome laws and block samplers (heterodyne, photon counting)
     fock      -- truncated Fock-space oracle that certifies the analytic laws
     estimator -- outcome-level protocol simulation and empirical MSE matrices
     cli       -- batch front-end (bounds | simulate | oracle-check)
@@ -17,8 +17,6 @@ Modules:
 __version__ = "0.1.0"
 
 from .bounds import (
-    BoundKind,
-    BoundValue,
     ThetaPoint,
     WeightMatrix,
     c_r_closed_2param,
@@ -30,38 +28,28 @@ from .bounds import (
 )
 from .errors import DomainError, NumericalError, PreconditionError
 from .estimator import (
-    Estimate,
     ExperimentConfig,
     MseMatrix,
     ProtocolKind,
     compare_to_bounds,
-    mle_geometric,
     monte_carlo_mse,
 )
-from .rng import RngStream
-from .states import DisplacedThermalParams, concentrate, heterodyne_pdf, photon_pmf
+from .states import heterodyne_pdf, photon_pmf
 
 __all__ = [
-    "BoundKind",
-    "BoundValue",
-    "DisplacedThermalParams",
     "DomainError",
-    "Estimate",
     "ExperimentConfig",
     "MseMatrix",
     "NumericalError",
     "PreconditionError",
     "ProtocolKind",
-    "RngStream",
     "ThetaPoint",
     "WeightMatrix",
     "c_r_closed_2param",
     "c_r_closed_3param",
     "c_r_general",
     "compare_to_bounds",
-    "concentrate",
     "heterodyne_pdf",
-    "mle_geometric",
     "monte_carlo_mse",
     "optimal_gaussian_tradeoff",
     "photon_pmf",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -77,6 +76,8 @@ class WeightMatrix:
         d = m.shape[0]
         if d not in (2, 3):
             raise DomainError(f"weight matrix dimension must be 2 or 3, got {d}")
+        if not np.all(np.isfinite(m)):
+            raise DomainError("weight matrix entries must be finite")
         scale = max(1.0, float(np.max(np.abs(m))))
         if np.max(np.abs(m - m.T)) > 1e-9 * scale:
             raise DomainError("weight matrix must be symmetric")
@@ -118,18 +119,13 @@ class WeightMatrix:
         if self.dim != 3:
             raise DomainError("three_param_gs requires a 3x3 weight matrix")
         m = self.entries
-        off = max(abs(m[0, 2]), abs(m[1, 2]))
-        if off > _OFF_BLOCK_TOL * max(1.0, float(np.max(np.abs(m)))):
+        if not self.is_block_form():
+            off = max(abs(m[0, 2]), abs(m[1, 2]))
             raise DomainError(
                 f"weight matrix is not block diagonal (off-block magnitude {off:.3e}); "
                 "the closed form applies only to the block form"
             )
-        g1, g2, g3 = (
-            float((m[0, 0] + m[1, 1]) / 2),
-            float((m[0, 0] - m[1, 1]) / 2),
-            float(m[0, 1]),
-        )
-        return float(m[2, 2]), g1, g2, g3
+        return (float(m[2, 2]), *self.two_param_gs())
 
     def is_block_form(self) -> bool:
         if self.dim == 2:
@@ -141,23 +137,6 @@ class WeightMatrix:
         return f"WeightMatrix(dim={self.dim}, entries={self.entries.tolist()})"
 
 
-class BoundKind(Enum):
-    RLD_CR = "rld-cr"
-    CLOSED_2PARAM = "closed-2param"
-    CLOSED_3PARAM = "closed-3param"
-    GAUSSIAN_OPT = "gaussian-opt"
-
-
-@dataclass(frozen=True)
-class BoundValue:
-    """A bound value together with the inputs that produced it."""
-
-    kind: BoundKind
-    value: float
-    theta: ThetaPoint | None
-    weight: WeightMatrix
-
-
 @dataclass(frozen=True)
 class GaussianTradeoff:
     """Optimal squeezed Gaussian measurement for a 2x2 weight."""
@@ -167,10 +146,14 @@ class GaussianTradeoff:
     achieved: float
 
 
+def _require_n_mean(n_mean: float) -> None:
+    if not (0 < n_mean < math.inf):
+        raise DomainError(f"n_mean must be positive and finite, got {n_mean}")
+
+
 def rld_inverse_2param(n_mean: float) -> np.ndarray:
     """Inverse RLD Fisher matrix for (theta1, theta2) at known N."""
-    if not (n_mean > 0):
-        raise DomainError(f"n_mean must be positive, got {n_mean}")
+    _require_n_mean(n_mean)
     return np.array(
         [[n_mean + 0.5, 0.5j], [-0.5j, n_mean + 0.5]],
         dtype=complex,
@@ -179,15 +162,13 @@ def rld_inverse_2param(n_mean: float) -> np.ndarray:
 
 def rld_inverse_3param(n_mean: float) -> np.ndarray:
     """Inverse RLD Fisher matrix for (theta1, theta2, N); the N row decouples."""
-    if not (n_mean > 0):
-        raise DomainError(f"n_mean must be positive, got {n_mean}")
     out = np.zeros((3, 3), dtype=complex)
     out[:2, :2] = rld_inverse_2param(n_mean)
     out[2, 2] = n_mean * (n_mean + 1.0)
     return out
 
 
-def c_r_general(weight: WeightMatrix, j_inv: np.ndarray) -> BoundValue:
+def c_r_general(weight: WeightMatrix, j_inv: np.ndarray) -> float:
     """Bound from the matrix formula Tr G Re Jinv + Tr |sqrt(G) Im Jinv sqrt(G)|."""
     j_inv = np.asarray(j_inv)
     if j_inv.ndim != 2 or j_inv.shape != (weight.dim, weight.dim):
@@ -201,7 +182,7 @@ def c_r_general(weight: WeightMatrix, j_inv: np.ndarray) -> BoundValue:
     root = sqrt_psd(g)
     real_term = float(np.trace(g @ j_inv.real))
     imag_term = trace_norm(root @ j_inv.imag @ root)
-    return BoundValue(BoundKind.RLD_CR, real_term + imag_term, None, weight)
+    return real_term + imag_term
 
 
 def _closed_radical(g1: float, g2: float, g3: float) -> float:
@@ -213,28 +194,24 @@ def _closed_radical(g1: float, g2: float, g3: float) -> float:
     return math.sqrt(max(rad, 0.0))
 
 
-def c_r_closed_2param(g1: float, g2: float, g3: float, n_mean: float) -> BoundValue:
+def c_r_closed_2param(g1: float, g2: float, g3: float, n_mean: float) -> float:
     """Closed form 2(N + 1/2) g1 + sqrt(g1^2 - g2^2 - g3^2)."""
-    if not (n_mean > 0):
-        raise DomainError(f"n_mean must be positive, got {n_mean}")
-    weight = WeightMatrix.from_two_param_gs(g1, g2, g3)
-    value = 2.0 * (n_mean + 0.5) * g1 + _closed_radical(g1, g2, g3)
-    return BoundValue(BoundKind.CLOSED_2PARAM, value, ThetaPoint(0.0, 0.0, n_mean), weight)
+    _require_n_mean(n_mean)
+    WeightMatrix.from_two_param_gs(g1, g2, g3)  # validates the weight
+    return 2.0 * (n_mean + 0.5) * g1 + _closed_radical(g1, g2, g3)
 
 
-def c_r_closed_3param(g0: float, g1: float, g2: float, g3: float, n_mean: float) -> BoundValue:
+def c_r_closed_3param(g0: float, g1: float, g2: float, g3: float, n_mean: float) -> float:
     """Closed form g0 N(N+1) + 2(N + 1/2) g1 + sqrt(g1^2 - g2^2 - g3^2)."""
-    if not (n_mean > 0):
-        raise DomainError(f"n_mean must be positive, got {n_mean}")
+    _require_n_mean(n_mean)
     if g0 < -PSD_EIGENVALUE_TOL:
         raise DomainError(f"g0 must be nonnegative, got {g0}")
-    weight = WeightMatrix.from_three_param_gs(g0, g1, g2, g3)
-    value = (
+    WeightMatrix.from_three_param_gs(g0, g1, g2, g3)  # validates the weight
+    return (
         g0 * n_mean * (n_mean + 1.0)
         + 2.0 * (n_mean + 0.5) * g1
         + _closed_radical(g1, g2, g3)
     )
-    return BoundValue(BoundKind.CLOSED_3PARAM, value, ThetaPoint(0.0, 0.0, n_mean), weight)
 
 
 def optimal_gaussian_tradeoff(
@@ -253,8 +230,7 @@ def optimal_gaussian_tradeoff(
     found by golden-section search.  The minimum reproduces the closed-form
     bound, which is how this model is certified.
     """
-    if not (n_mean > 0):
-        raise DomainError(f"n_mean must be positive, got {n_mean}")
+    _require_n_mean(n_mean)
     if not (g1 > 0):
         raise DomainError(f"g1 must be positive for the trade-off, got {g1}")
     _closed_radical(g1, g2, g3)

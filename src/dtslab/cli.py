@@ -107,25 +107,17 @@ def cmd_bounds(args, argv) -> int:
     theta = _theta_from_args(args)  # the bound depends only on n_mean; echoed for the record
     n_mean = theta.n_mean
     j_inv = rld_inverse_2param(n_mean) if weight.dim == 2 else rld_inverse_3param(n_mean)
-    general = c_r_general(weight, j_inv).value
+    general = c_r_general(weight, j_inv)
 
-    closed = None
-    if weight.dim == 2:
+    closed = tradeoff = None
+    if weight.is_block_form():
+        if weight.dim == 2:
+            closed = c_r_closed_2param(*weight.two_param_gs(), n_mean)
+        else:
+            closed = c_r_closed_3param(*weight.three_param_gs(), n_mean)
         g1, g2, g3 = weight.two_param_gs()
-        closed = c_r_closed_2param(g1, g2, g3, n_mean).value
-    elif weight.is_block_form():
-        g0, g1, g2, g3 = weight.three_param_gs()
-        closed = c_r_closed_3param(g0, g1, g2, g3, n_mean).value
-
-    tradeoff = None
-    if weight.dim == 2:
-        g1, g2, g3 = weight.two_param_gs()
-    elif weight.is_block_form():
-        _, g1, g2, g3 = weight.three_param_gs()
-    else:
-        g1 = g2 = g3 = 0.0
-    if g1 > 0:
-        tradeoff = optimal_gaussian_tradeoff(g1, g2, g3, n_mean)
+        if g1 > 0:
+            tradeoff = optimal_gaussian_tradeoff(g1, g2, g3, n_mean)
 
     payload = {
         "theta": _theta_echo(theta),
@@ -175,7 +167,7 @@ def _merge_config_file(args) -> None:
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise ValueError(f"config file {args.config!r} has unknown key {key!r}")
-        if getattr(args, attr) in (None, False):
+        if getattr(args, attr) is None:
             setattr(args, attr, value)
 
 
@@ -359,6 +351,10 @@ def _run_oracle_checks(args) -> tuple[list[dict], bool]:
     def record(name, dev, tol):
         checks.append({"name": name, "max_dev": dev, "tol": tol, "pass": bool(dev < tol)})
 
+    # before anything is allocated: the concentration checks need the largest cutoff
+    copies = 3 if args.deep else 2
+    fock.require_cutoff_limit(args.cutoff or fock.concentration_cutoff(zeta, n_mean, copies))
+
     # heterodyne outcome law against the explicit matrix construction
     grid_amp = 3.0 + abs(zeta)
     cutoff = args.cutoff or fock.cutoff_for(n_mean, grid_amp)
@@ -370,12 +366,11 @@ def _run_oracle_checks(args) -> tuple[list[dict], bool]:
             f"use cutoff >= {fock.cutoff_for(n_mean, grid_amp)}"
         )
     rho = fock.displaced_thermal_density(zeta, n_mean, cutoff)
-    params = states.DisplacedThermalParams(zeta, n_mean)
     radius = 3.0 / math.sqrt(2.0)
     axis = np.linspace(-radius, radius, 5)
     dev = max(
         abs(
-            states.heterodyne_pdf(params, complex(re, im))
+            states.heterodyne_pdf(theta, complex(re, im))
             - fock.heterodyne_probability_density(rho, complex(re, im))
         )
         for re in axis
@@ -457,19 +452,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int)
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--weight")
+    # store_true flags default to None so that --config can tell them unset
     p_sim.add_argument(
         "--clip-nonneg",
         action="store_true",
+        default=None,
         help="clip photon-number estimates at 0 (default: record them raw)",
     )
     p_sim.add_argument("--threads", type=int)
     p_sim.add_argument("--out", help="write the summary JSON here (plus a .manifest.json)")
     p_sim.add_argument("--trial-csv", help="write per-trial records to this CSV file")
     p_sim.add_argument("--config", help="JSON file mirroring the flags; flags override it")
-    p_sim.add_argument("--json", action="store_true")
+    p_sim.add_argument("--json", action="store_true", default=None)
     p_sim.add_argument(
         "--ratio-table",
         action="store_true",
+        default=None,
         help="emit the collective-vs-separable ratio grid over N x n instead of one run",
     )
     p_sim.set_defaults(func=cmd_simulate)

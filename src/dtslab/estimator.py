@@ -16,13 +16,17 @@ unitary maps the n-copy input to an explicit product state (certified at
 n = 2 and 3 by the `fock` oracle); the alternative n-mode matrices would
 be astronomically large.
 
-Reproducibility: trial t draws from the counter-based stream with
-stream_index = t.  Counter layout inside a trial: collective uses counters
-0-1 for the heterodyne pair and 2 .. n for the photon counts; separable and
-known-n use counters 0 .. 2n-1 for the n heterodyne pairs.  Monte Carlo
-runs are chunked by a size computed from the configuration alone and
-reduced in trial order, so the result is byte-identical for any worker
-count.
+Sampling has one path: `_chunk_estimates(config, start, count)` draws
+trials start .. start+count-1, and a single trial is a chunk of size 1.
+Trial t draws from the counter-based stream with stream_index = t.
+Counter layout inside a trial: collective uses counters 0-1 for the
+heterodyne pair and 2 .. n for the photon counts; separable and known-n
+use counters 0 .. 2n-1 for the n heterodyne pairs.  Monte Carlo runs are
+chunked by a size computed from the configuration alone and reduced in
+trial order, so the result is byte-identical for any worker count.
+
+The geometric sampler's log(N/(N+1)) loses relative precision as N grows
+(4e-9 at N = 1e8, 2e-5 at 1e12, all of it at 1e16): N <= MAX_N_MEAN.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ import numpy as np
 from . import rng as rng_mod
 from . import states
 from .bounds import (
-    BoundValue,
     ThetaPoint,
     WeightMatrix,
     c_r_general,
@@ -46,11 +49,10 @@ from .bounds import (
     rld_inverse_3param,
 )
 from .errors import DomainError
-from .rng import RngStream
-from .states import DisplacedThermalParams
 
 _SQRT2 = math.sqrt(2.0)
 _CHUNK_BUDGET = 1 << 22  # draws per chunk; chunking depends on config only
+MAX_N_MEAN = 1e8
 
 
 class ProtocolKind(Enum):
@@ -61,14 +63,6 @@ class ProtocolKind(Enum):
     @property
     def n_params(self) -> int:
         return 2 if self is ProtocolKind.KNOWN_N_HETERODYNE else 3
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """One trial's estimate; n_hat is None when N is treated as known."""
-
-    zeta_hat: complex
-    n_hat: float | None
 
 
 @dataclass(frozen=True)
@@ -88,6 +82,11 @@ class ExperimentConfig:
             raise DomainError(f"n_copies must be at least 2, got {self.n_copies}")
         if self.trials < 1:
             raise DomainError(f"trials must be at least 1, got {self.trials}")
+        if self.theta.n_mean > MAX_N_MEAN:
+            raise DomainError(
+                f"n_mean must be at most {MAX_N_MEAN:g} for simulation (the geometric "
+                f"sampler loses precision above it), got {self.theta.n_mean:g}"
+            )
         if self.weight.dim != self.protocol.n_params:
             raise DomainError(
                 f"weight dimension {self.weight.dim} does not match the "
@@ -120,23 +119,8 @@ class BoundComparison:
     expected_ratio_large_n: float | None
 
 
-def mle_geometric(counts) -> float:
-    """Maximum-likelihood N for geometric photon counts: the sample mean.
-
-    The log-likelihood has its unique stationary point at N = mean(k); for
-    an all-zero sample the supremum sits at the boundary N -> 0 and the
-    returned value is 0.
-    """
-    arr = np.asarray(counts, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("counts must be a non-empty one-dimensional sequence")
-    if np.any(arr < 0):
-        raise DomainError("photon counts must be nonnegative")
-    return float(arr.mean())
-
-
 # ---------------------------------------------------------------------------
-# shared trial kernels (single-trial and bulk paths use the same code)
+# trial kernels
 # ---------------------------------------------------------------------------
 
 def _clip(n_hat: np.ndarray, clip_nonneg: bool) -> np.ndarray:
@@ -146,8 +130,8 @@ def _clip(n_hat: np.ndarray, clip_nonneg: bool) -> np.ndarray:
 def _collective_kernel(
     theta: ThetaPoint, n: int, pairs: np.ndarray, u_photon: np.ndarray, clip_nonneg: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    first, _ = states.concentrate(DisplacedThermalParams(theta.zeta, theta.n_mean), n)
-    alpha = states.heterodyne_from_normal_pairs(first.zeta, first.n_mean, pairs)
+    # concentration puts amplitude sqrt(n) zeta on one mode, same N
+    alpha = states.heterodyne_from_normal_pairs(math.sqrt(n) * theta.zeta, theta.n_mean, pairs)
     zeta_hat = alpha / math.sqrt(n)
     counts = states.photon_from_uniforms(theta.n_mean, u_photon).astype(np.float64)
     n_hat = counts.mean(axis=1)
@@ -170,41 +154,6 @@ def _known_n_kernel(theta: ThetaPoint, n: int, pairs: np.ndarray) -> np.ndarray:
     return alpha.mean(axis=1)
 
 
-def run_collective_trial(config: ExperimentConfig, rng: RngStream) -> Estimate:
-    """Concentrate, heterodyne the amplified mode, photon-count the rest."""
-    n = config.n_copies
-    pairs = rng.normal_pairs(1).reshape(1, 2)
-    u_photon = rng.uniforms(n - 1).reshape(1, n - 1)
-    zeta_hat, n_hat = _collective_kernel(config.theta, n, pairs, u_photon, config.clip_nonneg)
-    return Estimate(complex(zeta_hat[0]), float(n_hat[0]))
-
-
-def run_separable_trial(config: ExperimentConfig, rng: RngStream) -> Estimate:
-    """Heterodyne each copy independently; moment estimates for both parameters."""
-    n = config.n_copies
-    pairs = rng.normal_pairs(n).reshape(1, n, 2)
-    zeta_hat, n_hat = _separable_kernel(config.theta, n, pairs, config.clip_nonneg)
-    return Estimate(complex(zeta_hat[0]), float(n_hat[0]))
-
-
-def run_known_n_trial(config: ExperimentConfig, rng: RngStream) -> Estimate:
-    """Heterodyne each copy; amplitude estimate only, N held fixed."""
-    n = config.n_copies
-    pairs = rng.normal_pairs(n).reshape(1, n, 2)
-    zeta_hat = _known_n_kernel(config.theta, n, pairs)
-    return Estimate(complex(zeta_hat[0]), None)
-
-
-def run_trial(config: ExperimentConfig, rng: RngStream) -> Estimate:
-    if config.protocol is ProtocolKind.COLLECTIVE_CONCENTRATION:
-        return run_collective_trial(config, rng)
-    if config.protocol is ProtocolKind.SEPARABLE_HETERODYNE:
-        return run_separable_trial(config, rng)
-    if config.protocol is ProtocolKind.KNOWN_N_HETERODYNE:
-        return run_known_n_trial(config, rng)
-    raise DomainError(f"unknown protocol {config.protocol!r}")
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo reduction
 # ---------------------------------------------------------------------------
@@ -216,7 +165,11 @@ def _chunk_size(n_copies: int) -> int:
 def _chunk_estimates(
     config: ExperimentConfig, start: int, count: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Estimates for trials start .. start+count-1, bit-identical to run_trial."""
+    """Estimates (zeta_hat, n_hat) for trials start .. start+count-1.
+
+    n_hat is None for the known-n protocol.  The draws of trial t depend on
+    t alone, so any split of the trials into chunks gives the same bits.
+    """
     n = config.n_copies
     streams = np.arange(start, start + count, dtype=np.uint64)
     if config.protocol is ProtocolKind.COLLECTIVE_CONCENTRATION:
@@ -309,11 +262,15 @@ def monte_carlo_mse(
     return MseMatrix(dim=d, entries=entries, trials=trials, n_trace_gv=n_trace_gv, se_trace=se)
 
 
-def reference_bound(config: ExperimentConfig) -> BoundValue:
+def reference_bound(config: ExperimentConfig) -> float:
     """The RLD bound the experiment is measured against."""
     if config.protocol.n_params == 2:
         return c_r_general(config.weight, rld_inverse_2param(config.theta.n_mean))
     return c_r_general(config.weight, rld_inverse_3param(config.theta.n_mean))
+
+
+def _identity_weight(config: ExperimentConfig) -> bool:
+    return np.allclose(config.weight.entries, np.eye(config.weight.dim), atol=1e-12)
 
 
 def expected_finite_n_trace(config: ExperimentConfig) -> float | None:
@@ -323,7 +280,7 @@ def expected_finite_n_trace(config: ExperimentConfig) -> float | None:
     Known-N: 2(N+1) for every n.  Returns None for non-identity weights,
     where no closed expression is recorded.
     """
-    if not np.allclose(config.weight.entries, np.eye(config.weight.dim), atol=1e-12):
+    if not _identity_weight(config):
         return None
     n = config.n_copies
     big_n = config.theta.n_mean
@@ -341,9 +298,9 @@ def compare_to_bounds(mse: MseMatrix, config: ExperimentConfig) -> BoundComparis
     For identity weights the large-n ratio tends to 1 for the collective and
     known-N protocols and to (N+3)/(N+2) for the separable baseline.
     """
-    c_r = reference_bound(config).value
+    c_r = reference_bound(config)
     expected = None
-    if np.allclose(config.weight.entries, np.eye(config.weight.dim), atol=1e-12):
+    if _identity_weight(config):
         if config.protocol is ProtocolKind.SEPARABLE_HETERODYNE:
             expected = (config.theta.n_mean + 3.0) / (config.theta.n_mean + 2.0)
         else:

@@ -29,6 +29,9 @@ from .linalg import trace_distance
 DEFAULT_TAIL_TOL = 1e-8
 _DISTANCE_RULE_TOL = 1e-12  # default-cutoff target for trace-distance certifications
 _CONDITION_LIMIT = 1e12
+# two-mode operators hold cutoff**4 complex entries (384 MB at 70), about a dozen
+# alive per check: the N = 2 default cutoff 69 fits, the N = 3 default 97 does not
+MAX_CUTOFF = 70
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +92,13 @@ def cutoff_for(
     """
     if not (0 < tol < 1):
         raise DomainError(f"tol must be in (0, 1), got {tol}")
-    d_thermal = max(2, math.ceil(math.log(tol) / math.log(n_mean / (n_mean + 1.0))))
-    d = max(min_cutoff, d_thermal)
+    if not (0 < n_mean < math.inf):
+        raise DomainError(f"n_mean must be positive and finite, got {n_mean}")
+    # log(N/(N+1)) written with log1p stays nonzero where N/(N+1) rounds to 1
+    d_thermal = math.log(tol) / -math.log1p(1.0 / n_mean)
+    if not math.isfinite(d_thermal):
+        raise PreconditionError(f"no finite cutoff reaches tail {tol:g} at n_mean {n_mean:g}")
+    d = max(min_cutoff, 2, math.ceil(d_thermal))
     while poisson_tail_bound(abs(amplitude) ** 2, d) >= tol:
         d += 1
     return d
@@ -273,7 +281,29 @@ class ConcentrationReport:
     dist_joint: float
 
 
+def require_cutoff_limit(cutoff: int) -> None:
+    """Refuse a cutoff above MAX_CUTOFF before any operator is allocated."""
+    if cutoff > MAX_CUTOFF:
+        raise PreconditionError(
+            f"the run needs Fock cutoff {cutoff}, above the limit {MAX_CUTOFF} "
+            "(two-mode operators grow as cutoff**4, 384 MB each at the limit)"
+        )
+
+
+def concentration_cutoff(
+    zeta: complex, n_mean: float, n_copies: int, tail_tol: float = DEFAULT_TAIL_TOL
+) -> int:
+    """Default cutoff of the concentration checks up to n_copies copies.
+
+    It aims deeper than tail_tol (1e-12) because truncation error enters the
+    trace distances amplified by roughly the basis size.
+    """
+    amplitude = math.sqrt(n_copies) * abs(complex(zeta))
+    return cutoff_for(n_mean, amplitude, min(tail_tol, _DISTANCE_RULE_TOL))
+
+
 def _require_tails(n_mean: float, amplitude: float, cutoff: int, tol: float) -> None:
+    require_cutoff_limit(cutoff)
     needed = cutoff_for(n_mean, amplitude, tol)
     t_th = thermal_tail(n_mean, cutoff)
     t_coh = poisson_tail_bound(amplitude**2, cutoff)
@@ -297,13 +327,12 @@ def verify_concentration_n2(
     rho_{sqrt(2) zeta, N} x rho_{0, N}.  The joint distance also certifies
     the product structure of the output.
 
-    The precondition only demands tails below tail_tol, but the automatic
-    cutoff aims deeper (1e-12) because truncation error enters the trace
-    distances amplified by roughly the basis size.
+    The precondition only demands tails below tail_tol; the automatic
+    cutoff is `concentration_cutoff`.
     """
     amplitude = math.sqrt(2.0) * abs(complex(zeta))
     if cutoff is None:
-        cutoff = cutoff_for(n_mean, amplitude, min(tail_tol, _DISTANCE_RULE_TOL))
+        cutoff = concentration_cutoff(zeta, n_mean, 2, tail_tol)
     _require_tails(n_mean, amplitude, cutoff, tail_tol)
     phi = concentration_angle(1)
     single = displaced_thermal_density(zeta, n_mean, cutoff)
@@ -339,7 +368,7 @@ def verify_concentration_cascade(
         raise DomainError(f"n_copies must be at least 2, got {n_copies}")
     amplitude = math.sqrt(n_copies) * abs(complex(zeta))
     if cutoff is None:
-        cutoff = cutoff_for(n_mean, amplitude, min(tail_tol, _DISTANCE_RULE_TOL))
+        cutoff = concentration_cutoff(zeta, n_mean, n_copies, tail_tol)
     _require_tails(n_mean, amplitude, cutoff, tail_tol)
     fresh = displaced_thermal_density(zeta, n_mean, cutoff)
     target_second = thermal_density(n_mean, cutoff)

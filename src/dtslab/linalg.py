@@ -20,18 +20,6 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def antihermitian_part(a: np.ndarray) -> np.ndarray:
-    """Return (A - A^dagger) / 2, the complement of :func:`hermitian_part`."""
-    return (a - a.conj().T) / 2
-
-
-def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol * max(1.0, float(np.max(np.abs(a)))))
-
-
 def sqrt_psd(m: np.ndarray, negative_tol: float = PSD_EIGENVALUE_TOL) -> np.ndarray:
     """Symmetric square root of a real symmetric positive semidefinite matrix.
 
@@ -70,7 +58,3 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
         raise DomainError("trace_distance expects Hermitian operators")
     return float(np.abs(np.linalg.eigvalsh(h)).sum() / 2)
 
-
-def min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(np.linalg.eigvalsh(hermitian_part(np.asarray(m)))[0])

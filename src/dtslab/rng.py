@@ -1,10 +1,10 @@
 """Counter-based random streams for reproducible parallel Monte Carlo.
 
 Every output word is a pure function of (seed, stream_index, counter), so
-draws can be generated one at a time, in bulk, or from parallel workers and
-always agree bit for bit.  The mixing permutation is the SplitMix64
-finalizer ``mix64``; with GAMMA = 0x9E3779B97F4A7C15 and
-KAPPA = 0xC2B2AE3D27D4EB4F the scheme is (all arithmetic mod 2**64):
+any blocking of streams and counters, or any number of parallel workers,
+gives the same bits.  The mixing permutation is the SplitMix64 finalizer
+``mix64``; with GAMMA = 0x9E3779B97F4A7C15 and KAPPA = 0xC2B2AE3D27D4EB4F
+the scheme is (all arithmetic mod 2**64):
 
     key        = mix64(mix64(seed + GAMMA) ^ mix64(stream + KAPPA))
     word(c)    = mix64(key + (c + 1) * GAMMA)
@@ -48,10 +48,6 @@ def stream_keys(seed: int, stream_indices: np.ndarray) -> np.ndarray:
     return _mix64(_mix64(s + _GAMMA) ^ _mix64(idx + _KAPPA))
 
 
-def _words(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    return _mix64(keys[..., None] + (counters + np.uint64(1)) * _GAMMA)
-
-
 def uniform_block(seed: int, stream_indices: np.ndarray, counter_start: int, count: int) -> np.ndarray:
     """Uniforms in [0, 1) for several streams at consecutive counters.
 
@@ -61,7 +57,7 @@ def uniform_block(seed: int, stream_indices: np.ndarray, counter_start: int, cou
     """
     keys = stream_keys(seed, stream_indices)
     counters = np.arange(counter_start, counter_start + count, dtype=np.uint64)
-    w = _words(keys, counters)
+    w = _mix64(keys[..., None] + (counters + np.uint64(1)) * _GAMMA)
     return (w >> np.uint64(11)).astype(np.float64) * _TWO_POW_MINUS_53
 
 
@@ -72,34 +68,3 @@ def box_muller(u: np.ndarray) -> np.ndarray:
     angle = (2.0 * np.pi) * u[..., 1]
     return np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1)
 
-
-class RngStream:
-    """One stream of the counter-based generator with a running counter.
-
-    A stream is identified by (seed, stream_index); its draw sequence is
-    independent of how the draws are batched.  A single stream must not be
-    shared between concurrent consumers; distinct streams are free to run
-    in parallel.
-    """
-
-    __slots__ = ("seed", "stream_index", "counter", "_key")
-
-    def __init__(self, seed: int, stream_index: int = 0):
-        self.seed = int(seed)
-        self.stream_index = int(stream_index)
-        self.counter = 0
-        self._key = stream_keys(self.seed, np.asarray([self.stream_index]))
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """Next `count` uniforms in [0, 1)."""
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        counters = np.arange(self.counter, self.counter + count, dtype=np.uint64)
-        self.counter += count
-        w = _words(self._key, counters)[0]
-        return (w >> np.uint64(11)).astype(np.float64) * _TWO_POW_MINUS_53
-
-    def normal_pairs(self, count: int) -> np.ndarray:
-        """Next `count` standard normal pairs, shape (count, 2)."""
-        u = self.uniforms(2 * count).reshape(count, 2)
-        return box_muller(u)

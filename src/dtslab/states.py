@@ -8,57 +8,34 @@ number N > 0 produces
 
 The heterodyne law is not assumed: the `fock` module certifies it against
 an explicit truncated Fock-space construction before the Monte Carlo layer
-trusts it.  The beam-splitter concentration step maps n identical copies
-to one copy with amplitude sqrt(n) zeta and n-1 centered thermal states,
-so protocol simulation never needs multi-mode sampling.
+trusts it.  The samplers map blocks of counter-based uniforms or normal
+pairs to outcomes; the `estimator` chunk path is their only caller.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import ThetaPoint
 from .errors import DomainError
-from .rng import RngStream
 
 
-@dataclass(frozen=True)
-class DisplacedThermalParams:
-    """Family point: coherent amplitude and mean thermal photon number."""
-
-    zeta: complex
-    n_mean: float
-
-    def __post_init__(self):
-        if not (self.n_mean > 0):
-            raise DomainError(f"n_mean must be positive, got {self.n_mean}")
-        z = complex(self.zeta)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag) and math.isfinite(self.n_mean)):
-            raise DomainError("parameters must be finite")
-
-
-def heterodyne_pdf(params: DisplacedThermalParams, alpha: complex) -> float:
+def heterodyne_pdf(theta: ThetaPoint, alpha: complex) -> float:
     """Probability density of heterodyne outcome alpha (per unit d^2 alpha)."""
-    width = params.n_mean + 1.0
-    return math.exp(-abs(complex(alpha) - complex(params.zeta)) ** 2 / width) / (math.pi * width)
+    width = theta.n_mean + 1.0
+    return math.exp(-abs(complex(alpha) - theta.zeta) ** 2 / width) / (math.pi * width)
 
 
 def heterodyne_from_normal_pairs(zeta: complex, n_mean: float, pairs: np.ndarray) -> np.ndarray:
     """Map standard normal pairs (..., 2) to heterodyne outcomes.
 
     Both quadrature components carry variance (N+1)/2, so E|alpha - zeta|^2
-    = N + 1.  The scalar sampler and the bulk Monte Carlo paths share this
-    function, which keeps their outputs bit-identical.
+    = N + 1.
     """
     scale = math.sqrt((n_mean + 1.0) / 2.0)
     return complex(zeta) + scale * (pairs[..., 0] + 1j * pairs[..., 1])
-
-
-def sample_heterodyne(params: DisplacedThermalParams, rng: RngStream) -> complex:
-    """Draw one heterodyne outcome; consumes one normal pair (two uniforms)."""
-    return complex(heterodyne_from_normal_pairs(params.zeta, params.n_mean, rng.normal_pairs(1))[0])
 
 
 def photon_pmf(n_mean: float, k: int) -> float:
@@ -79,26 +56,3 @@ def photon_from_uniforms(n_mean: float, u: np.ndarray) -> np.ndarray:
     """
     log_ratio = math.log(n_mean / (n_mean + 1.0))
     return np.floor(np.log1p(-np.asarray(u)) / log_ratio).astype(np.int64)
-
-
-def sample_photon(n_mean: float, rng: RngStream) -> int:
-    """Draw one photon count from P_N; consumes one uniform."""
-    if not (n_mean > 0):
-        raise DomainError(f"n_mean must be positive, got {n_mean}")
-    return int(photon_from_uniforms(n_mean, rng.uniforms(1))[0])
-
-
-def concentrate(
-    params: DisplacedThermalParams, n: int
-) -> tuple[DisplacedThermalParams, DisplacedThermalParams]:
-    """Beam-splitter concentration of n identical copies.
-
-    Returns (first, rest): the first output mode carries amplitude
-    sqrt(n) zeta, the remaining n-1 modes are centered thermal states with
-    the same N.  The identity is certified against the two-mode Fock oracle.
-    """
-    if n < 1:
-        raise DomainError(f"copy count must be at least 1, got {n}")
-    first = DisplacedThermalParams(math.sqrt(n) * complex(params.zeta), params.n_mean)
-    rest = DisplacedThermalParams(0j, params.n_mean)
-    return first, rest

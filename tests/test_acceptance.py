@@ -28,7 +28,7 @@ from dtslab.estimator import (
     expected_finite_n_trace,
     monte_carlo_mse,
 )
-from dtslab.states import DisplacedThermalParams, heterodyne_pdf, photon_pmf
+from dtslab.states import heterodyne_pdf, photon_pmf
 
 N_GRID = (0.5, 1.0, 2.0)
 ZETA_GRID = (0j, 0.3 + 0.4j)
@@ -81,16 +81,16 @@ def test_criterion_1_closed_form_consistency():
         g1, g2, g3 = random_two_param_gs(rng)
         weight = WeightMatrix.from_two_param_gs(g1, g2, g3)
         for n_mean in N_GRID:
-            closed = c_r_closed_2param(g1, g2, g3, n_mean).value
-            general = c_r_general(weight, rld_inverse_2param(n_mean)).value
+            closed = c_r_closed_2param(g1, g2, g3, n_mean)
+            general = c_r_general(weight, rld_inverse_2param(n_mean))
             worst = max(worst, abs(closed - general))
     for _ in range(100):
         g1, g2, g3 = random_two_param_gs(rng)
         g0 = rng.uniform(0.0, 2.0)
         weight = WeightMatrix.from_three_param_gs(g0, g1, g2, g3)
         for n_mean in N_GRID:
-            closed = c_r_closed_3param(g0, g1, g2, g3, n_mean).value
-            general = c_r_general(weight, rld_inverse_3param(n_mean)).value
+            closed = c_r_closed_3param(g0, g1, g2, g3, n_mean)
+            general = c_r_general(weight, rld_inverse_3param(n_mean))
             worst = max(worst, abs(closed - general))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 1.0
@@ -129,12 +129,12 @@ def test_criterion_3_measurement_laws():
         for n_mean in (0.5, 1.0):
             cutoff = fock.cutoff_for(n_mean, 3.0 + abs(zeta))
             rho = fock.displaced_thermal_density(zeta, n_mean, cutoff)
-            params = DisplacedThermalParams(zeta, n_mean)
+            theta = ThetaPoint.from_zeta(zeta, n_mean)
             for re in axis:
                 for im in axis:
                     alpha = complex(re, im)
                     dev = abs(
-                        heterodyne_pdf(params, alpha)
+                        heterodyne_pdf(theta, alpha)
                         - fock.heterodyne_probability_density(rho, alpha)
                     )
                     worst_het = max(worst_het, dev)
@@ -173,7 +173,7 @@ def test_criterion_5_collective_attains_bound(collective_run):
     config, mse, elapsed = collective_run
     # exact finite-n value 2(N+1) + n N(N+1)/(n-1) = 6.0202... at N=1, n=100
     expected = expected_finite_n_trace(config)
-    bound = c_r_closed_3param(1.0, 1.0, 0.0, 0.0, 1.0).value
+    bound = c_r_closed_3param(1.0, 1.0, 0.0, 0.0, 1.0)
     dev = abs(mse.n_trace_gv - expected)
     within_se = dev < 3.0 * mse.se_trace
     near_bound = abs(mse.n_trace_gv / bound - 1.0) < 0.02
@@ -211,7 +211,7 @@ def test_criterion_6_separable_gap(collective_run, separable_run):
 def test_criterion_7_known_n_heterodyne():
     config = mc_config(ProtocolKind.KNOWN_N_HETERODYNE)
     mse = monte_carlo_mse(config)
-    bound = c_r_closed_2param(1.0, 0.0, 0.0, 1.0).value
+    bound = c_r_closed_2param(1.0, 0.0, 0.0, 1.0)
     dev = abs(mse.n_trace_gv - bound)
     ok = bound == 4.0 and dev < 3.0 * mse.se_trace
     report(7, "known-N heterodyne meets the two-parameter bound", ok,
@@ -231,7 +231,7 @@ def test_criterion_8_gaussian_tradeoff():
         g2, g3 = magnitude * math.cos(angle), magnitude * math.sin(angle)
         n_mean = rng.uniform(0.3, 3.0)
         achieved = optimal_gaussian_tradeoff(g1, g2, g3, n_mean).achieved
-        closed = c_r_closed_2param(g1, g2, g3, n_mean).value
+        closed = c_r_closed_2param(g1, g2, g3, n_mean)
         worst = max(worst, abs(achieved - closed))
     ok = worst < 1e-6
     report(8, "squeezed-heterodyne trade-off achieves the closed form", ok,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -40,6 +41,19 @@ class TestBoundsCommand:
         code, _, err = run_cli(capsys, "bounds", "--n-mean", "1", "--weight", str(path))
         assert code == 3
         assert "semidefinite" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_exits_3(self, capsys, tmp_path, bad):
+        path = tmp_path / "w.txt"
+        path.write_text(f"2\n{bad} 0\n0 1\n")
+        code, _, err = run_cli(capsys, "bounds", "--n-mean", "1", "--weight", str(path))
+        assert code == 3
+        assert "finite" in err
+
+    def test_large_n_mean_stays_valid(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--n-mean", "1e17", "--json")
+        assert code == 0
+        assert json.loads(out)["c_r_general"] == pytest.approx((1e17 + 1) * (1e17 + 2))
 
     def test_text_output(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--n-mean", "1")
@@ -215,6 +229,61 @@ class TestSimulateCommand:
         assert code3 == 0
         assert json.loads(out_override)["seed"] == 8
 
+    def test_config_file_keeps_explicit_falsy_flags(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": 7, "zeta_re": 0.9, "clip_nonneg": True}))
+        args = (
+            "simulate", "--protocol", "collective", "--n-mean", "1",
+            "--n-copies", "3", "--trials", "100", "--config", str(config),
+        )
+        code, out, _ = run_cli(capsys, *args, "--seed", "0", "--zeta-re", "0")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["seed"] == 0
+        assert payload["theta"]["zeta_re"] == 0.0
+        # a flag that was not given still comes from the file
+        assert payload["clip_nonneg"] is True
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["seed"] == 7 and payload["theta"]["zeta_re"] == 0.9
+
+    def test_n_mean_above_sampler_limit_exits_3(self, capsys):
+        code, _, err = run_cli(
+            capsys, "simulate", "--protocol", "collective", "--n-mean", "1e17", "--trials", "100"
+        )
+        assert code == 3
+        assert "at most 1e+08" in err
+
+    # sha256 of the summary JSON and the trial CSV; a change to the output bits
+    # must update these together with the "algorithms" identifiers
+    GOLDEN = {
+        "collective": (
+            "a25df2725890c5a422f27f1390900a732f75a7789141663291c74e4bac91ac58",
+            "654a26bba6fc7c76a335311cfd53352bbb7fec91a827e3892ed8674ee4d7d6b2",
+        ),
+        "separable": (
+            "6084a06876a839425bc6cd2d6e90668883a970ee59c2e444219a17efd2c1fbd2",
+            "a0e97df1d4a0be068fd494a4a7fad6cf424212b9c8cc00e2b944467e7c9505ba",
+        ),
+        "known-n": (
+            "35e1e9f59c4a01e0326f615c52147816a00bcac92bb652ec5b0f3a03f31d7637",
+            "5c092fbdd750abeb58d004d828c8faac48f9123a21b5b2be1069f62d8b8876c6",
+        ),
+    }
+
+    @pytest.mark.parametrize("protocol", sorted(GOLDEN))
+    def test_golden_bits(self, capsys, tmp_path, protocol):
+        out, trials = tmp_path / "s.json", tmp_path / "t.csv"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--protocol", protocol, "--n-mean", "1", "--zeta-re", "0.5",
+            "--n-copies", "10", "--trials", "1000", "--seed", "3", "--threads", "1",
+            "--out", str(out), "--trial-csv", str(trials),
+        )
+        assert code == 0
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, trials))
+        assert digests == self.GOLDEN[protocol]
+
 
 class TestOracleCheckCommand:
     def test_default_run_passes(self, capsys):
@@ -237,6 +306,26 @@ class TestOracleCheckCommand:
         code, _, err = run_cli(capsys, "oracle-check", "--cutoff", "5", "--n-mean", "2")
         assert code == 2
         assert "cutoff" in err
+
+    @pytest.mark.parametrize(
+        "argv,needed",
+        [
+            (("--n-mean", "3"), "cutoff 97,"),
+            (("--n-mean", "10", "--deep"), "cutoff 290,"),
+            (("--n-mean", "1e17"), "cutoff 2763102111592854528,"),
+            (("--cutoff", "200"), "cutoff 200,"),
+        ],
+        ids=["n3", "n10-deep", "n1e17", "explicit-200"],
+    )
+    def test_infeasible_cutoff_exits_2(self, capsys, argv, needed):
+        code, _, err = run_cli(capsys, "oracle-check", *argv)
+        assert code == 2
+        assert needed in err and "limit 70" in err
+
+    def test_unreachable_tail_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "oracle-check", "--n-mean", "1e308")
+        assert code == 2
+        assert "no finite cutoff" in err
 
     def test_deep_adds_cascade(self, capsys):
         code, out, _ = run_cli(

@@ -6,19 +6,19 @@ import pytest
 from dtslab.bounds import ThetaPoint, WeightMatrix
 from dtslab.errors import DomainError
 from dtslab.estimator import (
-    Estimate,
+    MAX_N_MEAN,
     ExperimentConfig,
     ProtocolKind,
+    _chunk_estimates,
+    _collective_kernel,
+    _known_n_kernel,
+    _separable_kernel,
     compare_to_bounds,
     expected_finite_n_trace,
-    mle_geometric,
     monte_carlo_mse,
-    run_collective_trial,
-    run_known_n_trial,
-    run_separable_trial,
-    run_trial,
 )
-from dtslab.rng import RngStream
+from dtslab.rng import box_muller, uniform_block
+from dtslab.states import photon_from_uniforms
 
 THETA = ThetaPoint.from_zeta(0.7071 + 0j, 1.0)
 
@@ -36,28 +36,47 @@ def make_config(protocol, n_copies=100, trials=1000, seed=42, n_mean=1.0):
     )
 
 
+def single_trial(config, t):
+    """(zeta_hat, n_hat) of trial t: a chunk of size 1."""
+    zeta_hat, n_hat = _chunk_estimates(config, t, 1)
+    return complex(zeta_hat[0]), None if n_hat is None else float(n_hat[0])
+
+
+def photon_counts(config, t):
+    """The n-1 photon counts of collective trial t (counters 2 .. n)."""
+    u = uniform_block(config.seed, np.asarray([t]), 2, config.n_copies - 1)
+    return photon_from_uniforms(config.theta.n_mean, u[0])
+
+
 class TestMleGeometric:
+    """The collective photon estimate is the geometric maximum-likelihood N."""
+
     def test_stationary_point(self):
-        assert mle_geometric([0, 1, 2]) == 1.0
+        # the likelihood's stationary point is the sample mean of the counts
+        config = make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, n_copies=4)
+        for t in range(20):
+            counts = photon_counts(config, t)
+            assert single_trial(config, t)[1] == counts.astype(float).mean()
 
     def test_boundary_all_zero(self):
-        assert mle_geometric([0, 0, 0]) == 0.0
+        # at small N most trials count no photon; their estimate sits at the boundary 0
+        config = make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, n_copies=3, n_mean=0.01)
+        zero_trials = [t for t in range(50) if not photon_counts(config, t).any()]
+        assert len(zero_trials) > 25
+        assert all(single_trial(config, t)[1] == 0.0 for t in zero_trials)
 
     def test_single_sample(self):
-        assert mle_geometric([5]) == 5.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(DomainError):
-            mle_geometric([])
-
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            mle_geometric([1, -1])
+        # two copies leave one counted mode, whose count is the estimate
+        config = make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, n_copies=2)
+        for t in range(20):
+            assert single_trial(config, t)[1] == float(photon_counts(config, t)[0])
 
     def test_is_the_likelihood_maximizer(self):
-        # scan oracle: log-likelihood of the geometric law peaks at the mean
-        counts = np.array([0, 3, 1, 1, 2, 0, 4])
-        khat = mle_geometric(counts)
+        # scan oracle: log-likelihood of the geometric law peaks at the estimate
+        config = make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, n_copies=8, n_mean=1.5)
+        counts = photon_counts(config, 3)
+        khat = single_trial(config, 3)[1]
+        assert khat > 0
 
         def loglik(n):
             return float(
@@ -71,34 +90,42 @@ class TestMleGeometric:
 class TestSingleTrials:
     def test_collective_deterministic(self):
         config = make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, n_copies=2)
-        first = run_collective_trial(config, RngStream(42, 0))
-        second = run_collective_trial(config, RngStream(42, 0))
+        first = single_trial(config, 0)
+        second = single_trial(config, 0)
         assert first == second
-        assert isinstance(first, Estimate)
-        assert first.n_hat is not None
+        assert first[1] is not None
 
     def test_known_n_has_no_photon_estimate(self):
         config = make_config(ProtocolKind.KNOWN_N_HETERODYNE)
-        est = run_known_n_trial(config, RngStream(0, 0))
-        assert est.n_hat is None
+        zeta_hat, n_hat = _chunk_estimates(config, 0, 1)
+        assert zeta_hat.shape == (1,)
+        assert n_hat is None
 
     def test_dispatch_matches_specific_runners(self):
-        for protocol, runner in (
-            (ProtocolKind.COLLECTIVE_CONCENTRATION, run_collective_trial),
-            (ProtocolKind.SEPARABLE_HETERODYNE, run_separable_trial),
-            (ProtocolKind.KNOWN_N_HETERODYNE, run_known_n_trial),
-        ):
-            config = make_config(protocol)
-            assert run_trial(config, RngStream(1, 2)) == runner(config, RngStream(1, 2))
+        # each protocol reaches its kernel with the documented counter layout
+        n = 5
+        u = uniform_block(42, np.arange(3), 0, 2 * n)
+        coll = make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, n_copies=n, trials=3)
+        sep = make_config(ProtocolKind.SEPARABLE_HETERODYNE, n_copies=n, trials=3)
+        known = make_config(ProtocolKind.KNOWN_N_HETERODYNE, n_copies=n, trials=3)
+        pairs = box_muller(u.reshape(3, n, 2))
+        expected = {
+            coll.protocol: _collective_kernel(
+                coll.theta, n, box_muller(u[:, :2]), u[:, 2 : n + 1], False
+            ),
+            sep.protocol: _separable_kernel(sep.theta, n, pairs, False),
+            known.protocol: (_known_n_kernel(known.theta, n, pairs), None),
+        }
+        for config in (coll, sep, known):
+            zeta_hat, n_hat = _chunk_estimates(config, 0, 3)
+            want_zeta, want_n = expected[config.protocol]
+            assert np.array_equal(zeta_hat, want_zeta)
+            assert (n_hat is None and want_n is None) or np.array_equal(n_hat, want_n)
 
     def test_collective_moments(self):
         config = make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, trials=20000)
         n, n_mean = config.n_copies, config.theta.n_mean
-        zs = np.empty(config.trials, dtype=complex)
-        ns = np.empty(config.trials)
-        for t in range(config.trials):
-            est = run_collective_trial(config, RngStream(config.seed, t))
-            zs[t], ns[t] = est.zeta_hat, est.n_hat
+        zs, ns = _chunk_estimates(config, 0, config.trials)
         # E zeta_hat = zeta, E|zeta_hat - zeta|^2 = (N+1)/n
         band = 5.0 * math.sqrt((n_mean + 1.0) / (2 * n * config.trials))
         assert abs(zs.real.mean() - config.theta.zeta.real) < band
@@ -112,11 +139,7 @@ class TestSingleTrials:
     def test_separable_moments(self):
         config = make_config(ProtocolKind.SEPARABLE_HETERODYNE, trials=20000)
         n, n_mean = config.n_copies, config.theta.n_mean
-        zs = np.empty(config.trials, dtype=complex)
-        ns = np.empty(config.trials)
-        for t in range(config.trials):
-            est = run_separable_trial(config, RngStream(config.seed, t))
-            zs[t], ns[t] = est.zeta_hat, est.n_hat
+        zs, ns = _chunk_estimates(config, 0, config.trials)
         band = 5.0 * math.sqrt((n_mean + 1.0) / (2 * n * config.trials))
         assert abs(zs.real.mean() - config.theta.zeta.real) < band
         assert abs(zs.imag.mean() - config.theta.zeta.imag) < band
@@ -139,12 +162,12 @@ class TestSingleTrials:
         )
         raw = ExperimentConfig(**base)
         clipped = ExperimentConfig(**base, clip_nonneg=True)
-        raw_hats = [run_separable_trial(raw, RngStream(21, t)).n_hat for t in range(400)]
-        clip_hats = [run_separable_trial(clipped, RngStream(21, t)).n_hat for t in range(400)]
-        assert min(raw_hats) < 0.0
-        assert min(clip_hats) == 0.0
-        assert all(c == max(r, 0.0) for r, c in zip(raw_hats, clip_hats))
-        # bulk path honors the flag too
+        _, raw_hats = _chunk_estimates(raw, 0, 400)
+        _, clip_hats = _chunk_estimates(clipped, 0, 400)
+        assert raw_hats.min() < 0.0
+        assert clip_hats.min() == 0.0
+        assert np.array_equal(clip_hats, np.maximum(raw_hats, 0.0))
+        # the Monte Carlo reduction honors the flag too
         mse_raw = monte_carlo_mse(raw)
         mse_clip = monte_carlo_mse(clipped)
         assert mse_clip.n_trace_gv != mse_raw.n_trace_gv
@@ -181,9 +204,7 @@ class TestMonteCarlo:
 
             monte_carlo_mse(config, trial_sink=sink)
             for t in range(config.trials):
-                est = run_trial(config, RngStream(config.seed, t))
-                assert collected[t][0] == est.zeta_hat, (protocol, t)
-                assert collected[t][1] == est.n_hat, (protocol, t)
+                assert collected[t] == single_trial(config, t), (protocol, t)
 
     def test_thread_count_does_not_change_bits(self):
         config = make_config(ProtocolKind.SEPARABLE_HETERODYNE, trials=5000, seed=3)
@@ -307,3 +328,9 @@ class TestConfigValidation:
                 seed=0,
                 weight=WeightMatrix.identity(3),
             )
+
+    def test_rejects_n_mean_above_sampler_limit(self):
+        make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, n_mean=MAX_N_MEAN)
+        for protocol in ProtocolKind:
+            with pytest.raises(DomainError, match="at most 1e"):
+                make_config(protocol, n_mean=1e17)

@@ -289,3 +289,18 @@ class TestCutoffRule:
     def test_rejects_bad_tol(self):
         with pytest.raises(DomainError):
             fock.cutoff_for(1.0, 0.0, tol=2.0)
+
+    def test_huge_n_mean_needs_a_finite_cutoff(self):
+        # N/(N+1) rounds to 1 here; the rule still returns the needed cutoff
+        d = fock.cutoff_for(1e17, 0.0)
+        assert 1.8e18 < d < 1.9e18
+        with pytest.raises(PreconditionError, match="no finite cutoff"):
+            fock.cutoff_for(1e308, 0.0, tol=1e-12)
+
+    def test_limit_refuses_before_allocating(self):
+        assert fock.concentration_cutoff(0.5, 2.0, 2) == 69 <= fock.MAX_CUTOFF
+        assert fock.concentration_cutoff(0.5, 3.0, 2) == 97
+        with pytest.raises(PreconditionError, match="cutoff 97, above the limit 70"):
+            fock.verify_concentration_n2(0.5, 3.0)
+        with pytest.raises(PreconditionError, match="cutoff 71, above the limit 70"):
+            fock.verify_concentration_cascade(0.5, 1.0, cutoff=71)

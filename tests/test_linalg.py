@@ -3,7 +3,6 @@ import pytest
 
 from dtslab.errors import DomainError
 from dtslab.linalg import (
-    antihermitian_part,
     hermitian_part,
     sqrt_psd,
     trace_distance,
@@ -71,10 +70,10 @@ def test_hermitian_decomposition_recombines():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     h = hermitian_part(a)
-    k = antihermitian_part(a)
+    k = a - h  # the anti-Hermitian complement
     assert np.allclose(h, h.conj().T)
     assert np.allclose(k, -k.conj().T)
-    assert np.allclose(h + k, a, rtol=0, atol=1e-15)
+    assert np.allclose(k, (a - a.conj().T) / 2, rtol=0, atol=1e-15)
     assert h.shape == a.shape and k.shape == a.shape
 
 

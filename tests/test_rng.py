@@ -1,44 +1,45 @@
 import numpy as np
 
-from dtslab.rng import RngStream, box_muller, uniform_block
+from dtslab.rng import box_muller, uniform_block
+
+
+def draws(seed, stream, start, count):
+    return uniform_block(seed, np.asarray([stream]), start, count)[0]
 
 
 def test_same_stream_reproduces():
-    a = RngStream(123, 5).uniforms(100)
-    b = RngStream(123, 5).uniforms(100)
+    a = draws(123, 5, 0, 100)
+    b = draws(123, 5, 0, 100)
     assert np.array_equal(a, b)
 
 
 def test_streams_and_seeds_differ():
-    base = RngStream(123, 5).uniforms(64)
-    assert not np.array_equal(base, RngStream(123, 6).uniforms(64))
-    assert not np.array_equal(base, RngStream(124, 5).uniforms(64))
+    base = draws(123, 5, 0, 64)
+    assert not np.array_equal(base, draws(123, 6, 0, 64))
+    assert not np.array_equal(base, draws(124, 5, 0, 64))
 
 
 def test_batching_does_not_change_sequence():
-    whole = RngStream(9, 0).uniforms(32)
-    s = RngStream(9, 0)
-    parts = np.concatenate([s.uniforms(5), s.uniforms(3), s.uniforms(24)])
+    whole = draws(9, 0, 0, 32)
+    parts = np.concatenate([draws(9, 0, 0, 5), draws(9, 0, 5, 3), draws(9, 0, 8, 24)])
     assert np.array_equal(whole, parts)
 
 
 def test_bulk_block_matches_stream_draws():
     block = uniform_block(77, np.arange(4), 3, 10)
     for idx in range(4):
-        s = RngStream(77, idx)
-        s.uniforms(3)  # skip to counter 3
-        assert np.array_equal(block[idx], s.uniforms(10))
+        assert np.array_equal(block[idx], draws(77, idx, 0, 13)[3:])
 
 
 def test_uniform_range_and_moments():
-    u = RngStream(2024, 1).uniforms(200_000)
+    u = draws(2024, 1, 0, 200_000)
     assert u.min() >= 0.0 and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 0.005
     assert abs(u.var() - 1.0 / 12.0) < 0.002
 
 
 def test_box_muller_pairs_are_standard_normal():
-    z = RngStream(5, 0).normal_pairs(100_000)
+    z = box_muller(draws(5, 0, 0, 200_000).reshape(100_000, 2))
     assert z.shape == (100_000, 2)
     flat = z.ravel()
     assert abs(flat.mean()) < 0.01
@@ -49,14 +50,16 @@ def test_box_muller_pairs_are_standard_normal():
 
 
 def test_box_muller_layout_matches_uniforms():
-    s1 = RngStream(5, 3)
-    pairs = s1.normal_pairs(7)
-    s2 = RngStream(5, 3)
-    u = s2.uniforms(14).reshape(7, 2)
-    assert np.array_equal(pairs, box_muller(u))
+    # pair i is built from the uniforms at counters 2i and 2i+1
+    u = draws(5, 3, 0, 14).reshape(7, 2)
+    pairs = box_muller(u)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+    angle = 2.0 * np.pi * u[:, 1]
+    assert np.array_equal(pairs[:, 0], radius * np.cos(angle))
+    assert np.array_equal(pairs[:, 1], radius * np.sin(angle))
 
 
 def test_negative_seed_accepted():
-    a = RngStream(-1, 0).uniforms(4)
-    b = RngStream(-1, 0).uniforms(4)
+    a = draws(-1, 0, 0, 4)
+    b = draws(-1, 0, 0, 4)
     assert np.array_equal(a, b)

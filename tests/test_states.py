@@ -5,34 +5,41 @@ import pytest
 from scipy import stats as sstats
 
 from dtslab import fock
+from dtslab.bounds import ThetaPoint, WeightMatrix
 from dtslab.errors import DomainError
-from dtslab.rng import RngStream
+from dtslab.estimator import ExperimentConfig, ProtocolKind, _chunk_estimates
+from dtslab.rng import box_muller, uniform_block
 from dtslab.states import (
-    DisplacedThermalParams,
-    concentrate,
+    heterodyne_from_normal_pairs,
     heterodyne_pdf,
     photon_from_uniforms,
     photon_pmf,
-    sample_heterodyne,
-    sample_photon,
 )
+
+
+def uniforms(seed, count):
+    return uniform_block(seed, np.asarray([0]), 0, count)[0]
+
+
+def normal_pairs(seed, stream, count):
+    return box_muller(uniform_block(seed, np.asarray([stream]), 0, 2 * count)[0].reshape(count, 2))
 
 
 class TestHeterodynePdf:
     def test_thermal_center_value(self):
         # frozen from the Fock oracle: <0|rho_{0,1}|0> = 1/2, density 1/(2 pi)
-        params = DisplacedThermalParams(0j, 1.0)
+        params = ThetaPoint.from_zeta(0j, 1.0)
         assert heterodyne_pdf(params, 0j) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-12)
 
     def test_peak_at_zeta(self):
-        params = DisplacedThermalParams(0.7 - 0.2j, 0.5)
+        params = ThetaPoint.from_zeta(0.7 - 0.2j, 0.5)
         peak = 1.0 / (math.pi * 1.5)
         assert heterodyne_pdf(params, 0.7 - 0.2j) == pytest.approx(peak, abs=1e-14)
         assert heterodyne_pdf(params, 0.9 - 0.2j) < peak
 
     @pytest.mark.parametrize("zeta,n_mean", [(0j, 1.0), (0.5 + 0.5j, 0.5), (1.0j, 2.0)])
     def test_normalization_by_quadrature(self, zeta, n_mean):
-        params = DisplacedThermalParams(zeta, n_mean)
+        params = ThetaPoint.from_zeta(zeta, n_mean)
         radius = 8.0 * math.sqrt(n_mean + 1.0)
         nodes, weights = np.polynomial.legendre.leggauss(120)
         radii = 0.5 * radius * (nodes + 1.0)
@@ -52,7 +59,7 @@ class TestHeterodynePdf:
         for zeta, n_mean in ((0j, 2.0), (1.0 + 0j, 0.5), (0.6 - 0.8j, 1.0)):
             cutoff = fock.cutoff_for(n_mean, 3.0 + abs(zeta))
             rho = fock.displaced_thermal_density(zeta, n_mean, cutoff)
-            params = DisplacedThermalParams(zeta, n_mean)
+            params = ThetaPoint.from_zeta(zeta, n_mean)
             for alpha in (0j, 1.5 + 1.5j, -3.0 + 0j, 3.0j, 2.0 - 2.0j):
                 assert heterodyne_pdf(params, alpha) == pytest.approx(
                     fock.heterodyne_probability_density(rho, alpha), abs=1e-6
@@ -61,21 +68,15 @@ class TestHeterodynePdf:
 
 class TestHeterodyneSampler:
     def test_deterministic_for_fixed_seed(self):
-        params = DisplacedThermalParams(0.3 + 0.1j, 1.0)
-        a = [sample_heterodyne(params, RngStream(7, 3)) for _ in range(1)]
-        b = [sample_heterodyne(params, RngStream(7, 3)) for _ in range(1)]
-        assert a == b
-        s1, s2 = RngStream(7, 3), RngStream(7, 3)
-        seq1 = [sample_heterodyne(params, s1) for _ in range(10)]
-        seq2 = [sample_heterodyne(params, s2) for _ in range(10)]
-        assert seq1 == seq2
+        theta = ThetaPoint.from_zeta(0.3 + 0.1j, 1.0)
+        a = heterodyne_from_normal_pairs(theta.zeta, theta.n_mean, normal_pairs(7, 3, 10))
+        b = heterodyne_from_normal_pairs(theta.zeta, theta.n_mean, normal_pairs(7, 3, 10))
+        assert a.shape == (10,)
+        assert np.array_equal(a, b)
 
     def test_moments(self):
         zeta, n_mean = 0.4 - 0.7j, 1.5
-        params = DisplacedThermalParams(zeta, n_mean)
-        stream = RngStream(2024, 0)
-        pairs = stream.normal_pairs(1_000_000)
-        samples = zeta + math.sqrt((n_mean + 1.0) / 2.0) * (pairs[:, 0] + 1j * pairs[:, 1])
+        samples = heterodyne_from_normal_pairs(zeta, n_mean, normal_pairs(2024, 0, 1_000_000))
         band = 4.0 * math.sqrt((n_mean + 1.0) / 1e6)
         assert abs(samples.real.mean() - zeta.real) < band
         assert abs(samples.imag.mean() - zeta.imag) < band
@@ -84,10 +85,7 @@ class TestHeterodyneSampler:
 
     def test_quadrature_distribution_ks(self):
         n_mean = 1.0
-        params = DisplacedThermalParams(0j, n_mean)
-        stream = RngStream(99, 0)
-        pairs = stream.normal_pairs(100_000)
-        samples = math.sqrt((n_mean + 1.0) / 2.0) * pairs[:, 0]
+        samples = heterodyne_from_normal_pairs(0j, n_mean, normal_pairs(99, 0, 100_000)).real
         result = sstats.kstest(samples, "norm", args=(0.0, math.sqrt((n_mean + 1.0) / 2.0)))
         assert result.statistic < 0.006
 
@@ -118,17 +116,17 @@ class TestPhotonSampler:
         assert photon_from_uniforms(1.0, np.array([0.0]))[0] == 0
 
     def test_scalar_sampler(self):
-        k = sample_photon(1.0, RngStream(5, 0))
-        assert isinstance(k, int) and k >= 0
+        k = photon_from_uniforms(1.0, uniforms(5, 1))
+        assert k.dtype == np.int64 and k.shape == (1,) and k[0] >= 0
 
     def test_moments(self):
-        u = RngStream(31, 0).uniforms(1_000_000)
+        u = uniforms(31, 1_000_000)
         ks = photon_from_uniforms(1.0, u).astype(float)
         assert ks.mean() == pytest.approx(1.0, rel=0.01)
         assert ks.var() == pytest.approx(2.0, rel=0.02)
 
     def test_matches_pmf_histogram(self):
-        u = RngStream(444, 0).uniforms(200_000)
+        u = uniforms(444, 200_000)
         ks = photon_from_uniforms(0.7, u)
         for k in range(4):
             freq = np.mean(ks == k)
@@ -137,26 +135,29 @@ class TestPhotonSampler:
 
 class TestConcentrate:
     def test_four_copies(self):
-        first, rest = concentrate(DisplacedThermalParams(1.0 + 0j, 0.5), 4)
-        assert first.zeta == 2.0 + 0j and first.n_mean == 0.5
-        assert rest.zeta == 0j and rest.n_mean == 0.5
-
-    def test_single_copy_is_identity(self):
-        params = DisplacedThermalParams(0.3 + 0.2j, 1.0)
-        first, rest = concentrate(params, 1)
-        assert first.zeta == params.zeta and first.n_mean == params.n_mean
-        assert rest.zeta == 0j
-
-    def test_rejects_zero_copies(self):
-        with pytest.raises(DomainError):
-            concentrate(DisplacedThermalParams(0j, 1.0), 0)
+        # concentrating 4 copies leaves amplitude sqrt(4) zeta on the heterodyned
+        # mode and centered thermal states with the same N on the 3 counted modes
+        theta = ThetaPoint.from_zeta(1.0 + 0j, 0.5)
+        config = ExperimentConfig(
+            protocol=ProtocolKind.COLLECTIVE_CONCENTRATION,
+            theta=theta,
+            n_copies=4,
+            trials=3,
+            seed=8,
+            weight=WeightMatrix.identity(3),
+        )
+        zeta_hat, n_hat = _chunk_estimates(config, 0, 3)
+        u = uniform_block(8, np.arange(3), 0, 5)
+        alpha = heterodyne_from_normal_pairs(2.0 * theta.zeta, 0.5, box_muller(u[:, :2]))
+        assert np.array_equal(zeta_hat, alpha / 2.0)
+        assert np.array_equal(n_hat, photon_from_uniforms(0.5, u[:, 2:]).mean(axis=1))
 
 
 class TestParams:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(DomainError):
-            DisplacedThermalParams(0j, 0.0)
+            ThetaPoint.from_zeta(0j, 0.0)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
-            DisplacedThermalParams(complex(math.inf, 0), 1.0)
+            ThetaPoint.from_zeta(complex(math.inf, 0), 1.0)
