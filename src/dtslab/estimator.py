@@ -53,6 +53,8 @@ from .errors import DomainError
 _SQRT2 = math.sqrt(2.0)
 _CHUNK_BUDGET = 1 << 22  # draws per chunk; chunking depends on config only
 MAX_N_MEAN = 1e8
+# a one-trial chunk draws up to 2 n_copies uniforms: about 2**23 at this limit
+MAX_N_COPIES = _CHUNK_BUDGET
 
 
 class ProtocolKind(Enum):
@@ -80,6 +82,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_copies < 2:
             raise DomainError(f"n_copies must be at least 2, got {self.n_copies}")
+        if self.n_copies > MAX_N_COPIES:
+            raise DomainError(
+                f"n_copies must be at most {MAX_N_COPIES} for simulation (one trial "
+                f"draws 2 n_copies numbers at once), got {self.n_copies}"
+            )
         if self.trials < 1:
             raise DomainError(f"trials must be at least 1, got {self.trials}")
         if self.theta.n_mean > MAX_N_MEAN:

@@ -11,6 +11,12 @@ Conventions: single-mode operators are (cutoff x cutoff) complex ndarrays;
 two-mode operators are (cutoff^2 x cutoff^2) ndarrays with basis index
 (m, n) -> m * cutoff + n (numpy.kron order, mode 1 first).  Densities built
 here have trace <= 1, with the deficit bounded by the tail functions below.
+
+The beam splitter conserves the total photon number m + n, so the two-mode
+window splits into 2 cutoff - 1 blocks of equal total (`_photon_blocks`),
+each at most cutoff states wide.  The unitary is exponentiated one block at
+a time and the concentration checks conjugate by it one block at a time, so
+they form no dense two-mode matrix product and no matrix exponential.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bounds import ThetaPoint
 from .errors import DomainError, NumericalError, PreconditionError
@@ -29,8 +34,10 @@ from .linalg import trace_distance
 DEFAULT_TAIL_TOL = 1e-8
 _DISTANCE_RULE_TOL = 1e-12  # default-cutoff target for trace-distance certifications
 _CONDITION_LIMIT = 1e12
-# two-mode operators hold cutoff**4 complex entries (384 MB at 70), about a dozen
-# alive per check: the N = 2 default cutoff 69 fits, the N = 3 default 97 does not
+# two-mode operators hold cutoff**4 complex entries (384 MB at 70); a check keeps
+# about six alive at its peak, in trace_distance of the joint output (plus the
+# real unitary, half an operator): the N = 2 default cutoff 69 fits, the N = 3
+# default 97 does not
 MAX_CUTOFF = 70
 
 
@@ -99,9 +106,35 @@ def cutoff_for(
     if not math.isfinite(d_thermal):
         raise PreconditionError(f"no finite cutoff reaches tail {tol:g} at n_mean {n_mean:g}")
     d = max(min_cutoff, 2, math.ceil(d_thermal))
-    while poisson_tail_bound(abs(amplitude) ** 2, d) >= tol:
-        d += 1
-    return d
+    try:
+        return _least_poisson_cutoff(float(abs(amplitude)) ** 2, tol, d)
+    except (OverflowError, ValueError):
+        raise PreconditionError(
+            f"no finite cutoff reaches tail {tol:g} at amplitude {amplitude:g}"
+        ) from None
+
+
+def _least_poisson_cutoff(mu: float, tol: float, start: int) -> int:
+    """Least cutoff >= start with poisson_tail_bound(mu, cutoff) < tol.
+
+    The bound is 1 up to mu and strictly decreasing above it, so the search
+    gallops up from the first integer above mu and then bisects.
+    """
+    if mu == 0.0:
+        return start
+    start = max(start, math.floor(mu) + 1)
+    if poisson_tail_bound(mu, start) < tol:
+        return start
+    failing, passing = start, start + 1
+    while poisson_tail_bound(mu, passing) >= tol:
+        failing, passing = passing, passing + 2 * (passing - failing)
+    while passing - failing > 1:
+        mid = (failing + passing) // 2
+        if poisson_tail_bound(mu, mid) < tol:
+            passing = mid
+        else:
+            failing = mid
+    return passing
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +267,65 @@ def concentration_angle(i: int) -> float:
     return math.atan(1.0 / math.sqrt(i))
 
 
+def _photon_blocks(cutoff: int) -> list[np.ndarray]:
+    """Two-mode basis indices of each total T = 0 .. 2 cutoff - 2, mode-1 count ascending.
+
+    Block T holds the window states (m, T - m); the beam splitter couples
+    only neighbours (m, T - m) and (m + 1, T - m - 1) inside one block.
+    """
+    blocks = []
+    for total in range(2 * cutoff - 1):
+        m = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
+        blocks.append(m * cutoff + (total - m))
+    return blocks
+
+
 def beam_splitter(phi: float, cutoff: int) -> np.ndarray:
     """Two-mode unitary exp(phi (adag x b - a x bdag)) on the truncated space.
 
-    The generator conserves total photon number, so the exponential is exact
-    on every total-photon block that fits inside the window; only blocks with
-    total >= cutoff are affected by truncation.  At phi = arctan(1/sqrt(1))
-    two equal coherent amplitudes merge into mode 1.
+    The truncated generator maps each total-photon block to itself, so the
+    exponential is the direct sum of its block exponentials.  Block T is the
+    real antisymmetric tridiagonal matrix G with G[k+1, k] = sqrt((m+1)(T-m))
+    for m the mode-1 count of entry k; i G is Hermitian, and with
+    i G = V diag(w) V^dagger the block is V diag(exp(-i phi w)) V^dagger,
+    whose real part is stored.  This is exact on every block, including the
+    blocks with total >= cutoff that the window truncates (there it is the
+    exponential of the truncated generator, still orthogonal).  At
+    phi = arctan(1/sqrt(1)) two equal coherent amplitudes merge into mode 1.
     """
-    a = annihilation(cutoff)
-    generator = np.kron(a.conj().T, a) - np.kron(a, a.conj().T)
-    unitary = expm(phi * generator)
+    if cutoff < 2:
+        raise DomainError(f"cutoff must be at least 2, got {cutoff}")
+    unitary = np.zeros((cutoff * cutoff, cutoff * cutoff))
+    for idx in _photon_blocks(cutoff):
+        m, n = np.divmod(idx[:-1], cutoff)
+        coupling = np.sqrt((m + 1.0) * n)
+        generator = np.diag(coupling, -1) - np.diag(coupling, 1)
+        w, v = np.linalg.eigh(1j * generator)
+        unitary[np.ix_(idx, idx)] = ((v * np.exp(-1j * phi * w)) @ v.conj().T).real
     if not np.all(np.isfinite(unitary)):
         raise NumericalError(f"matrix exponential failed for phi={phi}, cutoff={cutoff}")
     return unitary
+
+
+def _conjugate_by_blocks(unitary: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """unitary @ op @ unitary.T for a real unitary that keeps each photon block.
+
+    U X U^T = (U (U X)^T)^T: two passes that each mix rows block by block,
+    costing cutoff^2 times the sum of squared block sizes instead of
+    cutoff^6.  The unitary is real, so a pass acts on the real and imaginary
+    parts alike and runs as real products on the float view of the rows.
+    """
+    cutoff = math.isqrt(op.shape[0])
+    blocks = [(idx, unitary[np.ix_(idx, idx)]) for idx in _photon_blocks(cutoff)]
+
+    def mix_rows(x: np.ndarray) -> np.ndarray:
+        flat = np.ascontiguousarray(x, dtype=complex).view(float)
+        out = np.empty_like(flat)
+        for idx, u in blocks:
+            out[idx] = u @ flat[idx]
+        return out.view(complex)
+
+    return mix_rows(mix_rows(op).T).T
 
 
 def partial_trace(op: np.ndarray, keep: str) -> np.ndarray:
@@ -337,7 +415,7 @@ def verify_concentration_n2(
     phi = concentration_angle(1)
     single = displaced_thermal_density(zeta, n_mean, cutoff)
     unitary = beam_splitter(phi, cutoff)
-    joint = unitary @ np.kron(single, single) @ unitary.conj().T
+    joint = _conjugate_by_blocks(unitary, np.kron(single, single))
     target_first = displaced_thermal_density(math.sqrt(2.0) * complex(zeta), n_mean, cutoff)
     target_second = thermal_density(n_mean, cutoff)
     return ConcentrationReport(
@@ -377,7 +455,7 @@ def verify_concentration_cascade(
         phi = concentration_angle(i)
         carried = displaced_thermal_density(math.sqrt(i) * complex(zeta), n_mean, cutoff)
         unitary = beam_splitter(phi, cutoff)
-        joint = unitary @ np.kron(carried, fresh) @ unitary.conj().T
+        joint = _conjugate_by_blocks(unitary, np.kron(carried, fresh))
         target_first = displaced_thermal_density(
             math.sqrt(i + 1.0) * complex(zeta), n_mean, cutoff
         )

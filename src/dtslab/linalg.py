@@ -56,5 +56,7 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     h = hermitian_part(d)
     if np.max(np.abs(d - h)) > 1e-9 * max(1.0, float(np.max(np.abs(d)))):
         raise DomainError("trace_distance expects Hermitian operators")
+    if np.iscomplexobj(h) and not np.any(h.imag):
+        h = h.real  # real symmetric: the real solver is several times faster
     return float(np.abs(np.linalg.eigvalsh(h)).sum() / 2)
 

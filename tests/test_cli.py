@@ -1,10 +1,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
-from dtslab import cli, states
+from dtslab import cli, fock, states
+from dtslab.estimator import MAX_N_COPIES
 
 
 def run_cli(capsys, *argv):
@@ -255,6 +260,15 @@ class TestSimulateCommand:
         assert code == 3
         assert "at most 1e+08" in err
 
+    @pytest.mark.parametrize("n_copies", [MAX_N_COPIES + 1, 10**9])
+    def test_n_copies_above_limit_exits_3(self, capsys, n_copies):
+        code, out, err = run_cli(
+            capsys, "simulate", "--protocol", "separable", "--n-mean", "1",
+            "--n-copies", str(n_copies), "--trials", "100",
+        )
+        assert code == 3 and out == ""
+        assert f"at most {MAX_N_COPIES}" in err
+
     # sha256 of the summary JSON and the trial CSV; a change to the output bits
     # must update these together with the "algorithms" identifiers
     GOLDEN = {
@@ -327,6 +341,24 @@ class TestOracleCheckCommand:
         assert code == 2
         assert "no finite cutoff" in err
 
+    def test_large_amplitude_is_refused_at_once(self, capsys):
+        # the cutoff search gallops and bisects, so a needed cutoff above 2e10
+        # is found, and refused by the limit, in a few dozen tail evaluations
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "oracle-check", "--zeta-re", "1e5")
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert elapsed < 1.0
+        needed = fock.concentration_cutoff(1e5, 1.0, 2)
+        assert needed > 2e10
+        assert f"cutoff {needed}," in err and "limit 70" in err
+
+    @pytest.mark.parametrize("zeta_re", ["1e200", "1e300"])
+    def test_overflowing_amplitude_exits_2(self, capsys, zeta_re):
+        code, _, err = run_cli(capsys, "oracle-check", "--zeta-re", zeta_re)
+        assert code == 2
+        assert "no finite cutoff" in err
+
     def test_deep_adds_cascade(self, capsys):
         code, out, _ = run_cli(
             capsys, "oracle-check", "--n-mean", "0.5", "--zeta-re", "0.5", "--deep", "--json"
@@ -340,6 +372,18 @@ class TestOracleCheckCommand:
         code, out, _ = run_cli(capsys, "oracle-check", "--n-mean", "0.5")
         assert code == 1
         assert "FAIL" in out
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; the package must run on numpy alone
+    code = "import sys, dtslab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_version_flag(capsys):

@@ -6,6 +6,7 @@ import pytest
 from dtslab.bounds import ThetaPoint, WeightMatrix
 from dtslab.errors import DomainError
 from dtslab.estimator import (
+    MAX_N_COPIES,
     MAX_N_MEAN,
     ExperimentConfig,
     ProtocolKind,
@@ -334,3 +335,11 @@ class TestConfigValidation:
         for protocol in ProtocolKind:
             with pytest.raises(DomainError, match="at most 1e"):
                 make_config(protocol, n_mean=1e17)
+
+    def test_rejects_n_copies_above_chunk_limit(self):
+        # refused in the constructor, before any sampling buffer exists
+        assert MAX_N_COPIES == 1 << 22
+        make_config(ProtocolKind.SEPARABLE_HETERODYNE, n_copies=MAX_N_COPIES)
+        for protocol in ProtocolKind:
+            with pytest.raises(DomainError, match=f"at most {MAX_N_COPIES}"):
+                make_config(protocol, n_copies=MAX_N_COPIES + 1)

@@ -150,6 +150,43 @@ class TestBeamSplitter:
         gram = u.conj().T @ u
         assert np.max(np.abs(gram[np.ix_(keep, keep)] - np.eye(int(keep.sum())))) < 1e-10
 
+    @pytest.mark.parametrize("cutoff", [3, 6, 12, 20])
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 4, -0.6, 2.0])
+    def test_matches_dense_expm(self, cutoff, phi):
+        expm = pytest.importorskip("scipy.linalg").expm
+        a = fock.annihilation(cutoff)
+        generator = np.kron(a.conj().T, a) - np.kron(a, a.conj().T)
+        u = fock.beam_splitter(phi, cutoff)
+        assert u.dtype == np.float64 and u.shape == (cutoff**2, cutoff**2)
+        assert np.max(np.abs(u - expm(phi * generator))) < 1e-13
+
+    @pytest.mark.parametrize("phi", [math.pi / 4, 2.0])
+    def test_orthogonal_on_whole_window(self, phi):
+        # the truncated blocks (total >= cutoff) included: the exponential of
+        # the truncated antisymmetric generator is still orthogonal
+        d = 10
+        u = fock.beam_splitter(phi, d)
+        assert np.max(np.abs(u.T @ u - np.eye(d * d))) < 1e-13
+        assert np.max(np.abs(u @ u.T - np.eye(d * d))) < 1e-13
+
+    def test_photon_blocks_partition_the_window(self):
+        d = 5
+        blocks = fock._photon_blocks(d)
+        assert len(blocks) == 2 * d - 1
+        assert [len(b) for b in blocks] == [1, 2, 3, 4, 5, 4, 3, 2, 1]
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(d * d))
+        for total, idx in enumerate(blocks):
+            m, n = np.divmod(idx, d)
+            assert np.all(m + n == total) and np.all(np.diff(m) == 1)
+
+    def test_block_conjugation_matches_dense(self):
+        d = 9
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        x = x + x.conj().T
+        u = fock.beam_splitter(fock.concentration_angle(2), d)
+        assert np.max(np.abs(fock._conjugate_by_blocks(u, x) - u @ x @ u.T)) < 1e-12
+
 
 class TestPartialTrace:
     def test_product_state(self):
@@ -207,6 +244,27 @@ class TestConcentration:
         for report in reports:
             assert report.dist_first < 1e-6
             assert report.dist_second < 1e-6
+
+    def test_complex_amplitude_n2(self):
+        # a complex amplitude keeps the joint output complex (the complex
+        # eigensolver path); a phase rotation leaves every distance unchanged
+        report = fock.verify_concentration_n2(0.3 + 0.4j, 0.5)
+        real = fock.verify_concentration_n2(0.5, 0.5)
+        assert report.cutoff == real.cutoff
+        assert report.dist_first < 1e-7 and report.dist_second < 1e-7
+        assert report.dist_joint < 1e-6
+        for name in ("dist_first", "dist_second", "dist_joint"):
+            assert getattr(report, name) == pytest.approx(getattr(real, name), abs=1e-14)
+
+    def test_complex_amplitude_cascade(self):
+        reports = fock.verify_concentration_cascade(0.3 + 0.4j, 0.5, n_copies=3)
+        real = fock.verify_concentration_cascade(0.5, 0.5, n_copies=3)
+        assert len(reports) == 2
+        for report, ref in zip(reports, real):
+            assert report.phi == ref.phi
+            assert report.dist_first < 1e-6 and report.dist_second < 1e-6
+            for name in ("dist_first", "dist_second", "dist_joint"):
+                assert getattr(report, name) == pytest.approx(getattr(ref, name), abs=1e-14)
 
     def test_tail_precondition_names_required_cutoff(self):
         with pytest.raises(PreconditionError, match="use cutoff >="):
@@ -285,6 +343,32 @@ class TestCutoffRule:
     def test_minimality(self):
         d = fock.cutoff_for(1.0, 0.0)
         assert fock.thermal_tail(1.0, d - 1) >= fock.DEFAULT_TAIL_TOL
+
+    @staticmethod
+    def linear_scan(n_mean, amplitude, tol, min_cutoff):
+        """The rule by definition: step the cutoff up until both tails pass."""
+        d = max(min_cutoff, 2)
+        while (
+            fock.thermal_tail(n_mean, d) >= tol
+            or fock.poisson_tail_bound(amplitude**2, d) >= tol
+        ):
+            d += 1
+        return d
+
+    def test_search_matches_linear_scan(self):
+        for n_mean in (0.01, 0.5, 1.0, 3.0):
+            for amplitude in (0.0, 1e-3, 0.5, 1.0, 1.2247, 2.5, 6.0, 20.0):
+                for tol in (1e-12, 1e-8, 0.5, 0.999):
+                    for min_cutoff in (2, 40):
+                        assert fock.cutoff_for(n_mean, amplitude, tol, min_cutoff) == (
+                            self.linear_scan(n_mean, amplitude, tol, min_cutoff)
+                        ), (n_mean, amplitude, tol, min_cutoff)
+
+    def test_large_amplitude_search_is_minimal(self):
+        mu = 1e10
+        d = fock.cutoff_for(1.0, math.sqrt(mu))
+        assert fock.poisson_tail_bound(mu, d) < fock.DEFAULT_TAIL_TOL
+        assert fock.poisson_tail_bound(mu, d - 1) >= fock.DEFAULT_TAIL_TOL
 
     def test_rejects_bad_tol(self):
         with pytest.raises(DomainError):

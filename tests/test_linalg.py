@@ -82,3 +82,14 @@ def test_trace_distance_basic():
     b = np.diag([0.5, 0.5]).astype(complex)
     assert trace_distance(a, b) == pytest.approx(0.5, abs=1e-14)
     assert trace_distance(a, a) == 0.0
+
+
+def test_trace_distance_zero_imaginary_part_matches_real():
+    # a complex operator whose imaginary part is exactly zero takes the real
+    # symmetric eigensolver and must agree with its real part
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(30, 30))
+    y = rng.normal(size=(30, 30))
+    a, b = x + x.T, y + y.T
+    real = trace_distance(a, b)
+    assert trace_distance(a.astype(complex), b.astype(complex)) == pytest.approx(real, rel=1e-15)
