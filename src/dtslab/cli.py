@@ -40,6 +40,7 @@ from .estimator import (
     ProtocolKind,
     compare_to_bounds,
     monte_carlo_mse,
+    worker_count,
 )
 
 _ALGORITHMS = {
@@ -173,7 +174,6 @@ def _merge_config_file(args) -> None:
 
 def _simulate_once(config: ExperimentConfig, threads: int, csv_path: str | None):
     csv_file = None
-    writer = None
     sink = None
     if csv_path:
         csv_file = open(csv_path, "w", newline="", encoding="utf-8")
@@ -181,19 +181,20 @@ def _simulate_once(config: ExperimentConfig, threads: int, csv_path: str | None)
         writer.writerow(CSV_COLUMNS)
 
         def sink(start, zeta_hat, n_hat, errors):
-            d = errors.shape[1]
-            for row in range(zeta_hat.shape[0]):
-                writer.writerow(
-                    (
-                        start + row,
-                        repr(float(zeta_hat[row].real)),
-                        repr(float(zeta_hat[row].imag)),
-                        "" if n_hat is None else repr(float(n_hat[row])),
-                        repr(float(errors[row, 0] ** 2)),
-                        repr(float(errors[row, 1] ** 2)),
-                        repr(float(errors[row, 2] ** 2)) if d == 3 else "",
-                    )
-                )
+            # csv writes a float as its repr; squaring Python floats keeps
+            # the bits of the scalar square (the vectorised one can differ)
+            count = zeta_hat.shape[0]
+            blank = [""] * count
+            columns = [
+                range(start, start + count),
+                zeta_hat.real.tolist(),
+                zeta_hat.imag.tolist(),
+                blank if n_hat is None else n_hat.tolist(),
+                *([v**2 for v in column] for column in errors.T.tolist()),
+            ]
+            if errors.shape[1] == 2:
+                columns.append(blank)
+            writer.writerows(zip(*columns))
 
     try:
         mse = monte_carlo_mse(config, threads=threads, trial_sink=sink)
@@ -265,7 +266,7 @@ def cmd_simulate(args, argv) -> int:
             fh.write(text)
     outputs = [path for path in (args.out, args.trial_csv) if path]
     if outputs:
-        _write_manifest(outputs[0], argv, threads, wall, outputs)
+        _write_manifest(outputs[0], argv, worker_count(config, threads), wall, outputs)
     return 0
 
 
@@ -280,6 +281,7 @@ def _cmd_ratio_table(args, argv) -> int:
     start_time = time.perf_counter()
     rows = []
     cell = 0
+    workers = 1
     for n_mean in (0.5, 1.0, 2.0):
         for n_copies in (10, 100, 1000):
             theta = ThetaPoint.from_zeta(0.5 + 0j, n_mean)
@@ -297,6 +299,7 @@ def _cmd_ratio_table(args, argv) -> int:
                     weight=weight,
                 )
                 cell += 1
+                workers = max(workers, worker_count(config, threads))
                 mse = monte_carlo_mse(config, threads=threads)
                 cell_rows[protocol.value] = compare_to_bounds(mse, config)
             rows.append(
@@ -334,7 +337,7 @@ def _cmd_ratio_table(args, argv) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(_dump_json(payload))
-        _write_manifest(args.out, argv, threads, wall, [args.out])
+        _write_manifest(args.out, argv, workers, wall, [args.out])
     return 0
 
 
@@ -358,13 +361,7 @@ def _run_oracle_checks(args) -> tuple[list[dict], bool]:
     # heterodyne outcome law against the explicit matrix construction
     grid_amp = 3.0 + abs(zeta)
     cutoff = args.cutoff or fock.cutoff_for(n_mean, grid_amp)
-    if fock.thermal_tail(n_mean, cutoff) >= fock.DEFAULT_TAIL_TOL or fock.poisson_tail_bound(
-        grid_amp**2, cutoff
-    ) >= fock.DEFAULT_TAIL_TOL:
-        raise PreconditionError(
-            f"cutoff {cutoff} violates the tail rule for the heterodyne grid; "
-            f"use cutoff >= {fock.cutoff_for(n_mean, grid_amp)}"
-        )
+    fock.require_tails(n_mean, grid_amp, cutoff)
     rho = fock.displaced_thermal_density(zeta, n_mean, cutoff)
     radius = 3.0 / math.sqrt(2.0)
     axis = np.linspace(-radius, radius, 5)
@@ -386,20 +383,22 @@ def _run_oracle_checks(args) -> tuple[list[dict], bool]:
     )
     record("photon-pmf", dev, 1e-12)
 
-    # concentration identity at n = 2 (and the n = 3 cascade with --deep)
-    report = fock.verify_concentration_n2(zeta, n_mean, cutoff=args.cutoff)
-    record("concentration-n2", max(report.dist_first, report.dist_second), 1e-6)
+    # concentration identity at n = 2, step 1 of the cascade (which runs on
+    # to n = 3 with --deep, every step at the n = 3 cutoff)
+    reports = fock.verify_concentration_cascade(zeta, n_mean, n_copies=copies, cutoff=args.cutoff)
+    record("concentration-n2", max(reports[0].dist_first, reports[0].dist_second), 1e-6)
     if args.deep:
-        cascade = fock.verify_concentration_cascade(zeta, n_mean, n_copies=3, cutoff=args.cutoff)
-        dev = max(max(r.dist_first, r.dist_second) for r in cascade)
+        dev = max(max(r.dist_first, r.dist_second) for r in reports)
         record("concentration-n3", dev, 1e-6)
 
-    # finite-difference RLD Fisher matrix against the closed-form inverses
-    rld_cutoff = args.cutoff or fock.cutoff_for(n_mean, abs(zeta))
-    for n_params, closed in ((2, rld_inverse_2param(n_mean)), (3, rld_inverse_3param(n_mean))):
-        fisher = fock.numeric_rld_fisher(n_params, theta, rld_cutoff, step=1e-4)
-        dev = float(np.max(np.abs(np.linalg.inv(fisher) - closed)))
-        record(f"rld-{n_params}param", dev, 1e-3)
+    # finite-difference RLD Fisher matrix against the closed-form inverses;
+    # the two-parameter matrix is the leading block of the three-parameter one
+    fisher = fock.numeric_rld_fisher(theta, args.cutoff or fock.cutoff_for(n_mean, abs(zeta)))
+    for name, block, closed in (
+        ("rld-2param", fisher[:2, :2], rld_inverse_2param(n_mean)),
+        ("rld-3param", fisher, rld_inverse_3param(n_mean)),
+    ):
+        record(name, float(np.max(np.abs(np.linalg.inv(block) - closed))), 1e-3)
 
     return checks, all(c["pass"] for c in checks)
 

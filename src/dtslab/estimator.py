@@ -169,6 +169,12 @@ def _chunk_size(n_copies: int) -> int:
     return int(max(1, min(4096, _CHUNK_BUDGET // max(1, n_copies))))
 
 
+def worker_count(config: ExperimentConfig, threads: int | None) -> int:
+    """Worker threads `monte_carlo_mse` uses: the request, at most one per chunk."""
+    chunks = -(-config.trials // _chunk_size(config.n_copies))
+    return max(1, min(threads or 1, chunks))
+
+
 def _chunk_estimates(
     config: ExperimentConfig, start: int, count: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -212,8 +218,9 @@ def monte_carlo_mse(
 
     Trials are keyed by stream index, chunked by a configuration-derived
     size, and reduced in trial order, so the output does not depend on
-    `threads`.  `trial_sink(start, zeta_hat, n_hat, errors)` is invoked in
-    trial order for per-trial output streaming.
+    `threads`, which `worker_count` clamps to the number of chunks.
+    `trial_sink(start, zeta_hat, n_hat, errors)` is invoked in trial order
+    for per-trial output streaming.
     """
     d = config.protocol.n_params
     g = config.weight.entries
@@ -250,12 +257,13 @@ def monte_carlo_mse(
             if trial_sink is not None:
                 trial_sink(start, zeta_hat, n_hat, errors)
 
-    if threads is None or threads <= 1 or len(starts) == 1:
+    workers = worker_count(config, threads)
+    if workers == 1:
         reduce_in_order(map(process, starts))
     else:
         # workers may finish out of order; consuming futures in submission
         # order keeps the reduction and the sink in trial order
-        with ThreadPoolExecutor(max_workers=threads) as executor:
+        with ThreadPoolExecutor(max_workers=workers) as executor:
             futures = [executor.submit(process, s) for s in starts]
             reduce_in_order(f.result() for f in futures)
 

@@ -34,8 +34,9 @@ from .linalg import trace_distance
 DEFAULT_TAIL_TOL = 1e-8
 _DISTANCE_RULE_TOL = 1e-12  # default-cutoff target for trace-distance certifications
 _CONDITION_LIMIT = 1e12
+_FD_STEP = 1e-4  # central-difference step of numeric_rld_fisher
 # two-mode operators hold cutoff**4 complex entries (384 MB at 70); a check keeps
-# about six alive at its peak, in trace_distance of the joint output (plus the
+# about five alive at its peak, in trace_distance of the joint output (plus the
 # real unitary, half an operator): the N = 2 default cutoff 69 fits, the N = 3
 # default 97 does not
 MAX_CUTOFF = 70
@@ -368,63 +369,32 @@ def require_cutoff_limit(cutoff: int) -> None:
         )
 
 
-def concentration_cutoff(
-    zeta: complex, n_mean: float, n_copies: int, tail_tol: float = DEFAULT_TAIL_TOL
-) -> int:
+def concentration_cutoff(zeta: complex, n_mean: float, n_copies: int) -> int:
     """Default cutoff of the concentration checks up to n_copies copies.
 
-    It aims deeper than tail_tol (1e-12) because truncation error enters the
-    trace distances amplified by roughly the basis size.
+    It aims at tails below 1e-12, deeper than the DEFAULT_TAIL_TOL rule,
+    because truncation error enters the trace distances amplified by
+    roughly the basis size.
     """
     amplitude = math.sqrt(n_copies) * abs(complex(zeta))
-    return cutoff_for(n_mean, amplitude, min(tail_tol, _DISTANCE_RULE_TOL))
+    return cutoff_for(n_mean, amplitude, _DISTANCE_RULE_TOL)
 
 
-def _require_tails(n_mean: float, amplitude: float, cutoff: int, tol: float) -> None:
-    require_cutoff_limit(cutoff)
-    needed = cutoff_for(n_mean, amplitude, tol)
+def require_tails(n_mean: float, amplitude: float, cutoff: int) -> None:
+    """Refuse a cutoff whose thermal or coherent tail reaches DEFAULT_TAIL_TOL.
+
+    `amplitude` is the largest coherent amplitude the check touches.  The
+    size limit is separate (`require_cutoff_limit`): single-mode checks may
+    exceed it where two-mode checks may not.
+    """
     t_th = thermal_tail(n_mean, cutoff)
     t_coh = poisson_tail_bound(amplitude**2, cutoff)
-    if max(t_th, t_coh) >= tol:
+    if max(t_th, t_coh) >= DEFAULT_TAIL_TOL:
         raise PreconditionError(
             f"cutoff {cutoff} violates the tail rule (thermal tail {t_th:.3g}, "
-            f"coherent bound {t_coh:.3g}, tol {tol:.1g}); use cutoff >= {needed}"
+            f"coherent bound {t_coh:.3g}, tol {DEFAULT_TAIL_TOL:.1g}); "
+            f"use cutoff >= {cutoff_for(n_mean, amplitude)}"
         )
-
-
-def verify_concentration_n2(
-    zeta: complex,
-    n_mean: float,
-    cutoff: int | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> ConcentrationReport:
-    """Certify the n = 2 concentration identity on the two-mode Fock space.
-
-    Applies the phi = pi/4 beam splitter to rho_{zeta,N} x rho_{zeta,N} and
-    measures trace distances of the joint output and both marginals from
-    rho_{sqrt(2) zeta, N} x rho_{0, N}.  The joint distance also certifies
-    the product structure of the output.
-
-    The precondition only demands tails below tail_tol; the automatic
-    cutoff is `concentration_cutoff`.
-    """
-    amplitude = math.sqrt(2.0) * abs(complex(zeta))
-    if cutoff is None:
-        cutoff = concentration_cutoff(zeta, n_mean, 2, tail_tol)
-    _require_tails(n_mean, amplitude, cutoff, tail_tol)
-    phi = concentration_angle(1)
-    single = displaced_thermal_density(zeta, n_mean, cutoff)
-    unitary = beam_splitter(phi, cutoff)
-    joint = _conjugate_by_blocks(unitary, np.kron(single, single))
-    target_first = displaced_thermal_density(math.sqrt(2.0) * complex(zeta), n_mean, cutoff)
-    target_second = thermal_density(n_mean, cutoff)
-    return ConcentrationReport(
-        cutoff=cutoff,
-        phi=phi,
-        dist_first=trace_distance(partial_trace(joint, "first"), target_first),
-        dist_second=trace_distance(partial_trace(joint, "second"), target_second),
-        dist_joint=trace_distance(joint, np.kron(target_first, target_second)),
-    )
 
 
 def verify_concentration_cascade(
@@ -432,28 +402,34 @@ def verify_concentration_cascade(
     n_mean: float,
     n_copies: int = 3,
     cutoff: int | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> list[ConcentrationReport]:
     """Certify cascade steps up to n_copies using two-mode computations only.
 
     Step i couples the running concentrated mode (amplitude sqrt(i) zeta)
     with a fresh copy at angle arctan(1/sqrt(i)), expecting outputs
-    sqrt(i+1) zeta and vacuum-centered thermal.  Each step starts from the
-    analytic intermediate certified by the previous one, so the full
-    n_copies-mode state is never materialized.
+    sqrt(i+1) zeta and vacuum-centered thermal; the trace distances of the
+    joint output and both marginals from those targets certify the step,
+    and the joint distance also certifies the product structure.  Step 1
+    (phi = pi/4) is the n = 2 identity.  Each step starts from the analytic
+    intermediate certified by the previous one, so the full n_copies-mode
+    state is never materialized.
+
+    The automatic cutoff is `concentration_cutoff`; an explicit one must
+    pass `require_tails` and `require_cutoff_limit`.
     """
     if n_copies < 2:
         raise DomainError(f"n_copies must be at least 2, got {n_copies}")
     amplitude = math.sqrt(n_copies) * abs(complex(zeta))
     if cutoff is None:
-        cutoff = concentration_cutoff(zeta, n_mean, n_copies, tail_tol)
-    _require_tails(n_mean, amplitude, cutoff, tail_tol)
+        cutoff = concentration_cutoff(zeta, n_mean, n_copies)
+    require_cutoff_limit(cutoff)
+    require_tails(n_mean, amplitude, cutoff)
     fresh = displaced_thermal_density(zeta, n_mean, cutoff)
     target_second = thermal_density(n_mean, cutoff)
+    carried = fresh
     reports = []
     for i in range(1, n_copies):
         phi = concentration_angle(i)
-        carried = displaced_thermal_density(math.sqrt(i) * complex(zeta), n_mean, cutoff)
         unitary = beam_splitter(phi, cutoff)
         joint = _conjugate_by_blocks(unitary, np.kron(carried, fresh))
         target_first = displaced_thermal_density(
@@ -468,29 +444,19 @@ def verify_concentration_cascade(
                 dist_joint=trace_distance(joint, np.kron(target_first, target_second)),
             )
         )
+        carried = target_first
     return reports
 
 
-def numeric_rld_fisher(
-    n_params: int,
-    theta: ThetaPoint,
-    cutoff: int,
-    step: float = 1e-4,
-) -> np.ndarray:
+def numeric_rld_fisher(theta: ThetaPoint, cutoff: int) -> np.ndarray:
     """Finite-difference RLD Fisher matrix of the truncated family.
 
-    Derivatives of rho(theta) are central differences with the given step;
-    the information matrix is J[i, j] = tr(rho^{-1} d_i rho d_j rho), the
-    ordering consistent with the closed-form inverses in `bounds`.
-
-    n_params = 2 differentiates (theta1, theta2) at fixed N; n_params = 3
-    adds the N direction.
+    Derivatives of rho(theta) along (theta1, theta2, N) are central
+    differences with step _FD_STEP; the information matrix is
+    J[i, j] = tr(rho^{-1} d_i rho d_j rho), the ordering consistent with
+    the closed-form inverses in `bounds`.  The leading 2x2 block is the
+    matrix of the two-parameter family at fixed N.
     """
-    if n_params not in (2, 3):
-        raise DomainError(f"n_params must be 2 or 3, got {n_params}")
-    if not (1e-5 <= step <= 1e-3):
-        raise DomainError(f"step must lie in [1e-5, 1e-3], got {step}")
-
     center = np.array([theta.theta1, theta.theta2, theta.n_mean], dtype=float)
 
     def density(vec: np.ndarray) -> np.ndarray:
@@ -506,16 +472,16 @@ def numeric_rld_fisher(
             "increase n_mean or decrease the cutoff"
         )
     derivatives = []
-    for i in range(n_params):
+    for i in range(3):
         plus = center.copy()
         minus = center.copy()
-        plus[i] += step
-        minus[i] -= step
-        derivatives.append((density(plus) - density(minus)) / (2.0 * step))
+        plus[i] += _FD_STEP
+        minus[i] -= _FD_STEP
+        derivatives.append((density(plus) - density(minus)) / (2.0 * _FD_STEP))
     solved = [np.linalg.solve(rho, d) for d in derivatives]
-    fisher = np.empty((n_params, n_params), dtype=complex)
-    for i in range(n_params):
-        for j in range(n_params):
+    fisher = np.empty((3, 3), dtype=complex)
+    for i in range(3):
+        for j in range(3):
             fisher[i, j] = np.trace(solved[i] @ derivatives[j])
     return fisher
 

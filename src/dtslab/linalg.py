@@ -16,8 +16,13 @@ PSD_EIGENVALUE_TOL = 1e-12
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Return (A + A^dagger) / 2."""
-    return (a + a.conj().T) / 2
+    """Return (A + A^dagger) / 2, as a new array with no other full-size temporary."""
+    a = np.asarray(a)
+    # np.conjugate always allocates; for a real array a.conj() is a itself
+    h = np.conjugate(a.T, dtype=np.result_type(a, 1.0))
+    h += a
+    h /= 2
+    return h
 
 
 def sqrt_psd(m: np.ndarray, negative_tol: float = PSD_EIGENVALUE_TOL) -> np.ndarray:
@@ -49,12 +54,22 @@ def trace_norm(m: np.ndarray) -> float:
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the trace norm of the difference of two Hermitian operators."""
-    d = np.asarray(a) - np.asarray(b)
+    """Half the trace norm of the difference of two Hermitian operators.
+
+    The difference and its Hermitian part are the only full-size buffers;
+    the skew residual overwrites the difference, which is freed before
+    the eigensolve.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    d = np.subtract(a, b, dtype=np.result_type(a, b, 1.0))
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DomainError("trace_distance expects square matrices of equal shape")
+    scale = max(1.0, float(np.max(np.abs(d))))
     h = hermitian_part(d)
-    if np.max(np.abs(d - h)) > 1e-9 * max(1.0, float(np.max(np.abs(d)))):
+    d -= h
+    skew = float(np.max(np.abs(d)))
+    del d
+    if skew > 1e-9 * scale:
         raise DomainError("trace_distance expects Hermitian operators")
     if np.iscomplexobj(h) and not np.any(h.imag):
         h = h.real  # real symmetric: the real solver is several times faster

@@ -108,9 +108,9 @@ def test_criterion_2_rld_matrices_reproduced():
         for zeta in ZETA_GRID:
             cutoff = fock.cutoff_for(n_mean, abs(zeta))
             theta = ThetaPoint.from_zeta(zeta, n_mean)
-            for n_params in (2, 3):
-                fisher = fock.numeric_rld_fisher(n_params, theta, cutoff, step=1e-4)
-                dev = float(np.max(np.abs(np.linalg.inv(fisher) - closed[n_params])))
+            fisher = fock.numeric_rld_fisher(theta, cutoff)
+            for block, n_params in ((fisher[:2, :2], 2), (fisher, 3)):
+                dev = float(np.max(np.abs(np.linalg.inv(block) - closed[n_params])))
                 worst = max(worst, dev)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-3 and elapsed < 30.0
@@ -156,7 +156,7 @@ def test_criterion_3_measurement_laws():
 
 def test_criterion_4_concentration_identity():
     start = time.perf_counter()
-    result = fock.verify_concentration_n2(0.5, 0.5)
+    result = fock.verify_concentration_cascade(0.5, 0.5, n_copies=2)[0]
     elapsed = time.perf_counter() - start
     phi_exact = result.phi == math.pi / 4.0
     ok = result.dist_first < 1e-6 and result.dist_second < 1e-6 and phi_exact and elapsed < 20.0

@@ -111,6 +111,19 @@ class TestSimulateCommand:
         assert manifest["outputs"] == [str(out)]
         assert "wall_time_s" in manifest
 
+    def test_manifest_records_threads_used(self, capsys, tmp_path):
+        # 500 trials are one chunk, so one worker runs whatever is asked for
+        out = tmp_path / "s.json"
+        run_cli(capsys, *SIM_ARGS, "--threads", "64", "--out", str(out))
+        assert json.loads((tmp_path / "s.json.manifest.json").read_text())["threads"] == 1
+        grid = tmp_path / "g.json"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--ratio-table", "--trials", "100", "--threads", "64",
+            "--out", str(grid),
+        )
+        assert code == 0
+        assert json.loads((tmp_path / "g.json.manifest.json").read_text())["threads"] == 1
+
     def test_trial_csv_schema(self, capsys, tmp_path):
         path = tmp_path / "trials.csv"
         code, _, _ = run_cli(capsys, *SIM_ARGS, "--trial-csv", str(path))
@@ -319,7 +332,10 @@ class TestOracleCheckCommand:
     def test_small_cutoff_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "oracle-check", "--cutoff", "5", "--n-mean", "2")
         assert code == 2
-        assert "cutoff" in err
+        # the heterodyne grid is refused by the shared tail-rule gate
+        assert "cutoff 5 violates the tail rule (thermal tail" in err
+        needed = fock.cutoff_for(2.0, 3.5)
+        assert f"use cutoff >= {needed}" in err
 
     @pytest.mark.parametrize(
         "argv,needed",
@@ -359,13 +375,23 @@ class TestOracleCheckCommand:
         assert code == 2
         assert "no finite cutoff" in err
 
-    def test_deep_adds_cascade(self, capsys):
+    def test_deep_adds_cascade(self, capsys, monkeypatch):
+        calls = []
+        beam_splitter = fock.beam_splitter
+
+        def counting(phi, cutoff):
+            calls.append(phi)
+            return beam_splitter(phi, cutoff)
+
+        monkeypatch.setattr(fock, "beam_splitter", counting)
         code, out, _ = run_cli(
             capsys, "oracle-check", "--n-mean", "0.5", "--zeta-re", "0.5", "--deep", "--json"
         )
         assert code == 0
         names = [c["name"] for c in json.loads(out)["checks"]]
         assert "concentration-n3" in names
+        # one cascade serves both checks: one beam splitter per step
+        assert calls == [fock.concentration_angle(1), fock.concentration_angle(2)]
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(states, "heterodyne_pdf", lambda params, alpha: 0.0)

@@ -220,19 +220,19 @@ class TestPartialTrace:
 
 class TestConcentration:
     def test_zero_amplitude_gives_thermal_marginals(self):
-        report = fock.verify_concentration_n2(0j, 1.0, cutoff=27)
+        report = fock.verify_concentration_cascade(0j, 1.0, n_copies=2, cutoff=27)[0]
         assert report.dist_first < 1e-6
         assert report.dist_second < 1e-6
 
     def test_spec_point_at_cutoff_30(self):
-        report = fock.verify_concentration_n2(0.5, 0.5, cutoff=30)
+        report = fock.verify_concentration_cascade(0.5, 0.5, n_copies=2, cutoff=30)[0]
         assert report.phi == math.pi / 4.0
         assert report.dist_first < 1e-6
         assert report.dist_second < 1e-6
         assert report.dist_joint < 1e-5
 
     def test_automatic_cutoff(self):
-        report = fock.verify_concentration_n2(0.5, 0.5)
+        report = fock.verify_concentration_cascade(0.5, 0.5, n_copies=2)[0]
         assert report.dist_first < 1e-7
         assert report.dist_second < 1e-7
 
@@ -248,8 +248,8 @@ class TestConcentration:
     def test_complex_amplitude_n2(self):
         # a complex amplitude keeps the joint output complex (the complex
         # eigensolver path); a phase rotation leaves every distance unchanged
-        report = fock.verify_concentration_n2(0.3 + 0.4j, 0.5)
-        real = fock.verify_concentration_n2(0.5, 0.5)
+        report = fock.verify_concentration_cascade(0.3 + 0.4j, 0.5, n_copies=2)[0]
+        real = fock.verify_concentration_cascade(0.5, 0.5, n_copies=2)[0]
         assert report.cutoff == real.cutoff
         assert report.dist_first < 1e-7 and report.dist_second < 1e-7
         assert report.dist_joint < 1e-6
@@ -268,44 +268,37 @@ class TestConcentration:
 
     def test_tail_precondition_names_required_cutoff(self):
         with pytest.raises(PreconditionError, match="use cutoff >="):
-            fock.verify_concentration_n2(0.5, 2.0, cutoff=5)
+            fock.verify_concentration_cascade(0.5, 2.0, n_copies=2, cutoff=5)
 
 
 class TestNumericRld:
     def test_2param_matches_closed_inverse(self):
         theta = ThetaPoint(0.0, 0.0, 1.0)
-        fisher = fock.numeric_rld_fisher(2, theta, 40, step=1e-4)
+        fisher = fock.numeric_rld_fisher(theta, 40)[:2, :2]
         assert np.max(np.abs(np.linalg.inv(fisher) - rld_inverse_2param(1.0))) < 1e-3
 
     def test_3param_photon_entry(self):
         theta = ThetaPoint(0.0, 0.0, 1.0)
-        fisher = fock.numeric_rld_fisher(3, theta, fock.cutoff_for(1.0), step=1e-4)
+        fisher = fock.numeric_rld_fisher(theta, fock.cutoff_for(1.0))
         inverse = np.linalg.inv(fisher)
         assert inverse[2, 2].real == pytest.approx(2.0, abs=1e-3)
         assert np.max(np.abs(inverse - rld_inverse_3param(1.0))) < 1e-3
 
     def test_hermitian(self):
         theta = ThetaPoint.from_zeta(0.3 + 0.4j, 0.5)
-        fisher = fock.numeric_rld_fisher(3, theta, fock.cutoff_for(0.5, 0.5), step=1e-4)
+        fisher = fock.numeric_rld_fisher(theta, fock.cutoff_for(0.5, 0.5))
         assert np.max(np.abs(fisher - fisher.conj().T)) < 1e-8
 
     def test_displacement_invariance(self):
-        base = fock.numeric_rld_fisher(2, ThetaPoint(0.0, 0.0, 1.0), 30, step=1e-4)
-        moved = fock.numeric_rld_fisher(2, ThetaPoint.from_zeta(0.3 + 0.4j, 1.0), 30, step=1e-4)
+        base = fock.numeric_rld_fisher(ThetaPoint(0.0, 0.0, 1.0), 30)[:2, :2]
+        moved = fock.numeric_rld_fisher(ThetaPoint.from_zeta(0.3 + 0.4j, 1.0), 30)[:2, :2]
         assert np.max(np.abs(base - moved)) < 1e-4
-
-    def test_step_out_of_range(self):
-        theta = ThetaPoint(0.0, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            fock.numeric_rld_fisher(2, theta, 30, step=1e-6)
-        with pytest.raises(DomainError):
-            fock.numeric_rld_fisher(2, theta, 30, step=1e-2)
 
     def test_ill_conditioned_rejected(self):
         # thermal occupation at the top of a deep cutoff underflows the
         # conditioning limit: (1/2)^44 cond ~ 1.8e13
         with pytest.raises(NumericalError, match="condition"):
-            fock.numeric_rld_fisher(2, ThetaPoint(0.0, 0.0, 1.0), 45, step=1e-4)
+            fock.numeric_rld_fisher(ThetaPoint(0.0, 0.0, 1.0), 45)
 
 
 class TestPovmProbabilities:
@@ -385,6 +378,15 @@ class TestCutoffRule:
         assert fock.concentration_cutoff(0.5, 2.0, 2) == 69 <= fock.MAX_CUTOFF
         assert fock.concentration_cutoff(0.5, 3.0, 2) == 97
         with pytest.raises(PreconditionError, match="cutoff 97, above the limit 70"):
-            fock.verify_concentration_n2(0.5, 3.0)
+            fock.verify_concentration_cascade(0.5, 3.0, n_copies=2)
         with pytest.raises(PreconditionError, match="cutoff 71, above the limit 70"):
             fock.verify_concentration_cascade(0.5, 1.0, cutoff=71)
+
+    def test_tail_gate_leaves_the_size_limit_to_two_mode_checks(self):
+        # the heterodyne grid at |zeta| = 2.6 needs a single-mode cutoff above
+        # the two-mode limit, which the tail rule alone accepts
+        cutoff = fock.cutoff_for(1.0, 3.0 + 2.6)
+        assert cutoff > fock.MAX_CUTOFF
+        fock.require_tails(1.0, 3.0 + 2.6, cutoff)
+        with pytest.raises(PreconditionError, match=f"use cutoff >= {cutoff}"):
+            fock.require_tails(1.0, 3.0 + 2.6, cutoff - 1)
