@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .linalg import PSD_EIGENVALUE_TOL, sqrt_psd, trace_norm
 
 _SQRT2 = math.sqrt(2.0)
@@ -214,21 +214,17 @@ def c_r_closed_3param(g0: float, g1: float, g2: float, g3: float, n_mean: float)
     )
 
 
-def optimal_gaussian_tradeoff(
-    g1: float,
-    g2: float,
-    g3: float,
-    n_mean: float,
-    max_iterations: int = 200,
-) -> GaussianTradeoff:
+def optimal_gaussian_tradeoff(g1: float, g2: float, g3: float, n_mean: float) -> GaussianTradeoff:
     """Minimize Tr G (Sigma_rho + Sigma_m) over squeezed heterodyne measurements.
 
     The outcome covariance is Sigma_rho + Sigma_m with Sigma_rho = (N + 1/2) I
     and Sigma_m = (1/2) R(phi) diag(e^{2r}, e^{-2r}) R(phi)^T, the added noise
-    of heterodyning against a squeezed vacuum ancilla.  The rotation phi is
-    chosen to diagonalize the traceless part of G; the squeeze parameter r is
-    found by golden-section search.  The minimum reproduces the closed-form
-    bound, which is how this model is certified.
+    of heterodyning against a squeezed vacuum ancilla.  The rotation phi
+    diagonalizes the traceless part of G into (high, low), and the objective
+    high e^{2r} + low e^{-2r} is least at e^{4r} = low / high.  `achieved` is
+    the model objective at that r; that it reproduces the closed-form bound is
+    how the model is certified.  A rank-one block (low = 0 within the PSD
+    tolerance) has no finite optimum and raises DomainError.
     """
     _require_n_mean(n_mean)
     if not (g1 > 0):
@@ -240,37 +236,14 @@ def optimal_gaussian_tradeoff(
     # rotated weight diagonal: (g1 + |g2,g3|, g1 - |g2,g3|)
     high = (g1 + anisotropy) / 2.0
     low = (g1 - anisotropy) / 2.0
+    if low <= PSD_EIGENVALUE_TOL * high:
+        raise DomainError(
+            f"(g1, g2, g3) = ({g1}, {g2}, {g3}) is a rank-one weight; the squeeze "
+            "that minimizes its trade-off is infinite"
+        )
+    r_star = 0.25 * math.log(low / high)
     base = 2.0 * (n_mean + 0.5) * g1
-
-    def objective(r: float) -> float:
-        return base + high * math.exp(2.0 * r) + low * math.exp(-2.0 * r)
-
-    lo, hi = -30.0, 30.0
-    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_golden * (b - a)
-    d = a + inv_golden * (b - a)
-    fc, fd = objective(c), objective(d)
-    iterations = 0
-    while b - a > 1e-12:
-        iterations += 1
-        if iterations > max_iterations:
-            raise NumericalError(
-                f"golden-section search did not converge after {max_iterations} iterations "
-                f"(bracket [{a}, {b}], g=({g1}, {g2}, {g3}), N={n_mean})"
-            )
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_golden * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_golden * (b - a)
-            fd = objective(d)
-    r_star = (a + b) / 2.0
-    achieved = objective(r_star)
-    if not math.isfinite(achieved):
-        raise NumericalError(f"trade-off objective is not finite at r={r_star}")
+    achieved = base + high * math.exp(2.0 * r_star) + low * math.exp(-2.0 * r_star)
     return GaussianTradeoff(r_star, phi, achieved)
 
 

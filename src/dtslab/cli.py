@@ -47,6 +47,7 @@ _ALGORITHMS = {
     "rng": rng.MIXER_NAME,
     "gaussian": rng.GAUSSIAN_NAME,
     "geometric": "inverse-cdf-log",
+    "estimates": "sufficient-statistics",
 }
 
 CSV_COLUMNS = (
@@ -116,9 +117,10 @@ def cmd_bounds(args, argv) -> int:
             closed = c_r_closed_2param(*weight.two_param_gs(), n_mean)
         else:
             closed = c_r_closed_3param(*weight.three_param_gs(), n_mean)
-        g1, g2, g3 = weight.two_param_gs()
-        if g1 > 0:
-            tradeoff = optimal_gaussian_tradeoff(g1, g2, g3, n_mean)
+        try:
+            tradeoff = optimal_gaussian_tradeoff(*weight.two_param_gs(), n_mean)
+        except DomainError:
+            pass  # g1 = 0 or a rank-one block: no finite squeeze, reported as null
 
     payload = {
         "theta": _theta_echo(theta),
@@ -157,6 +159,26 @@ def cmd_bounds(args, argv) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
+def _config_value(action: argparse.Action, value):
+    """A --config value, checked and typed as its flag's command-line text would be."""
+    if action.nargs == 0:  # store_true
+        ok, expected = isinstance(value, bool), "true or false"
+    elif action.type is None:
+        ok = isinstance(value, str) and (action.choices is None or value in action.choices)
+        expected = "a string" if action.choices is None else f"one of {', '.join(action.choices)}"
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        expected = f"a number of type {action.type.__name__}"
+        if ok:
+            try:
+                value = action.type(str(value))  # the text form: int refuses 10.5
+            except ValueError:
+                ok = False
+    if not ok:
+        raise ValueError(f"must be {expected}, got {value!r}")
+    return value
+
+
 def _merge_config_file(args) -> None:
     if not args.config:
         return
@@ -164,12 +186,17 @@ def _merge_config_file(args) -> None:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config file {args.config!r} must contain a JSON object")
+    actions = {a.dest: a for a in args.parser._actions if a.dest not in ("help", "config")}
     for key, value in data.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"config file {args.config!r} has unknown key {key!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+        try:
+            value = _config_value(action, value)
+        except ValueError as exc:
+            raise ValueError(f"config file {args.config!r}: key {key!r} {exc}") from None
+        if getattr(args, action.dest) is None:
+            setattr(args, action.dest, value)
 
 
 def _simulate_once(config: ExperimentConfig, threads: int, csv_path: str | None):
@@ -469,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="emit the collective-vs-separable ratio grid over N x n instead of one run",
     )
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_simulate, parser=p_sim)  # --config reads its actions
 
     p_oracle = sub.add_parser("oracle-check", help="certify analytic laws against the Fock oracle")
     p_oracle.add_argument("--n-mean", type=float)

@@ -14,16 +14,26 @@ at the outcome level:
 Outcome-level simulation is statistically exact because the concentration
 unitary maps the n-copy input to an explicit product state (certified at
 n = 2 and 3 by the `fock` oracle); the alternative n-mode matrices would
-be astronomically large.
+be astronomically large.  The per-copy protocols are sampled through
+their sufficient statistics, whose exact laws are known: with per-copy
+outcomes alpha_i ~ zeta + sqrt((N+1)/2) (X_i + i Y_i),
+
+    mean(alpha_i)              = zeta + sqrt((N+1)/(2n)) (X + i Y)
+    sum |alpha_i - mean|^2     = (N+1) Gamma(n-1, 1), independent of the
+                                 mean (Cochran's theorem)
+
+so the mean has the law of the collective estimate alpha / sqrt(n), and
+Gamma(n-1, 1) is a sum of n-1 exponentials -ln(1-u).
 
 Sampling has one path: `_chunk_estimates(config, start, count)` draws
 trials start .. start+count-1, and a single trial is a chunk of size 1.
-Trial t draws from the counter-based stream with stream_index = t.
-Counter layout inside a trial: collective uses counters 0-1 for the
-heterodyne pair and 2 .. n for the photon counts; separable and known-n
-use counters 0 .. 2n-1 for the n heterodyne pairs.  Monte Carlo runs are
-chunked by a size computed from the configuration alone and reduced in
-trial order, so the result is byte-identical for any worker count.
+Trial t draws from the counter-based stream with stream_index = t, in one
+counter layout for all protocols: counters 0-1 are the uniform pair of the
+amplitude estimate, and counters 2 .. n are the n-1 uniforms of the photon
+estimate (geometric counts for collective, exponentials for separable;
+known-n draws none).  Monte Carlo runs are chunked by a size computed from
+the configuration alone and reduced in trial order, so the result is
+byte-identical for any worker count.
 
 The geometric sampler's log(N/(N+1)) loses relative precision as N grows
 (4e-9 at N = 1e8, 2e-5 at 1e12, all of it at 1e16): N <= MAX_N_MEAN.
@@ -53,7 +63,7 @@ from .errors import DomainError
 _SQRT2 = math.sqrt(2.0)
 _CHUNK_BUDGET = 1 << 22  # draws per chunk; chunking depends on config only
 MAX_N_MEAN = 1e8
-# a one-trial chunk draws up to 2 n_copies uniforms: about 2**23 at this limit
+# a one-trial chunk draws n_copies + 1 uniforms: about 2**22 at this limit
 MAX_N_COPIES = _CHUNK_BUDGET
 
 
@@ -85,7 +95,7 @@ class ExperimentConfig:
         if self.n_copies > MAX_N_COPIES:
             raise DomainError(
                 f"n_copies must be at most {MAX_N_COPIES} for simulation (one trial "
-                f"draws 2 n_copies numbers at once), got {self.n_copies}"
+                f"draws n_copies + 1 numbers at once), got {self.n_copies}"
             )
         if self.trials < 1:
             raise DomainError(f"trials must be at least 1, got {self.trials}")
@@ -127,41 +137,6 @@ class BoundComparison:
 
 
 # ---------------------------------------------------------------------------
-# trial kernels
-# ---------------------------------------------------------------------------
-
-def _clip(n_hat: np.ndarray, clip_nonneg: bool) -> np.ndarray:
-    return np.maximum(n_hat, 0.0) if clip_nonneg else n_hat
-
-
-def _collective_kernel(
-    theta: ThetaPoint, n: int, pairs: np.ndarray, u_photon: np.ndarray, clip_nonneg: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    # concentration puts amplitude sqrt(n) zeta on one mode, same N
-    alpha = states.heterodyne_from_normal_pairs(math.sqrt(n) * theta.zeta, theta.n_mean, pairs)
-    zeta_hat = alpha / math.sqrt(n)
-    counts = states.photon_from_uniforms(theta.n_mean, u_photon).astype(np.float64)
-    n_hat = counts.mean(axis=1)
-    return zeta_hat, _clip(n_hat, clip_nonneg)
-
-
-def _separable_kernel(
-    theta: ThetaPoint, n: int, pairs: np.ndarray, clip_nonneg: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    alpha = states.heterodyne_from_normal_pairs(theta.zeta, theta.n_mean, pairs)
-    zeta_hat = alpha.mean(axis=1)
-    centered = alpha - zeta_hat[:, None]
-    spread = (centered.real**2 + centered.imag**2).sum(axis=1)
-    n_hat = spread / (n - 1.0) - 1.0
-    return zeta_hat, _clip(n_hat, clip_nonneg)
-
-
-def _known_n_kernel(theta: ThetaPoint, n: int, pairs: np.ndarray) -> np.ndarray:
-    alpha = states.heterodyne_from_normal_pairs(theta.zeta, theta.n_mean, pairs)
-    return alpha.mean(axis=1)
-
-
-# ---------------------------------------------------------------------------
 # Monte Carlo reduction
 # ---------------------------------------------------------------------------
 
@@ -184,16 +159,25 @@ def _chunk_estimates(
     t alone, so any split of the trials into chunks gives the same bits.
     """
     n = config.n_copies
+    theta = config.theta
+    known_n = config.protocol is ProtocolKind.KNOWN_N_HETERODYNE
     streams = np.arange(start, start + count, dtype=np.uint64)
+    u = rng_mod.uniform_block(config.seed, streams, 0, 2 if known_n else n + 1)
+    # the amplified mode, or the mean of n per-copy outcomes: one outcome of
+    # amplitude sqrt(n) zeta and thermal number N, scaled by 1/sqrt(n)
+    pairs = rng_mod.box_muller(u[:, :2])
+    zeta_hat = states.heterodyne_from_normal_pairs(math.sqrt(n) * theta.zeta, theta.n_mean, pairs)
+    zeta_hat = zeta_hat / math.sqrt(n)
+    if known_n:
+        return zeta_hat, None
     if config.protocol is ProtocolKind.COLLECTIVE_CONCENTRATION:
-        u = rng_mod.uniform_block(config.seed, streams, 0, 2 + (n - 1))
-        pairs = rng_mod.box_muller(u[:, :2])
-        return _collective_kernel(config.theta, n, pairs, u[:, 2:], config.clip_nonneg)
-    u = rng_mod.uniform_block(config.seed, streams, 0, 2 * n)
-    pairs = rng_mod.box_muller(u.reshape(count, n, 2))
-    if config.protocol is ProtocolKind.SEPARABLE_HETERODYNE:
-        return _separable_kernel(config.theta, n, pairs, config.clip_nonneg)
-    return _known_n_kernel(config.theta, n, pairs), None
+        counts = states.photon_from_uniforms(theta.n_mean, u[:, 2:]).astype(np.float64)
+        n_hat = counts.mean(axis=1)
+    else:
+        # the spread sum |alpha_i - mean|^2 is (N+1) Gamma(n-1, 1): n-1 exponentials
+        gamma = -np.sum(np.log1p(-u[:, 2:]), axis=1)
+        n_hat = (theta.n_mean + 1.0) * gamma / (n - 1.0) - 1.0
+    return zeta_hat, np.maximum(n_hat, 0.0) if config.clip_nonneg else n_hat
 
 
 def _errors(config: ExperimentConfig, zeta_hat: np.ndarray, n_hat: np.ndarray | None) -> np.ndarray:
@@ -233,15 +217,10 @@ def monte_carlo_mse(
         count = min(chunk, trials - start)
         zeta_hat, n_hat = _chunk_estimates(config, start, count)
         errors = _errors(config, zeta_hat, n_hat)
-        sums = np.empty((d, d))
-        for i in range(d):
-            for j in range(i, d):
-                sums[i, j] = sums[j, i] = float(np.sum(errors[:, i] * errors[:, j]))
-        quad = np.zeros(count)
-        for i in range(d):
-            for j in range(d):
-                quad += g[i, j] * (errors[:, i] * errors[:, j])
-        quad *= n
+        # einsum without `optimize` calls no BLAS, so the bits do not depend
+        # on the library's threading
+        sums = np.einsum("ti,tj->ij", errors, errors)
+        quad = n * np.einsum("ti,ij,tj->t", errors, g, errors)
         return zeta_hat, n_hat, errors, sums, float(np.sum(quad)), float(np.sum(quad * quad))
 
     total = np.zeros((d, d))

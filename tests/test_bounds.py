@@ -261,6 +261,21 @@ class TestGaussianTradeoff:
                 probe = float(np.trace(g @ (sigma_rho + sigma_m)))
                 assert probe >= closed - 1e-9
 
+    @pytest.mark.parametrize("n_mean", [1.0, 1e4, 1e8, 1e12, 1e16, 1e200])
+    def test_squeeze_is_exact_at_any_n(self, n_mean):
+        # e^{4 r*} = low / high = (g1 - g2) / (g1 + g2), whatever N adds to the objective
+        t = optimal_gaussian_tradeoff(1.0, 0.6, 0.0, n_mean)
+        assert t.squeeze_r == pytest.approx(0.25 * math.log(0.25), abs=1e-12)
+        assert t.achieved == pytest.approx(c_r_closed_2param(1.0, 0.6, 0.0, n_mean), rel=1e-15)
+
+    # v v^T for v = (0.51, 0.08) rounds to a smaller eigenvalue of 1.4e-17, not 0
+    ROUNDED_RANK_ONE = WeightMatrix(np.array([[0.2601, 0.0408], [0.0408, 0.0064]])).two_param_gs()
+
+    @pytest.mark.parametrize("gs", [(0.5, 0.5, 0.0), (1.0, 0.0, 1.0), ROUNDED_RANK_ONE])
+    def test_rank_one_has_no_finite_squeeze(self, gs):
+        with pytest.raises(DomainError, match="rank-one"):
+            optimal_gaussian_tradeoff(*gs, 1.0)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             optimal_gaussian_tradeoff(0.0, 0.0, 0.0, 1.0)

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dtslab import cli, fock, states
 from dtslab.estimator import MAX_N_COPIES
@@ -64,6 +68,22 @@ class TestBoundsCommand:
         code, out, _ = run_cli(capsys, "bounds", "--n-mean", "1")
         assert code == 0
         assert "C_R (general matrix formula)" in out
+
+    def test_huge_n_mean_keeps_the_squeeze(self, capsys):
+        # the objective is flat in floating point here; the closed-form optimum is not
+        code, out, _ = run_cli(capsys, "bounds", "--n-mean", "1e200", "--known-n", "--json")
+        assert code == 0
+        squeeze = json.loads(out)["squeeze"]
+        assert squeeze["r"] == 0.0 and squeeze["achieved"] == 2e200
+
+    # the last is v v^T for v = (0.51, 0.08), whose smaller eigenvalue rounds to 1.4e-17
+    @pytest.mark.parametrize("entries", ["1 0 0 0", "1 1 1 1", "0.2601 0.0408 0.0408 0.0064"])
+    def test_rank_one_weight_has_no_squeeze(self, capsys, tmp_path, entries):
+        path = tmp_path / "w.txt"
+        path.write_text(f"2\n{entries}\n")
+        code, out, _ = run_cli(capsys, "bounds", "--n-mean", "1", "--weight", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["squeeze"] is None
 
 
 SIM_ARGS = (
@@ -266,6 +286,20 @@ class TestSimulateCommand:
         payload = json.loads(out)
         assert payload["seed"] == 7 and payload["theta"]["zeta_re"] == 0.9
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("n_mean", "1"), ("trials", "500"), ("n_copies", 10.5), ("clip_nonneg", 1)],
+    )
+    def test_config_value_of_the_wrong_type_exits_2(self, capsys, tmp_path, key, value):
+        # JSON values are typed as the flags are; a string is not a number and
+        # 10.5 is not an int, and the message names the key
+        base = {"protocol": "collective", "n_mean": 1, "n_copies": 10, "trials": 500}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**base, key: value}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 2 and out == ""
+        assert f"key {key!r}" in err and "Traceback" not in err
+
     def test_n_mean_above_sampler_limit_exits_3(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--protocol", "collective", "--n-mean", "1e17", "--trials", "100"
@@ -286,16 +320,16 @@ class TestSimulateCommand:
     # must update these together with the "algorithms" identifiers
     GOLDEN = {
         "collective": (
-            "a25df2725890c5a422f27f1390900a732f75a7789141663291c74e4bac91ac58",
+            "a06ec12d4c756712e9bebe8b793bafa58a61a4ba1987954be31e0f925cd9a3b6",
             "654a26bba6fc7c76a335311cfd53352bbb7fec91a827e3892ed8674ee4d7d6b2",
         ),
         "separable": (
-            "6084a06876a839425bc6cd2d6e90668883a970ee59c2e444219a17efd2c1fbd2",
-            "a0e97df1d4a0be068fd494a4a7fad6cf424212b9c8cc00e2b944467e7c9505ba",
+            "e420fac80ace26ca680275b53d113ab881c5840815fbd73c93064442b61b2aa3",
+            "f51fe1dffc937508450d5d5a427c6cffc3c7e487838ff33752a5c8a328424c89",
         ),
         "known-n": (
-            "35e1e9f59c4a01e0326f615c52147816a00bcac92bb652ec5b0f3a03f31d7637",
-            "5c092fbdd750abeb58d004d828c8faac48f9123a21b5b2be1069f62d8b8876c6",
+            "4ec3bcae76e4ff1cbae43d86e76dc09aa14e6e145a61009d12e0b73b409ce63f",
+            "e20ca5713052deb22ba58d6607855bfe82d1b392c3924728eea0084ad07ef763",
         ),
     }
 
@@ -398,6 +432,68 @@ class TestOracleCheckCommand:
         code, out, _ = run_cli(capsys, "oracle-check", "--n-mean", "0.5")
         assert code == 1
         assert "FAIL" in out
+
+
+_finite = st.floats(-1e3, 1e3)
+# each key's own kind of value, bounded so that no example starts a large run
+# or a large pool; trials is always present, because the defaults (100000, or
+# 20000 for the grid) are slow
+_CONFIG_REQUIRED = {
+    "trials": st.integers(90, 1000),
+    "protocol": st.sampled_from(["collective", "separable", "known-n"]),
+    "n_mean": st.floats(0.0, 1e9),
+}
+_CONFIG_OPTIONAL = {
+    "theta1": _finite,
+    "theta2": _finite,
+    "zeta_re": _finite,
+    "zeta_im": _finite,
+    "n_copies": st.integers(-1, 50),
+    "seed": st.integers(-(2**70), 2**70),
+    "weight": st.sampled_from(["identity2", "identity3"]),
+    "clip_nonneg": st.booleans(),
+    "threads": st.integers(-2, 4),
+    "json": st.booleans(),
+    "ratio_table": st.booleans(),
+}
+
+
+@st.composite
+def _config_values(draw):
+    """A --config object; in about half of them one key has another JSON type."""
+    values = draw(st.fixed_dictionaries(_CONFIG_REQUIRED, optional=_CONFIG_OPTIONAL))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(values)))
+        own = {**_CONFIG_REQUIRED, **_CONFIG_OPTIONAL}[key]
+        values[key] = draw(
+            st.one_of(
+                own.map(str),
+                st.none(),
+                st.booleans(),
+                st.integers(-3, 3),
+                st.floats(),
+                st.text(alphabet="ab-_.", max_size=3),
+                st.lists(st.integers(0, 3), max_size=2),
+            )
+        )
+    return values
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    database=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(values=_config_values())
+def test_any_config_values_end_in_an_exit_code(tmp_path, values):
+    # every --config input ends in a result or a stable exit code, never a traceback
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(values))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["simulate", "--config", str(config)])
+    assert code in (0, 1, 2, 3)
 
 
 def test_cli_import_loads_no_scipy():

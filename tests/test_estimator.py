@@ -3,8 +3,9 @@ import types
 
 import numpy as np
 import pytest
+from scipy import stats as sstats
 
-from dtslab import estimator
+from dtslab import estimator, rng
 from dtslab.bounds import ThetaPoint, WeightMatrix
 from dtslab.errors import DomainError
 from dtslab.estimator import (
@@ -13,16 +14,13 @@ from dtslab.estimator import (
     ExperimentConfig,
     ProtocolKind,
     _chunk_estimates,
-    _collective_kernel,
-    _known_n_kernel,
-    _separable_kernel,
     compare_to_bounds,
     expected_finite_n_trace,
     monte_carlo_mse,
     worker_count,
 )
 from dtslab.rng import box_muller, uniform_block
-from dtslab.states import photon_from_uniforms
+from dtslab.states import heterodyne_from_normal_pairs, photon_from_uniforms
 
 THETA = ThetaPoint.from_zeta(0.7071 + 0j, 1.0)
 
@@ -44,6 +42,26 @@ def single_trial(config, t):
     """(zeta_hat, n_hat) of trial t: a chunk of size 1."""
     zeta_hat, n_hat = _chunk_estimates(config, t, 1)
     return complex(zeta_hat[0]), None if n_hat is None else float(n_hat[0])
+
+
+def per_copy_estimates(config, seed, count):
+    """(zeta_hat, n_hat) of `count` trials that heterodyne every copy.
+
+    The reference for the per-copy protocols: trial t draws the n outcomes
+    alpha_i from counters 0 .. 2n-1 of stream t, one normal pair per copy,
+    and forms the sample mean and the unbiased spread estimate
+    sum |alpha_i - mean|^2 / (n-1) - 1.  n_hat is None for known-n.
+    """
+    n, theta = config.n_copies, config.theta
+    u = uniform_block(seed, np.arange(count), 0, 2 * n)
+    pairs = box_muller(u.reshape(count, n, 2))
+    alpha = heterodyne_from_normal_pairs(theta.zeta, theta.n_mean, pairs)
+    zeta_hat = alpha.mean(axis=1)
+    if config.protocol is ProtocolKind.KNOWN_N_HETERODYNE:
+        return zeta_hat, None
+    centered = alpha - zeta_hat[:, None]
+    spread = (centered.real**2 + centered.imag**2).sum(axis=1)
+    return zeta_hat, spread / (n - 1.0) - 1.0
 
 
 def photon_counts(config, t):
@@ -105,26 +123,36 @@ class TestSingleTrials:
         assert zeta_hat.shape == (1,)
         assert n_hat is None
 
-    def test_dispatch_matches_specific_runners(self):
-        # each protocol reaches its kernel with the documented counter layout
+    def test_dispatch_matches_specific_runners(self, monkeypatch):
+        # one counter layout: counters 0-1 give the amplitude pair, 2 .. n the
+        # photon part (geometric counts, exponentials, or nothing for known-n)
         n = 5
-        u = uniform_block(42, np.arange(3), 0, 2 * n)
-        coll = make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, n_copies=n, trials=3)
-        sep = make_config(ProtocolKind.SEPARABLE_HETERODYNE, n_copies=n, trials=3)
-        known = make_config(ProtocolKind.KNOWN_N_HETERODYNE, n_copies=n, trials=3)
-        pairs = box_muller(u.reshape(3, n, 2))
-        expected = {
-            coll.protocol: _collective_kernel(
-                coll.theta, n, box_muller(u[:, :2]), u[:, 2 : n + 1], False
-            ),
-            sep.protocol: _separable_kernel(sep.theta, n, pairs, False),
-            known.protocol: (_known_n_kernel(known.theta, n, pairs), None),
-        }
-        for config in (coll, sep, known):
+        u = uniform_block(42, np.arange(3), 0, n + 1)
+        widths = []
+
+        def recording(seed, streams, start, count):
+            widths.append((start, count))
+            return uniform_block(seed, streams, start, count)
+
+        monkeypatch.setattr(rng, "uniform_block", recording)
+        for protocol in ProtocolKind:
+            config = make_config(protocol, n_copies=n, trials=3)
+            theta = config.theta
+            alpha = heterodyne_from_normal_pairs(
+                math.sqrt(n) * theta.zeta, theta.n_mean, box_muller(u[:, :2])
+            )
+            counts = photon_from_uniforms(theta.n_mean, u[:, 2:])
+            gamma = np.sum(-np.log1p(-u[:, 2:]), axis=1)
+            want_n = {
+                ProtocolKind.COLLECTIVE_CONCENTRATION: counts.mean(axis=1),
+                ProtocolKind.SEPARABLE_HETERODYNE: (theta.n_mean + 1.0) * gamma / (n - 1.0) - 1.0,
+                ProtocolKind.KNOWN_N_HETERODYNE: None,
+            }[protocol]
             zeta_hat, n_hat = _chunk_estimates(config, 0, 3)
-            want_zeta, want_n = expected[config.protocol]
-            assert np.array_equal(zeta_hat, want_zeta)
+            assert np.array_equal(zeta_hat, alpha / math.sqrt(n))
             assert (n_hat is None and want_n is None) or np.array_equal(n_hat, want_n)
+        # one uniform_block call per chunk: n + 1 counters, or 2 for known-n
+        assert widths == [(0, n + 1), (0, n + 1), (0, 2)]
 
     def test_collective_moments(self):
         config = make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, trials=20000)
@@ -177,6 +205,32 @@ class TestSingleTrials:
         assert mse_clip.n_trace_gv != mse_raw.n_trace_gv
 
 
+class TestSufficientStatistics:
+    """The per-copy protocols draw their sufficient statistics directly.
+
+    Two-sample KS tests against the per-copy reference sampler, on an
+    independent seed, at the small n where the laws differ most from normal.
+    """
+
+    TRIALS = 20000
+
+    @pytest.mark.parametrize("n_copies", [2, 3, 10])
+    @pytest.mark.parametrize(
+        "protocol", [ProtocolKind.SEPARABLE_HETERODYNE, ProtocolKind.KNOWN_N_HETERODYNE]
+    )
+    def test_matches_per_copy_sampler(self, protocol, n_copies):
+        config = make_config(protocol, n_copies=n_copies, trials=self.TRIALS, n_mean=0.8)
+        zeta_hat, n_hat = _chunk_estimates(config, 0, self.TRIALS)
+        ref_zeta, ref_n = per_copy_estimates(config, config.seed + 1, self.TRIALS)
+        samples = {"re": (zeta_hat.real, ref_zeta.real), "im": (zeta_hat.imag, ref_zeta.imag)}
+        if protocol is ProtocolKind.SEPARABLE_HETERODYNE:
+            samples["n_hat"] = (n_hat, ref_n)
+        else:
+            assert n_hat is None and ref_n is None
+        for name, (sample, reference) in samples.items():
+            assert sstats.ks_2samp(sample, reference).pvalue > 1e-3, name
+
+
 class TestMonteCarlo:
     def test_single_trial_rank_one_psd(self):
         config = make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, trials=1)
@@ -209,6 +263,32 @@ class TestMonteCarlo:
             monte_carlo_mse(config, trial_sink=sink)
             for t in range(config.trials):
                 assert collected[t] == single_trial(config, t), (protocol, t)
+
+    def test_reduction_matches_loop_reference(self):
+        # the einsum products against the per-entry loops over the same errors;
+        # the summation order differs, so agreement is to float64 rounding
+        weight = WeightMatrix(np.array([[2.0, 0.3, -0.2], [0.3, 1.0, 0.1], [-0.2, 0.1, 0.5]]))
+        config = ExperimentConfig(
+            protocol=ProtocolKind.SEPARABLE_HETERODYNE,
+            theta=THETA,
+            n_copies=10,
+            trials=9000,
+            seed=4,
+            weight=weight,
+        )
+        g, n, d = weight.entries, config.n_copies, 3
+        total, sum_q = np.zeros((d, d)), 0.0
+
+        def sink(start, zeta_hat, n_hat, errors):
+            nonlocal sum_q
+            for i in range(d):
+                for j in range(d):
+                    total[i, j] += np.sum(errors[:, i] * errors[:, j])
+                    sum_q += n * g[i, j] * np.sum(errors[:, i] * errors[:, j])
+
+        mse = monte_carlo_mse(config, trial_sink=sink)
+        assert np.allclose(mse.entries, total / config.trials, rtol=1e-12, atol=0.0)
+        assert mse.n_trace_gv == pytest.approx(sum_q / config.trials, rel=1e-12)
 
     def test_thread_count_does_not_change_bits(self):
         config = make_config(ProtocolKind.SEPARABLE_HETERODYNE, trials=5000, seed=3)
