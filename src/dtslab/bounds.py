@@ -161,10 +161,19 @@ def rld_inverse_2param(n_mean: float) -> np.ndarray:
 
 
 def rld_inverse_3param(n_mean: float) -> np.ndarray:
-    """Inverse RLD Fisher matrix for (theta1, theta2, N); the N row decouples."""
+    """Inverse RLD Fisher matrix for (theta1, theta2, N); the N row decouples.
+
+    Its (N, N) entry N(N + 1) overflows float64 above N = 1.34e154, where
+    DomainError is raised.
+    """
     out = np.zeros((3, 3), dtype=complex)
     out[:2, :2] = rld_inverse_2param(n_mean)
     out[2, 2] = n_mean * (n_mean + 1.0)
+    if not math.isfinite(out[2, 2].real):
+        raise DomainError(
+            f"n_mean must be at most 1.34e154 for the three-parameter bound "
+            f"(N(N+1) overflows float64 above it), got {n_mean:g}"
+        )
     return out
 
 
@@ -180,9 +189,16 @@ def c_r_general(weight: WeightMatrix, j_inv: np.ndarray) -> float:
         raise DomainError("inverse Fisher matrix must be Hermitian")
     g = weight.entries
     root = sqrt_psd(g)
-    real_term = float(np.trace(g @ j_inv.real))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        real_term = float(np.trace(g @ j_inv.real))
     imag_term = trace_norm(root @ j_inv.imag @ root)
-    return real_term + imag_term
+    return _finite_bound(real_term + imag_term)
+
+
+def _finite_bound(value: float) -> float:
+    if not math.isfinite(value):
+        raise DomainError("the bound overflows float64 for this weight and n_mean")
+    return value
 
 
 def _closed_radical(g1: float, g2: float, g3: float) -> float:
@@ -198,7 +214,7 @@ def c_r_closed_2param(g1: float, g2: float, g3: float, n_mean: float) -> float:
     """Closed form 2(N + 1/2) g1 + sqrt(g1^2 - g2^2 - g3^2)."""
     _require_n_mean(n_mean)
     WeightMatrix.from_two_param_gs(g1, g2, g3)  # validates the weight
-    return 2.0 * (n_mean + 0.5) * g1 + _closed_radical(g1, g2, g3)
+    return _finite_bound(2.0 * (n_mean + 0.5) * g1 + _closed_radical(g1, g2, g3))
 
 
 def c_r_closed_3param(g0: float, g1: float, g2: float, g3: float, n_mean: float) -> float:
@@ -207,7 +223,7 @@ def c_r_closed_3param(g0: float, g1: float, g2: float, g3: float, n_mean: float)
     if g0 < -PSD_EIGENVALUE_TOL:
         raise DomainError(f"g0 must be nonnegative, got {g0}")
     WeightMatrix.from_three_param_gs(g0, g1, g2, g3)  # validates the weight
-    return (
+    return _finite_bound(
         g0 * n_mean * (n_mean + 1.0)
         + 2.0 * (n_mean + 0.5) * g1
         + _closed_radical(g1, g2, g3)

@@ -46,7 +46,8 @@ from .estimator import (
 _ALGORITHMS = {
     "rng": rng.MIXER_NAME,
     "gaussian": rng.GAUSSIAN_NAME,
-    "geometric": "inverse-cdf-log",
+    "gamma": rng.GAMMA_NAME,
+    "poisson": rng.POISSON_NAME,
     "estimates": "sufficient-statistics",
 }
 

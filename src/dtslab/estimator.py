@@ -14,29 +14,43 @@ at the outcome level:
 Outcome-level simulation is statistically exact because the concentration
 unitary maps the n-copy input to an explicit product state (certified at
 n = 2 and 3 by the `fock` oracle); the alternative n-mode matrices would
-be astronomically large.  The per-copy protocols are sampled through
-their sufficient statistics, whose exact laws are known: with per-copy
-outcomes alpha_i ~ zeta + sqrt((N+1)/2) (X_i + i Y_i),
+be astronomically large.  Every protocol is sampled through the exact laws
+of its sufficient statistics.  With per-copy outcomes
+alpha_i ~ zeta + sqrt((N+1)/2) (X_i + i Y_i),
 
     mean(alpha_i)              = zeta + sqrt((N+1)/(2n)) (X + i Y)
-    sum |alpha_i - mean|^2     = (N+1) Gamma(n-1, 1), independent of the
-                                 mean (Cochran's theorem)
+    sum |alpha_i - mean|^2     = (N+1) G, G ~ Gamma(n-1, 1), independent
+                                 of the mean (Cochran's theorem)
 
 so the mean has the law of the collective estimate alpha / sqrt(n), and
-Gamma(n-1, 1) is a sum of n-1 exponentials -ln(1-u).
+the separable photon estimate is (N+1) G/(n-1) - 1.  The collective one
+is K/(n-1), where the total K of n-1 geometric counts of mean N is
+NegBin(n-1, N/(N+1)), which is Poisson(N G) with G ~ Gamma(n-1, 1).
 
 Sampling has one path: `_chunk_estimates(config, start, count)` draws
 trials start .. start+count-1, and a single trial is a chunk of size 1.
 Trial t draws from the counter-based stream with stream_index = t, in one
-counter layout for all protocols: counters 0-1 are the uniform pair of the
-amplitude estimate, and counters 2 .. n are the n-1 uniforms of the photon
-estimate (geometric counts for collective, exponentials for separable;
-known-n draws none).  Monte Carlo runs are chunked by a size computed from
-the configuration alone and reduced in trial order, so the result is
+counter layout for all protocols:
+
+    0, 1                  the uniform pair of the amplitude estimate
+    2 + 3j .. 4 + 3j      attempt j of the Gamma draw (collective, separable)
+    2**32 + 2j, + 1       attempt j of the Poisson draw (collective)
+
+(`rng.gamma`, `rng.poisson`; known-n draws counters 0 and 1 only).  A
+trial costs the same at every n.  Monte Carlo runs are chunked by a fixed
+number of trials and reduced in trial order, so the result is
 byte-identical for any worker count.
 
-The geometric sampler's log(N/(N+1)) loses relative precision as N grows
-(4e-9 at N = 1e8, 2e-5 at 1e12, all of it at 1e16): N <= MAX_N_MEAN.
+Ranges (`ExperimentConfig` refuses the rest with DomainError):
+n <= 2**53, where n and n - 1 are exact in float64; N <= 2**47 and, for
+the collective protocol, N (n-1) <= 2**47, so the count total K, whose
+mean is N (n-1), stays an exact float64 integer (it passes 2**53 with
+probability at most about e^-64, the value at n = 2, where K is one
+geometric count); and amplitudes
+whose float64 spacing math.ulp(max |theta_i|) is at most 1e-3 of the
+estimate's standard deviation sqrt((N+1)/n), so rounding moves the MSE
+by less than 2e-5 of itself (measured: at most 9e-6 at n = 10 and 1000)
+and every square stays finite.
 """
 
 from __future__ import annotations
@@ -61,10 +75,12 @@ from .bounds import (
 from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
-_CHUNK_BUDGET = 1 << 22  # draws per chunk; chunking depends on config only
-MAX_N_MEAN = 1e8
-# a one-trial chunk draws n_copies + 1 uniforms: about 2**22 at this limit
-MAX_N_COPIES = _CHUNK_BUDGET
+_CHUNK_TRIALS = 4096  # trials per chunk; a trial's cost does not depend on n
+_GAMMA_COUNTER = 2
+_POISSON_COUNTER = 1 << 32
+MAX_N_COPIES = 1 << 53
+MAX_N_MEAN = 2.0**47
+_AMPLITUDE_ROUNDING = 1e-3
 
 
 class ProtocolKind(Enum):
@@ -94,15 +110,31 @@ class ExperimentConfig:
             raise DomainError(f"n_copies must be at least 2, got {self.n_copies}")
         if self.n_copies > MAX_N_COPIES:
             raise DomainError(
-                f"n_copies must be at most {MAX_N_COPIES} for simulation (one trial "
-                f"draws n_copies + 1 numbers at once), got {self.n_copies}"
+                f"n_copies must be at most {MAX_N_COPIES} for simulation (n - 1 must "
+                f"be exact in float64), got {self.n_copies}"
             )
         if self.trials < 1:
             raise DomainError(f"trials must be at least 1, got {self.trials}")
-        if self.theta.n_mean > MAX_N_MEAN:
+        n_mean = self.theta.n_mean
+        if self.protocol is ProtocolKind.COLLECTIVE_CONCENTRATION:
+            if n_mean * (self.n_copies - 1) > MAX_N_MEAN:
+                raise DomainError(
+                    f"n_mean * (n_copies - 1) must be at most {MAX_N_MEAN:g} for the "
+                    f"collective protocol (the photon count total must stay an exact "
+                    f"integer), got {n_mean * (self.n_copies - 1):g}"
+                )
+        elif n_mean > MAX_N_MEAN:
             raise DomainError(
-                f"n_mean must be at most {MAX_N_MEAN:g} for simulation (the geometric "
-                f"sampler loses precision above it), got {self.theta.n_mean:g}"
+                f"n_mean must be at most {MAX_N_MEAN:g} for simulation, got {n_mean:g}"
+            )
+        spread = math.sqrt((n_mean + 1.0) / self.n_copies)
+        amplitude = max(abs(self.theta.theta1), abs(self.theta.theta2))
+        if math.ulp(amplitude) > _AMPLITUDE_ROUNDING * spread:
+            raise DomainError(
+                f"amplitude {amplitude:g} is too large for simulation at n_mean "
+                f"{n_mean:g} and {self.n_copies} copies: its float64 rounding "
+                f"{math.ulp(amplitude):.3g} exceeds {_AMPLITUDE_ROUNDING:g} of the "
+                f"estimate's standard deviation {spread:.3g}"
             )
         if self.weight.dim != self.protocol.n_params:
             raise DomainError(
@@ -140,13 +172,9 @@ class BoundComparison:
 # Monte Carlo reduction
 # ---------------------------------------------------------------------------
 
-def _chunk_size(n_copies: int) -> int:
-    return int(max(1, min(4096, _CHUNK_BUDGET // max(1, n_copies))))
-
-
 def worker_count(config: ExperimentConfig, threads: int | None) -> int:
     """Worker threads `monte_carlo_mse` uses: the request, at most one per chunk."""
-    chunks = -(-config.trials // _chunk_size(config.n_copies))
+    chunks = -(-config.trials // _CHUNK_TRIALS)
     return max(1, min(threads or 1, chunks))
 
 
@@ -160,22 +188,23 @@ def _chunk_estimates(
     """
     n = config.n_copies
     theta = config.theta
-    known_n = config.protocol is ProtocolKind.KNOWN_N_HETERODYNE
+    seed = config.seed
     streams = np.arange(start, start + count, dtype=np.uint64)
-    u = rng_mod.uniform_block(config.seed, streams, 0, 2 if known_n else n + 1)
+    u = rng_mod.uniform_block(seed, streams, 0, 2)
     # the amplified mode, or the mean of n per-copy outcomes: one outcome of
     # amplitude sqrt(n) zeta and thermal number N, scaled by 1/sqrt(n)
-    pairs = rng_mod.box_muller(u[:, :2])
+    pairs = rng_mod.box_muller(u)
     zeta_hat = states.heterodyne_from_normal_pairs(math.sqrt(n) * theta.zeta, theta.n_mean, pairs)
     zeta_hat = zeta_hat / math.sqrt(n)
-    if known_n:
+    if config.protocol is ProtocolKind.KNOWN_N_HETERODYNE:
         return zeta_hat, None
+    gamma = rng_mod.gamma(seed, streams, n - 1.0, _GAMMA_COUNTER)
     if config.protocol is ProtocolKind.COLLECTIVE_CONCENTRATION:
-        counts = states.photon_from_uniforms(theta.n_mean, u[:, 2:]).astype(np.float64)
-        n_hat = counts.mean(axis=1)
+        # the count total of the n-1 thermal modes: Poisson(N G), G ~ Gamma(n-1, 1)
+        counts = rng_mod.poisson(seed, streams, theta.n_mean * gamma, _POISSON_COUNTER)
+        n_hat = counts / (n - 1.0)
     else:
-        # the spread sum |alpha_i - mean|^2 is (N+1) Gamma(n-1, 1): n-1 exponentials
-        gamma = -np.sum(np.log1p(-u[:, 2:]), axis=1)
+        # the spread sum |alpha_i - mean|^2 is (N+1) Gamma(n-1, 1)
         n_hat = (theta.n_mean + 1.0) * gamma / (n - 1.0) - 1.0
     return zeta_hat, np.maximum(n_hat, 0.0) if config.clip_nonneg else n_hat
 
@@ -210,17 +239,16 @@ def monte_carlo_mse(
     g = config.weight.entries
     n = config.n_copies
     trials = config.trials
-    chunk = _chunk_size(n)
-    starts = list(range(0, trials, chunk))
+    starts = list(range(0, trials, _CHUNK_TRIALS))
 
     def process(start: int):
-        count = min(chunk, trials - start)
+        count = min(_CHUNK_TRIALS, trials - start)
         zeta_hat, n_hat = _chunk_estimates(config, start, count)
         errors = _errors(config, zeta_hat, n_hat)
         # einsum without `optimize` calls no BLAS, so the bits do not depend
         # on the library's threading
         sums = np.einsum("ti,tj->ij", errors, errors)
-        quad = n * np.einsum("ti,ij,tj->t", errors, g, errors)
+        quad = n * np.einsum("tj,tj->t", np.einsum("ti,ij->tj", errors, g), errors)
         return zeta_hat, n_hat, errors, sums, float(np.sum(quad)), float(np.sum(quad * quad))
 
     total = np.zeros((d, d))

@@ -8,8 +8,9 @@ number N > 0 produces
 
 The heterodyne law is not assumed: the `fock` module certifies it against
 an explicit truncated Fock-space construction before the Monte Carlo layer
-trusts it.  The samplers map blocks of counter-based uniforms or normal
-pairs to outcomes; the `estimator` chunk path is their only caller.
+trusts it.  `heterodyne_from_normal_pairs` maps normal pairs to outcomes
+for the `estimator` chunk path; photon counts are never drawn one by one
+there, because the estimates need only their total (see `estimator`).
 """
 
 from __future__ import annotations
@@ -47,12 +48,3 @@ def photon_pmf(n_mean: float, k: int) -> float:
     ratio = n_mean / (n_mean + 1.0)
     return ratio**k / (n_mean + 1.0)
 
-
-def photon_from_uniforms(n_mean: float, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF geometric sampling: k = floor(ln(1-u) / ln(N/(N+1))).
-
-    u in [0, 1); u = 0 maps to k = 0 and the largest representable u keeps
-    k finite because 1 - u never underflows to zero for 53-bit uniforms.
-    """
-    log_ratio = math.log(n_mean / (n_mean + 1.0))
-    return np.floor(np.log1p(-np.asarray(u)) / log_ratio).astype(np.int64)

@@ -110,6 +110,12 @@ class TestRldInverse:
     def test_3param_n2_entry(self):
         assert rld_inverse_3param(2.0)[2, 2] == pytest.approx(6.0)
 
+    def test_3param_refuses_an_overflowing_entry(self):
+        # N(N+1) is finite up to sqrt(max float) = 1.3408e154 and inf above
+        assert np.isfinite(rld_inverse_3param(1.34e154)[2, 2])
+        with pytest.raises(DomainError, match="at most 1.34e154"):
+            rld_inverse_3param(1.35e154)
+
     @pytest.mark.parametrize("n_mean", [0.3, 0.5, 1.0, 2.0, 7.5])
     def test_hermitian_with_psd_real_part(self, n_mean):
         for m in (rld_inverse_2param(n_mean), rld_inverse_3param(n_mean)):
@@ -131,6 +137,13 @@ class TestCrGeneral:
 
     def test_zero_weight(self):
         assert c_r_general(WeightMatrix(np.zeros((2, 2))), rld_inverse_2param(1.0)) == 0.0
+
+    def test_overflowing_bound_is_refused(self):
+        weight = WeightMatrix(np.eye(2) * 1e10)
+        with pytest.raises(DomainError, match="overflows"):
+            c_r_general(weight, rld_inverse_2param(1e300))
+        with pytest.raises(DomainError, match="overflows"):
+            c_r_closed_2param(1e10, 0.0, 0.0, 1e300)
 
     def test_dim_mismatch(self):
         with pytest.raises(DomainError):

@@ -7,13 +7,14 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dtslab import cli, fock, states
-from dtslab.estimator import MAX_N_COPIES
+from dtslab.estimator import MAX_N_COPIES, MAX_N_MEAN
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +64,25 @@ class TestBoundsCommand:
         code, out, _ = run_cli(capsys, "bounds", "--n-mean", "1e17", "--json")
         assert code == 0
         assert json.loads(out)["c_r_general"] == pytest.approx((1e17 + 1) * (1e17 + 2))
+
+    @pytest.mark.parametrize("n_mean", ["1.35e154", "1e200"])
+    def test_overflowing_three_parameter_bound_exits_3(self, capsys, n_mean):
+        # N(N+1) overflows float64 above 1.34e154; the two-parameter bound is
+        # finite there, so --known-n still answers
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow used to warn and print Infinity
+            code, out, err = run_cli(capsys, "bounds", "--n-mean", n_mean, "--json")
+        assert code == 3 and out == ""
+        assert "at most 1.34e154" in err
+        code, out, _ = run_cli(capsys, "bounds", "--n-mean", n_mean, "--known-n", "--json")
+        assert code == 0 and json.loads(out)["c_r_general"] == pytest.approx(2 * float(n_mean))
+
+    def test_bound_that_overflows_for_its_weight_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("2\n1e10 0\n0 1e10\n")
+        code, out, err = run_cli(capsys, "bounds", "--n-mean", "1e300", "--weight", str(path), "--json")
+        assert code == 3 and out == ""
+        assert "overflows" in err
 
     def test_text_output(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--n-mean", "1")
@@ -305,9 +325,9 @@ class TestSimulateCommand:
             capsys, "simulate", "--protocol", "collective", "--n-mean", "1e17", "--trials", "100"
         )
         assert code == 3
-        assert "at most 1e+08" in err
+        assert f"at most {MAX_N_MEAN:g}" in err
 
-    @pytest.mark.parametrize("n_copies", [MAX_N_COPIES + 1, 10**9])
+    @pytest.mark.parametrize("n_copies", [MAX_N_COPIES + 1, 10**18])
     def test_n_copies_above_limit_exits_3(self, capsys, n_copies):
         code, out, err = run_cli(
             capsys, "simulate", "--protocol", "separable", "--n-mean", "1",
@@ -316,19 +336,29 @@ class TestSimulateCommand:
         assert code == 3 and out == ""
         assert f"at most {MAX_N_COPIES}" in err
 
+    @pytest.mark.parametrize("protocol", ["collective", "separable", "known-n"])
+    def test_huge_amplitude_exits_3(self, capsys, protocol):
+        # sqrt(n) zeta overflowed here and the summary read NaN with exit 0
+        code, out, err = run_cli(
+            capsys, "simulate", "--protocol", protocol, "--n-mean", "1", "--theta1", "1e308",
+            "--n-copies", "10", "--trials", "100",
+        )
+        assert code == 3 and out == ""
+        assert "too large for simulation" in err
+
     # sha256 of the summary JSON and the trial CSV; a change to the output bits
     # must update these together with the "algorithms" identifiers
     GOLDEN = {
         "collective": (
-            "a06ec12d4c756712e9bebe8b793bafa58a61a4ba1987954be31e0f925cd9a3b6",
-            "654a26bba6fc7c76a335311cfd53352bbb7fec91a827e3892ed8674ee4d7d6b2",
+            "7fac54b724efeeb25d6d4eb3cd53b549ba1a7bdeb4de520fde67f3fc36fc3472",
+            "660e461ef44745d8b7d28cb30981d8e7e97e0e1a8a40193fc192fcbb09f2eae5",
         ),
         "separable": (
-            "e420fac80ace26ca680275b53d113ab881c5840815fbd73c93064442b61b2aa3",
-            "f51fe1dffc937508450d5d5a427c6cffc3c7e487838ff33752a5c8a328424c89",
+            "2201b3cb2f7b6b261130704e0540606d2db56325569157cbcd71550c332bb058",
+            "6159aed96e10bdbcca87072d8e2205ea440dff1cc4a05e54e140d499297c872b",
         ),
         "known-n": (
-            "4ec3bcae76e4ff1cbae43d86e76dc09aa14e6e145a61009d12e0b73b409ce63f",
+            "fc19b3fc0b454fbf509503883775ecf49d08348a69afb18b0052dfba4d3fb73d",
             "e20ca5713052deb22ba58d6607855bfe82d1b392c3924728eea0084ad07ef763",
         ),
     }

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import types
 
@@ -20,7 +21,8 @@ from dtslab.estimator import (
     worker_count,
 )
 from dtslab.rng import box_muller, uniform_block
-from dtslab.states import heterodyne_from_normal_pairs, photon_from_uniforms
+from dtslab.states import heterodyne_from_normal_pairs
+from test_states import geometric_from_uniforms
 
 THETA = ThetaPoint.from_zeta(0.7071 + 0j, 1.0)
 
@@ -45,15 +47,21 @@ def single_trial(config, t):
 
 
 def per_copy_estimates(config, seed, count):
-    """(zeta_hat, n_hat) of `count` trials that heterodyne every copy.
+    """(zeta_hat, n_hat) of `count` trials sampled copy by copy.
 
-    The reference for the per-copy protocols: trial t draws the n outcomes
-    alpha_i from counters 0 .. 2n-1 of stream t, one normal pair per copy,
-    and forms the sample mean and the unbiased spread estimate
+    The reference for every protocol: trial t draws from counters 0 ..
+    2n-1 of stream t.  The collective protocol takes the n-1 counts
+    (geometric, one uniform each, counters 2 .. n) of the modes left after
+    concentration and estimates N by their sample mean.  The per-copy
+    protocols draw n outcomes alpha_i, one normal pair per copy, and form
+    the sample mean and the unbiased spread estimate
     sum |alpha_i - mean|^2 / (n-1) - 1.  n_hat is None for known-n.
     """
     n, theta = config.n_copies, config.theta
     u = uniform_block(seed, np.arange(count), 0, 2 * n)
+    if config.protocol is ProtocolKind.COLLECTIVE_CONCENTRATION:
+        counts = geometric_from_uniforms(theta.n_mean, u[:, 2 : n + 1])
+        return None, counts.mean(axis=1)
     pairs = box_muller(u.reshape(count, n, 2))
     alpha = heterodyne_from_normal_pairs(theta.zeta, theta.n_mean, pairs)
     zeta_hat = alpha.mean(axis=1)
@@ -64,46 +72,52 @@ def per_copy_estimates(config, seed, count):
     return zeta_hat, spread / (n - 1.0) - 1.0
 
 
-def photon_counts(config, t):
-    """The n-1 photon counts of collective trial t (counters 2 .. n)."""
-    u = uniform_block(config.seed, np.asarray([t]), 2, config.n_copies - 1)
-    return photon_from_uniforms(config.theta.n_mean, u[0])
+def count_total(config, t):
+    """The photon count total K of collective trial t: n_hat (n-1), an integer."""
+    total = single_trial(config, t)[1] * (config.n_copies - 1)
+    assert total == round(total) >= 0
+    return round(total)
 
 
 class TestMleGeometric:
-    """The collective photon estimate is the geometric maximum-likelihood N."""
+    """The collective photon estimate is the geometric maximum-likelihood N.
+
+    The log-likelihood of n-1 geometric counts with total K is
+    K log(N/(N+1)) - (n-1) log(N+1), so the estimate needs only K.
+    """
 
     def test_stationary_point(self):
-        # the likelihood's stationary point is the sample mean of the counts
+        # the score K/(N(N+1)) - (n-1)/(N+1) vanishes at the estimate K/(n-1)
         config = make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, n_copies=4)
         for t in range(20):
-            counts = photon_counts(config, t)
-            assert single_trial(config, t)[1] == counts.astype(float).mean()
+            total, khat = count_total(config, t), single_trial(config, t)[1]
+            if total:
+                score = total / (khat * (khat + 1.0)) - 3.0 / (khat + 1.0)
+                assert abs(score) < 1e-12 * 3.0 / (khat + 1.0)
 
     def test_boundary_all_zero(self):
         # at small N most trials count no photon; their estimate sits at the boundary 0
         config = make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, n_copies=3, n_mean=0.01)
-        zero_trials = [t for t in range(50) if not photon_counts(config, t).any()]
+        zero_trials = [t for t in range(50) if count_total(config, t) == 0]
         assert len(zero_trials) > 25
         assert all(single_trial(config, t)[1] == 0.0 for t in zero_trials)
 
     def test_single_sample(self):
         # two copies leave one counted mode, whose count is the estimate
         config = make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, n_copies=2)
-        for t in range(20):
-            assert single_trial(config, t)[1] == float(photon_counts(config, t)[0])
+        estimates = [single_trial(config, t)[1] for t in range(20)]
+        assert all(k == count_total(config, t) for t, k in enumerate(estimates))
+        assert len(set(estimates)) > 2
 
     def test_is_the_likelihood_maximizer(self):
         # scan oracle: log-likelihood of the geometric law peaks at the estimate
         config = make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, n_copies=8, n_mean=1.5)
-        counts = photon_counts(config, 3)
+        total = count_total(config, 3)
         khat = single_trial(config, 3)[1]
         assert khat > 0
 
         def loglik(n):
-            return float(
-                np.sum(counts * math.log(n / (n + 1.0)) - math.log(n + 1.0))
-            )
+            return total * math.log(n / (n + 1.0)) - 7 * math.log(n + 1.0)
 
         best = max(np.linspace(0.05, 8.0, 400), key=loglik)
         assert abs(best - khat) < 0.05
@@ -124,14 +138,15 @@ class TestSingleTrials:
         assert n_hat is None
 
     def test_dispatch_matches_specific_runners(self, monkeypatch):
-        # one counter layout: counters 0-1 give the amplitude pair, 2 .. n the
-        # photon part (geometric counts, exponentials, or nothing for known-n)
-        n = 5
-        u = uniform_block(42, np.arange(3), 0, n + 1)
-        widths = []
+        # one counter layout: counters 0-1 give the amplitude pair, the Gamma
+        # draw's attempts start at counter 2 and the Poisson draw's at 2**32
+        n, streams = 5, np.arange(3)
+        u = uniform_block(42, streams, 0, 2)
+        gamma = rng.gamma(42, streams, n - 1.0, 2)
+        blocks = []
 
         def recording(seed, streams, start, count):
-            widths.append((start, count))
+            blocks.append((start, count))
             return uniform_block(seed, streams, start, count)
 
         monkeypatch.setattr(rng, "uniform_block", recording)
@@ -139,20 +154,27 @@ class TestSingleTrials:
             config = make_config(protocol, n_copies=n, trials=3)
             theta = config.theta
             alpha = heterodyne_from_normal_pairs(
-                math.sqrt(n) * theta.zeta, theta.n_mean, box_muller(u[:, :2])
+                math.sqrt(n) * theta.zeta, theta.n_mean, box_muller(u)
             )
-            counts = photon_from_uniforms(theta.n_mean, u[:, 2:])
-            gamma = np.sum(-np.log1p(-u[:, 2:]), axis=1)
-            want_n = {
-                ProtocolKind.COLLECTIVE_CONCENTRATION: counts.mean(axis=1),
-                ProtocolKind.SEPARABLE_HETERODYNE: (theta.n_mean + 1.0) * gamma / (n - 1.0) - 1.0,
-                ProtocolKind.KNOWN_N_HETERODYNE: None,
-            }[protocol]
+            if protocol is ProtocolKind.COLLECTIVE_CONCENTRATION:
+                counts = rng.poisson(42, streams, theta.n_mean * gamma, 1 << 32)
+                want_n = counts / (n - 1.0)
+            elif protocol is ProtocolKind.SEPARABLE_HETERODYNE:
+                want_n = (theta.n_mean + 1.0) * gamma / (n - 1.0) - 1.0
+            else:
+                want_n = None
+            blocks.clear()
             zeta_hat, n_hat = _chunk_estimates(config, 0, 3)
             assert np.array_equal(zeta_hat, alpha / math.sqrt(n))
             assert (n_hat is None and want_n is None) or np.array_equal(n_hat, want_n)
-        # one uniform_block call per chunk: n + 1 counters, or 2 for known-n
-        assert widths == [(0, n + 1), (0, n + 1), (0, 2)]
+            # the amplitude pair first; every later block is a sampler attempt's
+            assert blocks[0] == (0, 2)
+            for start, count in blocks[1:]:
+                gamma_attempt = count == 3 and (start - 2) % 3 == 0 and start < 1 << 32
+                poisson_attempt = count in (1, 2) and start >= 1 << 32 and start % 2 == 0
+                assert gamma_attempt or poisson_attempt, (protocol, start, count)
+            if protocol is ProtocolKind.KNOWN_N_HETERODYNE:
+                assert blocks == [(0, 2)]
 
     def test_collective_moments(self):
         config = make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, trials=20000)
@@ -230,6 +252,48 @@ class TestSufficientStatistics:
         for name, (sample, reference) in samples.items():
             assert sstats.ks_2samp(sample, reference).pvalue > 1e-3, name
 
+    @pytest.mark.parametrize("n_copies", [2, 3, 10])
+    @pytest.mark.parametrize("n_mean", [0.8, 5.0])
+    def test_collective_matches_per_copy_counts(self, n_copies, n_mean):
+        # K/(n-1) with K ~ Poisson(N G) against the mean of n-1 geometric
+        # counts; at N = 0.8 most Poisson means are below 10 (inversion), at
+        # N = 5 most are above (PTRS)
+        config = make_config(
+            ProtocolKind.COLLECTIVE_CONCENTRATION, n_copies=n_copies, trials=self.TRIALS, n_mean=n_mean
+        )
+        _, n_hat = _chunk_estimates(config, 0, self.TRIALS)
+        _, reference = per_copy_estimates(config, config.seed + 1, self.TRIALS)
+        assert sstats.ks_2samp(n_hat, reference).pvalue > 1e-3
+
+    def test_count_total_is_exact_at_the_n_mean_limit(self):
+        # at n = 2 the count total is one geometric count of mean N; at
+        # N = MAX_N_MEAN = 2**47 it still matches the inverse-CDF reference
+        config = make_config(
+            ProtocolKind.COLLECTIVE_CONCENTRATION, n_copies=2, trials=self.TRIALS, n_mean=MAX_N_MEAN
+        )
+        _, n_hat = _chunk_estimates(config, 0, self.TRIALS)
+        _, reference = per_copy_estimates(config, config.seed + 1, self.TRIALS)
+        assert np.all(n_hat == np.floor(n_hat)) and n_hat.max() < 2.0**53
+        assert sstats.ks_2samp(n_hat, reference).pvalue > 1e-3
+        assert abs(n_hat.mean() - MAX_N_MEAN) < 5.0 * MAX_N_MEAN / math.sqrt(self.TRIALS)
+
+    @pytest.mark.parametrize(
+        "protocol", [ProtocolKind.COLLECTIVE_CONCENTRATION, ProtocolKind.SEPARABLE_HETERODYNE]
+    )
+    def test_moments_at_a_million_copies(self, protocol):
+        # E n_hat = N; Var n_hat = N(N+1)/(n-1) (collective) or (N+1)^2/(n-1)
+        # (separable).  For near-normal samples the SE of the mean is
+        # sd/sqrt(T) and that of the variance var sqrt(2/(T-1)); both within 5 SE
+        n, trials, n_mean = 10**6, 20000, 1.5
+        config = make_config(protocol, n_copies=n, trials=trials, n_mean=n_mean)
+        _, n_hat = _chunk_estimates(config, 0, trials)
+        if protocol is ProtocolKind.COLLECTIVE_CONCENTRATION:
+            variance = n_mean * (n_mean + 1.0) / (n - 1)
+        else:
+            variance = (n_mean + 1.0) ** 2 / (n - 1)
+        assert abs(n_hat.mean() - n_mean) < 5.0 * math.sqrt(variance / trials)
+        assert abs(n_hat.var(ddof=1) - variance) < 5.0 * variance * math.sqrt(2.0 / (trials - 1))
+
 
 class TestMonteCarlo:
     def test_single_trial_rank_one_psd(self):
@@ -263,6 +327,66 @@ class TestMonteCarlo:
             monte_carlo_mse(config, trial_sink=sink)
             for t in range(config.trials):
                 assert collected[t] == single_trial(config, t), (protocol, t)
+
+    @pytest.mark.parametrize(
+        "protocol", [ProtocolKind.COLLECTIVE_CONCENTRATION, ProtocolKind.SEPARABLE_HETERODYNE]
+    )
+    def test_chunk_is_concatenation_of_single_trials(self, protocol, monkeypatch):
+        # rejection attempts read fixed counters of their own stream, so a
+        # trial's draws do not depend on its chunk, even when it needs several
+        # attempts; the Gamma shape 1 (n = 2) is accepted least often, and
+        # N = 50 sends most Poisson draws through PTRS
+        config = make_config(protocol, n_copies=2, trials=600, seed=13, n_mean=50.0)
+        zeta_hat, n_hat = _chunk_estimates(config, 0, config.trials)
+        retried = {"gamma": 0, "poisson": 0}
+
+        def recording(seed, streams, start, count):
+            if start == 5:
+                retried["gamma"] += 1
+            elif start == (1 << 32) + 2:
+                retried["poisson"] += 1
+            return uniform_block(seed, streams, start, count)
+
+        monkeypatch.setattr(rng, "uniform_block", recording)
+        singles = [_chunk_estimates(config, t, 1) for t in range(config.trials)]
+        assert np.array_equal(zeta_hat, np.concatenate([z for z, _ in singles]))
+        assert np.array_equal(n_hat, np.concatenate([k for _, k in singles]))
+        assert retried["gamma"] >= 10
+        if protocol is ProtocolKind.COLLECTIVE_CONCENTRATION:
+            assert retried["poisson"] >= 10
+
+    # sha256 of zeta_hat for trials 0 .. 4999 (N = 1, seed 42): the amplitude
+    # draws are those of counters 0-1, the same in every protocol and at every n
+    ZETA_DIGESTS = {
+        10: "dbeba4f6cd65b4c4bf9af5590f789d774a4bd5e293c415fde9062d93e3b4aba0",
+        1000: "e74356f3162281b8749e90b23ff475b07d35ca74eecaede48f8caf0ec3c4ec7a",
+    }
+
+    @pytest.mark.parametrize("n_copies", sorted(ZETA_DIGESTS))
+    def test_zeta_hat_bits_are_unchanged(self, n_copies):
+        for protocol in ProtocolKind:
+            config = make_config(protocol, n_copies=n_copies, trials=5000)
+            zeta_hat, _ = _chunk_estimates(config, 0, config.trials)
+            digest = hashlib.sha256(zeta_hat.tobytes()).hexdigest()
+            assert digest == self.ZETA_DIGESTS[n_copies], protocol
+
+    @pytest.mark.parametrize("n_copies", [10, 10**6])
+    def test_words_per_trial_do_not_grow_with_n(self, n_copies, monkeypatch):
+        # 2 amplitude words, 3 per Gamma attempt (accepted more than 95% of
+        # the time) and 1 per inversion or 2 per PTRS attempt: about 7.4 on
+        # average, whatever n is; a per-copy path would draw n - 1 more
+        words = []
+
+        def recording(seed, streams, start, count):
+            words.append(len(streams) * count)
+            return uniform_block(seed, streams, start, count)
+
+        monkeypatch.setattr(rng, "uniform_block", recording)
+        for protocol in ProtocolKind:
+            words.clear()
+            config = make_config(protocol, n_copies=n_copies, trials=5000, seed=8)
+            monte_carlo_mse(config)
+            assert sum(words) / config.trials <= 8.0, protocol
 
     def test_reduction_matches_loop_reference(self):
         # the einsum products against the per-entry loops over the same errors;
@@ -449,15 +573,55 @@ class TestConfigValidation:
             )
 
     def test_rejects_n_mean_above_sampler_limit(self):
-        make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, n_mean=MAX_N_MEAN)
+        # the collective count total has mean N (n-1), which must stay at most
+        # 2**47; the per-copy protocols share the bound on N alone
+        assert MAX_N_MEAN == 2.0**47
+        make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, n_copies=2, n_mean=MAX_N_MEAN)
+        make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, n_copies=101, n_mean=MAX_N_MEAN / 100)
+        make_config(ProtocolKind.SEPARABLE_HETERODYNE, n_copies=101, n_mean=MAX_N_MEAN)
+        with pytest.raises(DomainError, match="n_mean \\* \\(n_copies - 1\\) must be at most 1.4"):
+            make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, n_copies=101, n_mean=MAX_N_MEAN / 99)
         for protocol in ProtocolKind:
-            with pytest.raises(DomainError, match="at most 1e"):
+            with pytest.raises(DomainError, match="at most 1.40737e\\+14"):
                 make_config(protocol, n_mean=1e17)
 
     def test_rejects_n_copies_above_chunk_limit(self):
-        # refused in the constructor, before any sampling buffer exists
-        assert MAX_N_COPIES == 1 << 22
+        # refused in the constructor: n - 1 must be exact in float64
+        assert MAX_N_COPIES == 1 << 53
         make_config(ProtocolKind.SEPARABLE_HETERODYNE, n_copies=MAX_N_COPIES)
         for protocol in ProtocolKind:
             with pytest.raises(DomainError, match=f"at most {MAX_N_COPIES}"):
                 make_config(protocol, n_copies=MAX_N_COPIES + 1)
+
+    @pytest.mark.parametrize("protocol", list(ProtocolKind))
+    def test_rejects_amplitude_whose_rounding_swamps_the_spread(self, protocol):
+        # one ulp of theta may be at most 1e-3 of the estimate's standard
+        # deviation sqrt((N+1)/n): at N = 1 and n = 10 that is 4.47e-4
+        spread = math.sqrt(2.0 / 10)
+        largest = 2.0 ** math.floor(math.log2(1e-3 * spread / 2.0**-52))
+        ok = ThetaPoint(largest * (2 - 2.0**-52), -1.0, 1.0)
+        too_big = ThetaPoint(1.0, -2 * largest, 1.0)
+        dim = protocol.n_params
+        base = dict(protocol=protocol, n_copies=10, trials=10, seed=0, weight=WeightMatrix.identity(dim))
+        ExperimentConfig(theta=ok, **base)
+        for theta in (too_big, ThetaPoint(1e308, 0.0, 1.0)):
+            with pytest.raises(DomainError, match="too large for simulation"):
+                ExperimentConfig(theta=theta, **base)
+
+    def test_rounding_at_the_amplitude_limit_is_below_budget(self):
+        # the budget is 2e-5 of the MSE: shift a known-n run to the largest
+        # accepted amplitude and compare with the same draws at theta = 0
+        def run(theta1):
+            config = ExperimentConfig(
+                protocol=ProtocolKind.KNOWN_N_HETERODYNE,
+                theta=ThetaPoint(theta1, 0.0, 1.0),
+                n_copies=10,
+                trials=20000,
+                seed=6,
+                weight=WeightMatrix.identity(2),
+            )
+            return monte_carlo_mse(config).n_trace_gv
+
+        largest = 2.0 ** math.floor(math.log2(1e-3 * math.sqrt(0.2) / 2.0**-52))
+        shifted = run(largest * (2 - 2.0**-52))
+        assert shifted == pytest.approx(run(0.0), rel=2e-5)

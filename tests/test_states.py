@@ -4,17 +4,22 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from dtslab import fock
+from dtslab import fock, rng
 from dtslab.bounds import ThetaPoint, WeightMatrix
 from dtslab.errors import DomainError
 from dtslab.estimator import ExperimentConfig, ProtocolKind, _chunk_estimates
 from dtslab.rng import box_muller, uniform_block
-from dtslab.states import (
-    heterodyne_from_normal_pairs,
-    heterodyne_pdf,
-    photon_from_uniforms,
-    photon_pmf,
-)
+from dtslab.states import heterodyne_from_normal_pairs, heterodyne_pdf, photon_pmf
+
+
+def geometric_from_uniforms(n_mean, u):
+    """Per-copy photon counts by inverse CDF: k = floor(ln(1-u) / ln(N/(N+1))).
+
+    The reference the collective count total is tested against; the log of
+    the ratio is formed as log1p(-1/(N+1)), which keeps its precision at any N.
+    """
+    log_ratio = math.log1p(-1.0 / (n_mean + 1.0))
+    return np.floor(np.log1p(-np.asarray(u)) / log_ratio).astype(np.int64)
 
 
 def uniforms(seed, count):
@@ -112,22 +117,24 @@ class TestPhotonLaw:
 
 
 class TestPhotonSampler:
+    """The per-copy geometric reference sampler follows the photon-count law."""
+
     def test_cdf_corner(self):
-        assert photon_from_uniforms(1.0, np.array([0.0]))[0] == 0
+        assert geometric_from_uniforms(1.0, np.array([0.0]))[0] == 0
 
     def test_scalar_sampler(self):
-        k = photon_from_uniforms(1.0, uniforms(5, 1))
+        k = geometric_from_uniforms(1.0, uniforms(5, 1))
         assert k.dtype == np.int64 and k.shape == (1,) and k[0] >= 0
 
     def test_moments(self):
         u = uniforms(31, 1_000_000)
-        ks = photon_from_uniforms(1.0, u).astype(float)
+        ks = geometric_from_uniforms(1.0, u).astype(float)
         assert ks.mean() == pytest.approx(1.0, rel=0.01)
         assert ks.var() == pytest.approx(2.0, rel=0.02)
 
     def test_matches_pmf_histogram(self):
         u = uniforms(444, 200_000)
-        ks = photon_from_uniforms(0.7, u)
+        ks = geometric_from_uniforms(0.7, u)
         for k in range(4):
             freq = np.mean(ks == k)
             assert freq == pytest.approx(photon_pmf(0.7, k), abs=0.004)
@@ -147,10 +154,13 @@ class TestConcentrate:
             weight=WeightMatrix.identity(3),
         )
         zeta_hat, n_hat = _chunk_estimates(config, 0, 3)
-        u = uniform_block(8, np.arange(3), 0, 5)
-        alpha = heterodyne_from_normal_pairs(2.0 * theta.zeta, 0.5, box_muller(u[:, :2]))
+        streams = np.arange(3)
+        u = uniform_block(8, streams, 0, 2)
+        alpha = heterodyne_from_normal_pairs(2.0 * theta.zeta, 0.5, box_muller(u))
         assert np.array_equal(zeta_hat, alpha / 2.0)
-        assert np.array_equal(n_hat, photon_from_uniforms(0.5, u[:, 2:]).mean(axis=1))
+        # the 3 counts enter only through their total, Poisson(N G), G ~ Gamma(3, 1)
+        total = rng.poisson(8, streams, 0.5 * rng.gamma(8, streams, 3.0, 2), 1 << 32)
+        assert np.array_equal(n_hat, total / 3.0)
 
 
 class TestParams:
