@@ -81,7 +81,7 @@ class WeightMatrix:
         scale = max(1.0, float(np.max(np.abs(m))))
         if np.max(np.abs(m - m.T)) > 1e-9 * scale:
             raise DomainError("weight matrix must be symmetric")
-        m = (m + m.T) / 2
+        m = m / 2 + m.T / 2  # (m + m.T) / 2 overflows near the float64 limit
         w = np.linalg.eigvalsh(m)
         if w.min() < -PSD_EIGENVALUE_TOL * scale:
             raise DomainError(

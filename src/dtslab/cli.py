@@ -3,11 +3,12 @@
 Exit codes are a stable contract: 0 success, 1 check failure or numerical
 breakdown, 2 usage/input error, 3 mathematical-domain error.
 
-All randomized output is fully determined by --seed; simulation summaries
-are byte-identical for any --threads value.  Summary JSON carries the
-deterministic run description (config echo, algorithm identifiers,
-version); volatile facts (command line, wall time) go to a .manifest.json
-file written next to --out.
+All randomized output is fully determined by --seed.  Simulation runs on
+one thread, one chunk of trials at a time; --threads is accepted and
+ignored, so summaries are byte-identical for any value.  Summary JSON
+carries the deterministic run description (config echo, algorithm
+identifiers, version); volatile facts (command line, wall time) go to a
+.manifest.json file written next to --out.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 
@@ -40,7 +40,6 @@ from .estimator import (
     ProtocolKind,
     compare_to_bounds,
     monte_carlo_mse,
-    worker_count,
 )
 
 _ALGORITHMS = {
@@ -86,10 +85,10 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write_manifest(out_path: str, argv: list[str], threads: int, wall: float, outputs: list[str]):
+def _write_manifest(out_path: str, argv: list[str], wall: float, outputs: list[str]):
     manifest = {
         "command": "dtslab " + " ".join(argv),
-        "threads": threads,
+        "threads": 1,
         "wall_time_s": wall,
         "outputs": outputs,
         "version": __version__,
@@ -200,7 +199,7 @@ def _merge_config_file(args) -> None:
             setattr(args, action.dest, value)
 
 
-def _simulate_once(config: ExperimentConfig, threads: int, csv_path: str | None):
+def _simulate_once(config: ExperimentConfig, csv_path: str | None):
     csv_file = None
     sink = None
     if csv_path:
@@ -225,7 +224,7 @@ def _simulate_once(config: ExperimentConfig, threads: int, csv_path: str | None)
             writer.writerows(zip(*columns))
 
     try:
-        mse = monte_carlo_mse(config, threads=threads, trial_sink=sink)
+        mse = monte_carlo_mse(config, trial_sink=sink)
     finally:
         if csv_file is not None:
             csv_file.close()
@@ -281,10 +280,8 @@ def cmd_simulate(args, argv) -> int:
         weight=weight,
         clip_nonneg=bool(args.clip_nonneg),
     )
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-
     start_time = time.perf_counter()
-    mse = _simulate_once(config, threads, args.trial_csv)
+    mse = _simulate_once(config, args.trial_csv)
     wall = time.perf_counter() - start_time
     comparison = compare_to_bounds(mse, config)
     text = _dump_json(_summary_payload(config, mse, comparison))
@@ -294,7 +291,7 @@ def cmd_simulate(args, argv) -> int:
             fh.write(text)
     outputs = [path for path in (args.out, args.trial_csv) if path]
     if outputs:
-        _write_manifest(outputs[0], argv, worker_count(config, threads), wall, outputs)
+        _write_manifest(outputs[0], argv, wall, outputs)
     return 0
 
 
@@ -304,12 +301,10 @@ def _cmd_ratio_table(args, argv) -> int:
     if trials < 100:
         raise ValueError(f"--trials must be at least 100, got {trials}")
     seed = args.seed if args.seed is not None else 0
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     weight = WeightMatrix.identity(3)
     start_time = time.perf_counter()
     rows = []
     cell = 0
-    workers = 1
     for n_mean in (0.5, 1.0, 2.0):
         for n_copies in (10, 100, 1000):
             theta = ThetaPoint.from_zeta(0.5 + 0j, n_mean)
@@ -327,8 +322,7 @@ def _cmd_ratio_table(args, argv) -> int:
                     weight=weight,
                 )
                 cell += 1
-                workers = max(workers, worker_count(config, threads))
-                mse = monte_carlo_mse(config, threads=threads)
+                mse = monte_carlo_mse(config)
                 cell_rows[protocol.value] = compare_to_bounds(mse, config)
             rows.append(
                 {
@@ -365,7 +359,7 @@ def _cmd_ratio_table(args, argv) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(_dump_json(payload))
-        _write_manifest(args.out, argv, workers, wall, [args.out])
+        _write_manifest(args.out, argv, wall, [args.out])
     return 0
 
 
@@ -384,11 +378,13 @@ def _run_oracle_checks(args) -> tuple[list[dict], bool]:
 
     # before anything is allocated: the concentration checks need the largest cutoff
     copies = 3 if args.deep else 2
-    fock.require_cutoff_limit(args.cutoff or fock.concentration_cutoff(zeta, n_mean, copies))
+    fock.require_cutoff_limit(
+        args.cutoff if args.cutoff is not None else fock.concentration_cutoff(zeta, n_mean, copies)
+    )
 
     # heterodyne outcome law against the explicit matrix construction
     grid_amp = 3.0 + abs(zeta)
-    cutoff = args.cutoff or fock.cutoff_for(n_mean, grid_amp)
+    cutoff = args.cutoff if args.cutoff is not None else fock.cutoff_for(n_mean, grid_amp)
     fock.require_tails(n_mean, grid_amp, cutoff)
     rho = fock.displaced_thermal_density(zeta, n_mean, cutoff)
     radius = 3.0 / math.sqrt(2.0)
@@ -421,7 +417,8 @@ def _run_oracle_checks(args) -> tuple[list[dict], bool]:
 
     # finite-difference RLD Fisher matrix against the closed-form inverses;
     # the two-parameter matrix is the leading block of the three-parameter one
-    fisher = fock.numeric_rld_fisher(theta, args.cutoff or fock.cutoff_for(n_mean, abs(zeta)))
+    rld_cutoff = args.cutoff if args.cutoff is not None else fock.cutoff_for(n_mean, abs(zeta))
+    fisher = fock.numeric_rld_fisher(theta, rld_cutoff)
     for name, block, closed in (
         ("rld-2param", fisher[:2, :2], rld_inverse_2param(n_mean)),
         ("rld-3param", fisher, rld_inverse_3param(n_mean)),
@@ -448,6 +445,16 @@ def cmd_oracle_check(args, argv) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def _cutoff_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 2, got {text!r}")
+    return value
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -486,7 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="clip photon-number estimates at 0 (default: record them raw)",
     )
-    p_sim.add_argument("--threads", type=int)
+    p_sim.add_argument(
+        "--threads", type=int, help="accepted and ignored: simulation runs on one thread"
+    )
     p_sim.add_argument("--out", help="write the summary JSON here (plus a .manifest.json)")
     p_sim.add_argument("--trial-csv", help="write per-trial records to this CSV file")
     p_sim.add_argument("--config", help="JSON file mirroring the flags; flags override it")
@@ -503,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--n-mean", type=float)
     p_oracle.add_argument("--zeta-re", type=float)
     p_oracle.add_argument("--zeta-im", type=float)
-    p_oracle.add_argument("--cutoff", type=int, help="Fock cutoff (default: tail rule)")
+    p_oracle.add_argument("--cutoff", type=_cutoff_arg, help="Fock cutoff (default: tail rule)")
     p_oracle.add_argument("--deep", action="store_true", help="also verify the n=3 cascade")
     p_oracle.add_argument("--json", action="store_true")
     p_oracle.set_defaults(func=cmd_oracle_check)

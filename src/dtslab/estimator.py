@@ -37,9 +37,9 @@ counter layout for all protocols:
     2**32 + 2j, + 1       attempt j of the Poisson draw (collective)
 
 (`rng.gamma`, `rng.poisson`; known-n draws counters 0 and 1 only).  A
-trial costs the same at every n.  Monte Carlo runs are chunked by a fixed
-number of trials and reduced in trial order, so the result is
-byte-identical for any worker count.
+trial costs the same at every n.  Monte Carlo runs draw and reduce one
+chunk of a fixed number of trials at a time, in trial order, so memory is
+one chunk whatever the trial count.
 
 Ranges (`ExperimentConfig` refuses the rest with DomainError):
 n <= 2**53, where n and n - 1 are exact in float64; N <= 2**47 and, for
@@ -56,7 +56,6 @@ and every square stays finite.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -172,12 +171,6 @@ class BoundComparison:
 # Monte Carlo reduction
 # ---------------------------------------------------------------------------
 
-def worker_count(config: ExperimentConfig, threads: int | None) -> int:
-    """Worker threads `monte_carlo_mse` uses: the request, at most one per chunk."""
-    chunks = -(-config.trials // _CHUNK_TRIALS)
-    return max(1, min(threads or 1, chunks))
-
-
 def _chunk_estimates(
     config: ExperimentConfig, start: int, count: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -222,65 +215,49 @@ def _errors(config: ExperimentConfig, zeta_hat: np.ndarray, n_hat: np.ndarray | 
 TrialSink = Callable[[int, np.ndarray, "np.ndarray | None", np.ndarray], None]
 
 
-def monte_carlo_mse(
-    config: ExperimentConfig,
-    threads: int | None = None,
-    trial_sink: TrialSink | None = None,
-) -> MseMatrix:
+def monte_carlo_mse(config: ExperimentConfig, trial_sink: TrialSink | None = None) -> MseMatrix:
     """Empirical MSE matrix over config.trials independent trials.
 
-    Trials are keyed by stream index, chunked by a configuration-derived
-    size, and reduced in trial order, so the output does not depend on
-    `threads`, which `worker_count` clamps to the number of chunks.
-    `trial_sink(start, zeta_hat, n_hat, errors)` is invoked in trial order
-    for per-trial output streaming.
+    Trials are keyed by stream index and drawn in chunks of _CHUNK_TRIALS;
+    each chunk is reduced, and passed to `trial_sink(start, zeta_hat, n_hat,
+    errors)` for per-trial output streaming, before the next one is drawn.
+    The moments of n e^T G e are formed in units of the power of two at or
+    below the weight's largest entry: the scaling is exact (a unit of 1 for
+    the identity) and keeps their squares finite, and a mean or standard
+    error that still overflows raises DomainError.
     """
     d = config.protocol.n_params
-    g = config.weight.entries
     n = config.n_copies
     trials = config.trials
-    starts = list(range(0, trials, _CHUNK_TRIALS))
-
-    def process(start: int):
-        count = min(_CHUNK_TRIALS, trials - start)
-        zeta_hat, n_hat = _chunk_estimates(config, start, count)
-        errors = _errors(config, zeta_hat, n_hat)
-        # einsum without `optimize` calls no BLAS, so the bits do not depend
-        # on the library's threading
-        sums = np.einsum("ti,tj->ij", errors, errors)
-        quad = n * np.einsum("tj,tj->t", np.einsum("ti,ij->tj", errors, g), errors)
-        return zeta_hat, n_hat, errors, sums, float(np.sum(quad)), float(np.sum(quad * quad))
-
+    scale = float(np.max(np.abs(config.weight.entries)))
+    unit = math.ldexp(1.0, math.frexp(scale)[1] - 1)
+    g = config.weight.entries / unit
     total = np.zeros((d, d))
     sum_q = 0.0
     sum_q2 = 0.0
-
-    def reduce_in_order(results) -> None:
-        nonlocal total, sum_q, sum_q2
-        for start, (zeta_hat, n_hat, errors, sums, q1, q2) in zip(starts, results):
-            total += sums
-            sum_q += q1
-            sum_q2 += q2
-            if trial_sink is not None:
-                trial_sink(start, zeta_hat, n_hat, errors)
-
-    workers = worker_count(config, threads)
-    if workers == 1:
-        reduce_in_order(map(process, starts))
-    else:
-        # workers may finish out of order; consuming futures in submission
-        # order keeps the reduction and the sink in trial order
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            futures = [executor.submit(process, s) for s in starts]
-            reduce_in_order(f.result() for f in futures)
+    for start in range(0, trials, _CHUNK_TRIALS):
+        zeta_hat, n_hat = _chunk_estimates(config, start, min(_CHUNK_TRIALS, trials - start))
+        errors = _errors(config, zeta_hat, n_hat)
+        # einsum without `optimize` calls no BLAS, so the bits do not depend
+        # on the library's threading
+        total += np.einsum("ti,tj->ij", errors, errors)
+        quad = n * np.einsum("tj,tj->t", np.einsum("ti,ij->tj", errors, g), errors)
+        sum_q += float(np.sum(quad))
+        sum_q2 += float(np.sum(quad * quad))
+        if trial_sink is not None:
+            trial_sink(start, zeta_hat, n_hat, errors)
 
     entries = total / trials
-    n_trace_gv = sum_q / trials
+    mean_q = sum_q / trials
+    n_trace_gv = unit * mean_q
+    se = None
     if trials >= 2:
-        variance = max(0.0, (sum_q2 - trials * n_trace_gv * n_trace_gv) / (trials - 1))
-        se = math.sqrt(variance / trials)
-    else:
-        se = None
+        variance = (sum_q2 - trials * mean_q * mean_q) / (trials - 1)
+        se = unit * math.sqrt(max(0.0, variance) / trials)
+    if not all(map(math.isfinite, (n_trace_gv, sum_q2, se or 0.0))):
+        raise DomainError(
+            f"the weight's scale {scale:g} is too large: the MSE moments overflow float64"
+        )
     return MseMatrix(dim=d, entries=entries, trials=trials, n_trace_gv=n_trace_gv, se_trace=se)
 
 

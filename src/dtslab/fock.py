@@ -230,37 +230,6 @@ def displaced_thermal_density(zeta: complex, n_mean: float, cutoff: int) -> np.n
     return dop @ thermal_density(n_mean, cutoff) @ dop.conj().T
 
 
-def displaced_thermal_density_quadrature(
-    zeta: complex,
-    n_mean: float,
-    cutoff: int,
-    radial_points: int = 80,
-    angular_points: int = 80,
-) -> np.ndarray:
-    """Second, independent construction: polar quadrature of the defining mixture.
-
-    The state is the Gaussian mixture of coherent projectors
-    (1/(pi N)) integral exp(-|zeta - alpha|^2/N) |alpha><alpha| d^2 alpha,
-    integrated on a polar grid centered at zeta (Gauss-Legendre radially,
-    trapezoid in angle).  Used as a cross-check oracle for
-    :func:`displaced_thermal_density`.
-    """
-    if not (n_mean > 0):
-        raise DomainError(f"n_mean must be positive, got {n_mean}")
-    radius = math.sqrt(40.0 * n_mean)  # exp(-r^2/N) < 5e-18 beyond
-    nodes, gl_weights = np.polynomial.legendre.leggauss(radial_points)
-    radii = 0.5 * radius * (nodes + 1.0)
-    radial_weights = 0.5 * radius * gl_weights
-    angles = 2.0 * np.pi * np.arange(angular_points) / angular_points
-    rho = np.zeros((cutoff, cutoff), dtype=complex)
-    for r, w in zip(radii, radial_weights):
-        alphas = complex(zeta) + r * np.exp(1j * angles)
-        vectors = np.array([coherent_vector(a, cutoff) for a in alphas])
-        weight = math.exp(-r * r / n_mean) * r * w * (2.0 * np.pi / angular_points)
-        rho += (weight / (math.pi * n_mean)) * (vectors.T @ vectors.conj())
-    return rho
-
-
 def concentration_angle(i: int) -> float:
     """Beam-splitter angle arctan(1/sqrt(i)) of cascade step i (step 1: pi/4)."""
     if i < 1:

@@ -37,7 +37,7 @@ def sqrt_psd(m: np.ndarray, negative_tol: float = PSD_EIGENVALUE_TOL) -> np.ndar
     scale = max(1.0, float(np.max(np.abs(m))))
     if np.max(np.abs(m - m.T)) > 1e-9 * scale:
         raise DomainError("sqrt_psd expects a symmetric matrix")
-    w, v = np.linalg.eigh((m + m.T) / 2)
+    w, v = np.linalg.eigh(m / 2 + m.T / 2)  # (m + m.T) / 2 overflows near the float64 limit
     if w.min() < -negative_tol * scale:
         raise DomainError(f"matrix is not positive semidefinite (min eigenvalue {w.min():.3e})")
     w = np.clip(w, 0.0, None)

@@ -3,10 +3,12 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -83,6 +85,21 @@ class TestBoundsCommand:
         code, out, err = run_cli(capsys, "bounds", "--n-mean", "1e300", "--weight", str(path), "--json")
         assert code == 3 and out == ""
         assert "overflows" in err
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_weight_near_the_float64_limit_exits_3(self, capsys, tmp_path, dim):
+        # m + m.T overflows here, so the weight must be symmetrized without it
+        path = tmp_path / "w.txt"
+        path.write_text(f"{dim}\n" + " ".join("1e308" if i % (dim + 1) == 0 else "0"
+                                             for i in range(dim * dim)))
+        known_n = ("--known-n",) if dim == 2 else ()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "bounds", "--n-mean", "1", *known_n, "--weight", str(path), "--json"
+            )
+        assert code == 3 and out == ""
+        assert "the bound overflows float64" in err
 
     def test_text_output(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--n-mean", "1")
@@ -346,6 +363,52 @@ class TestSimulateCommand:
         assert code == 3 and out == ""
         assert "too large for simulation" in err
 
+    @staticmethod
+    def _known_n_at_weight_scale(capsys, tmp_path, scale):
+        path = tmp_path / "w.txt"
+        path.write_text(f"2\n{scale!r} 0\n0 {scale!r}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run_cli(
+                capsys, "simulate", "--protocol", "known-n", "--n-mean", "1", "--n-copies", "10",
+                "--trials", "100", "--weight", str(path), "--json",
+            )
+
+    @pytest.mark.parametrize("scale", [2.0**400, 2.0**600, 1e200])
+    def test_weight_scale_leaves_the_ratio(self, capsys, tmp_path, scale):
+        # quad * quad overflows above entries of about 1e154 unless the moments
+        # are scaled; a power-of-two scale is exact, so the bits are kept
+        code, out, _ = self._known_n_at_weight_scale(capsys, tmp_path, 1.0)
+        assert code == 0
+        base = json.loads(out)
+        code, out, _ = self._known_n_at_weight_scale(capsys, tmp_path, scale)
+        assert code == 0
+        scaled = json.loads(out)
+        assert scaled["se"] > 0
+        rel = 0.0 if math.frexp(scale)[0] == 0.5 else 1e-12
+        assert scaled["ratio"] == pytest.approx(base["ratio"], rel=rel, abs=0.0)
+        assert scaled["ratio_se"] == pytest.approx(base["ratio_se"], rel=rel, abs=0.0)
+
+    def test_weight_scale_that_overflows_the_moments_exits_3(self, capsys, tmp_path):
+        code, out, err = self._known_n_at_weight_scale(capsys, tmp_path, 1e308)
+        assert code == 3 and out == ""
+        assert "weight's scale 1e+308 is too large" in err
+
+    def test_memory_does_not_grow_with_trials(self, capsys):
+        # one chunk in flight is about 0.7 MiB; every chunk held at once is 31.5 MiB
+        tracemalloc.start()
+        try:
+            code = cli.main([
+                "simulate", "--protocol", "known-n", "--n-mean", "1", "--n-copies", "10",
+                "--trials", "1000000", "--threads", "2", "--json",
+            ])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 8 * 2**20
+
     # sha256 of the summary JSON and the trial CSV; a change to the output bits
     # must update these together with the "algorithms" identifiers
     GOLDEN = {
@@ -415,6 +478,15 @@ class TestOracleCheckCommand:
         code, _, err = run_cli(capsys, "oracle-check", *argv)
         assert code == 2
         assert needed in err and "limit 70" in err
+
+    @pytest.mark.parametrize("cutoff", ["0", "1", "-5"])
+    def test_cutoff_below_two_exits_2(self, capsys, cutoff):
+        # 0 must not read as unset in some checks and as a cutoff in others
+        with pytest.raises(SystemExit) as info:
+            cli.main(["oracle-check", "--cutoff", cutoff])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--cutoff" in err and "at least 2" in err and "Traceback" not in err
 
     def test_unreachable_tail_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "oracle-check", "--n-mean", "1e308")

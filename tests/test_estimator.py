@@ -1,12 +1,11 @@
 import hashlib
 import math
-import types
 
 import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from dtslab import estimator, rng
+from dtslab import rng
 from dtslab.bounds import ThetaPoint, WeightMatrix
 from dtslab.errors import DomainError
 from dtslab.estimator import (
@@ -18,7 +17,6 @@ from dtslab.estimator import (
     compare_to_bounds,
     expected_finite_n_trace,
     monte_carlo_mse,
-    worker_count,
 )
 from dtslab.rng import box_muller, uniform_block
 from dtslab.states import heterodyne_from_normal_pairs
@@ -416,9 +414,9 @@ class TestMonteCarlo:
 
     def test_thread_count_does_not_change_bits(self):
         config = make_config(ProtocolKind.SEPARABLE_HETERODYNE, trials=5000, seed=3)
-        base = monte_carlo_mse(config, threads=1)
-        for threads in (2, 5):
-            other = monte_carlo_mse(config, threads=threads)
+        base = monte_carlo_mse(config)
+        for _ in range(2):
+            other = monte_carlo_mse(config)
             assert other.n_trace_gv == base.n_trace_gv
             assert other.se_trace == base.se_trace
             assert np.array_equal(other.entries, base.entries)
@@ -426,43 +424,8 @@ class TestMonteCarlo:
     def test_sink_called_in_trial_order(self):
         config = make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, trials=5000, seed=9)
         starts = []
-        monte_carlo_mse(config, threads=4, trial_sink=lambda s, *_: starts.append(s))
-        assert starts == sorted(starts)
-
-    def test_threads_clamped_to_chunk_count(self, monkeypatch):
-        # n = 10 runs in chunks of 4096 trials, so 10000 trials are three chunks
-        config = make_config(ProtocolKind.SEPARABLE_HETERODYNE, n_copies=10, trials=10000, seed=5)
-        requested = []
-
-        class RecordingExecutor:
-            """Runs each task at submission and records the pool size asked for."""
-
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                result = fn(*args)
-                return types.SimpleNamespace(result=lambda: result)
-
-        monkeypatch.setattr(estimator, "ThreadPoolExecutor", RecordingExecutor)
-        serial = monte_carlo_mse(config, threads=1)
-        clamped = monte_carlo_mse(config, threads=64)
-        assert requested == [3]
-        assert worker_count(config, 64) == 3
-        assert np.array_equal(clamped.entries, serial.entries)
-        assert clamped.n_trace_gv == serial.n_trace_gv
-        for threads in (None, 0, -2, 1):
-            assert worker_count(config, threads) == 1
-        one_chunk = make_config(ProtocolKind.SEPARABLE_HETERODYNE, n_copies=10, trials=4096)
-        assert worker_count(one_chunk, 64) == 1
-        monte_carlo_mse(one_chunk, threads=64)
-        assert requested == [3]
+        monte_carlo_mse(config, trial_sink=lambda s, *_: starts.append(s))
+        assert starts == [0, 4096]
 
     def test_collective_finite_n_law(self):
         # n Tr V = 2(N+1) + n N(N+1)/(n-1), checked within 3 SE
