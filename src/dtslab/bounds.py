@@ -79,7 +79,7 @@ class WeightMatrix:
         if not np.all(np.isfinite(m)):
             raise DomainError("weight matrix entries must be finite")
         scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(m - m.T)) > 1e-9 * scale:
+        if np.max(np.abs(m / 2 - m.T / 2)) > 0.5e-9 * scale:  # m - m.T can overflow
             raise DomainError("weight matrix must be symmetric")
         m = m / 2 + m.T / 2  # (m + m.T) / 2 overflows near the float64 limit
         w = np.linalg.eigvalsh(m)
@@ -202,12 +202,15 @@ def _finite_bound(value: float) -> float:
 
 
 def _closed_radical(g1: float, g2: float, g3: float) -> float:
-    rad = g1 * g1 - g2 * g2 - g3 * g3
-    if rad < -PSD_EIGENVALUE_TOL * max(1.0, g1 * g1):
+    # in units of the power of two at or below max |g|: exact, and no square overflows
+    unit = math.ldexp(1.0, math.frexp(max(abs(g1), abs(g2), abs(g3)))[1] - 1)
+    s1, s2, s3 = g1 / unit, g2 / unit, g3 / unit
+    rad = s1 * s1 - s2 * s2 - s3 * s3
+    if rad < -PSD_EIGENVALUE_TOL * max(1.0 / unit / unit, s1 * s1):
         raise DomainError(
             f"(g1, g2, g3) = ({g1}, {g2}, {g3}) violates g1^2 >= g2^2 + g3^2 (weight not PSD)"
         )
-    return math.sqrt(max(rad, 0.0))
+    return unit * math.sqrt(max(rad, 0.0))
 
 
 def c_r_closed_2param(g1: float, g2: float, g3: float, n_mean: float) -> float:

@@ -297,6 +297,10 @@ def cmd_simulate(args, argv) -> int:
 
 def _cmd_ratio_table(args, argv) -> int:
     """Artifact convenience grid: collective vs separable ratio over (N, n)."""
+    for dest in ("protocol", "n_mean", "theta1", "theta2", "zeta_re", "zeta_im",
+                 "n_copies", "weight", "clip_nonneg", "trial_csv"):
+        if getattr(args, dest) is not None:  # a flag, or a --config key
+            raise ValueError(f"--ratio-table runs a fixed grid; drop --{dest.replace('_', '-')}")
     trials = args.trials if args.trials is not None else 20000
     if trials < 100:
         raise ValueError(f"--trials must be at least 100, got {trials}")
@@ -415,7 +419,7 @@ def _run_oracle_checks(args) -> tuple[list[dict], bool]:
         dev = max(max(r.dist_first, r.dist_second) for r in reports)
         record("concentration-n3", dev, 1e-6)
 
-    # finite-difference RLD Fisher matrix against the closed-form inverses;
+    # RLD Fisher matrix from exact derivatives against the closed-form inverses;
     # the two-parameter matrix is the leading block of the three-parameter one
     rld_cutoff = args.cutoff if args.cutoff is not None else fock.cutoff_for(n_mean, abs(zeta))
     fisher = fock.numeric_rld_fisher(theta, rld_cutoff)

@@ -2,13 +2,14 @@
 
 This module rebuilds everything the analytic layers assume as explicit
 matrices on the basis |0> ... |cutoff-1>: displaced thermal densities, the
-two-mode beam-splitter unitary, the measurement probabilities, and a
-finite-difference RLD Fisher matrix.  It exists to certify the closed
-forms in `bounds` and the sampling laws in `states`, so it shares no
-formulas with them beyond the thermal weights.
+two-mode beam-splitter unitary, the measurement probabilities, and the RLD
+Fisher matrix from exact derivatives of the truncated family.  It exists to
+certify the closed forms in `bounds` and the sampling laws in `states`, so
+it shares no formulas with them beyond the thermal weights.
 
-Conventions: single-mode operators are (cutoff x cutoff) complex ndarrays;
-two-mode operators are (cutoff^2 x cutoff^2) ndarrays with basis index
+Conventions: operators carry the dtype of their entries, float64 for a real
+amplitude and complex128 otherwise.  Single-mode operators are (cutoff x
+cutoff); two-mode operators are (cutoff^2 x cutoff^2) with basis index
 (m, n) -> m * cutoff + n (numpy.kron order, mode 1 first).  Densities built
 here have trace <= 1, with the deficit bounded by the tail functions below.
 
@@ -33,12 +34,9 @@ from .linalg import trace_distance
 
 DEFAULT_TAIL_TOL = 1e-8
 _DISTANCE_RULE_TOL = 1e-12  # default-cutoff target for trace-distance certifications
-_CONDITION_LIMIT = 1e12
-_FD_STEP = 1e-4  # central-difference step of numeric_rld_fisher
-# two-mode operators hold cutoff**4 complex entries (384 MB at 70); a check keeps
-# about five alive at its peak, in trace_distance of the joint output (plus the
-# real unitary, half an operator): the N = 2 default cutoff 69 fits, the N = 3
-# default 97 does not
+# two-mode operators hold cutoff**4 entries, 384 MB at 70 for a complex amplitude
+# (half that for a real one); a check keeps about five alive at its peak, in
+# trace_distance of the joint output: N = 2's default cutoff 69 fits, N = 3's 97 does not
 MAX_CUTOFF = 70
 
 
@@ -169,7 +167,7 @@ def thermal_density(n_mean: float, cutoff: int) -> np.ndarray:
     weights[0] = 1.0 / (n_mean + 1.0)
     for k in range(1, cutoff):
         weights[k] = weights[k - 1] * ratio
-    return np.diag(weights).astype(complex)
+    return np.diag(weights)
 
 
 def coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
@@ -193,9 +191,12 @@ def displacement_operator(zeta: complex, cutoff: int) -> np.ndarray:
 
     This reproduces the associated-Laguerre closed form without cancellation
     for the amplitudes used here.  Unitarity holds away from the top edge of
-    the window; the leaked weight is controlled by the cutoff rule.
+    the window; the leaked weight is controlled by the cutoff rule.  The
+    window is real (float64) for a real zeta.
     """
     zeta = complex(zeta)
+    if not zeta.imag:
+        zeta = zeta.real
     if cutoff < 2:
         raise DomainError(f"cutoff must be at least 2, got {cutoff}")
     if abs(zeta) ** 2 > cutoff / 4.0:
@@ -204,8 +205,8 @@ def displacement_operator(zeta: complex, cutoff: int) -> np.ndarray:
             "displacement window will leak",
             stacklevel=2,
         )
-    d = np.zeros((cutoff, cutoff), dtype=complex)
-    row = np.zeros(cutoff, dtype=complex)
+    d = np.zeros((cutoff, cutoff), dtype=type(zeta))
+    row = np.zeros(cutoff, dtype=type(zeta))
     row[0] = 1.0
     for n in range(1, cutoff):
         row[n] = row[n - 1] * (-zeta.conjugate()) / math.sqrt(n)
@@ -283,17 +284,18 @@ def _conjugate_by_blocks(unitary: np.ndarray, op: np.ndarray) -> np.ndarray:
     U X U^T = (U (U X)^T)^T: two passes that each mix rows block by block,
     costing cutoff^2 times the sum of squared block sizes instead of
     cutoff^6.  The unitary is real, so a pass acts on the real and imaginary
-    parts alike and runs as real products on the float view of the rows.
+    parts of a complex operator alike and runs as real products on the float
+    view of the rows; a real operator stays real.
     """
     cutoff = math.isqrt(op.shape[0])
     blocks = [(idx, unitary[np.ix_(idx, idx)]) for idx in _photon_blocks(cutoff)]
 
     def mix_rows(x: np.ndarray) -> np.ndarray:
-        flat = np.ascontiguousarray(x, dtype=complex).view(float)
+        flat = np.ascontiguousarray(x).view(float)
         out = np.empty_like(flat)
         for idx, u in blocks:
             out[idx] = u @ flat[idx]
-        return out.view(complex)
+        return out.view(x.dtype)
 
     return mix_rows(mix_rows(op).T).T
 
@@ -418,41 +420,33 @@ def verify_concentration_cascade(
 
 
 def numeric_rld_fisher(theta: ThetaPoint, cutoff: int) -> np.ndarray:
-    """Finite-difference RLD Fisher matrix of the truncated family.
+    """RLD Fisher matrix of the truncated family, from exact derivatives.
 
-    Derivatives of rho(theta) along (theta1, theta2, N) are central
-    differences with step _FD_STEP; the information matrix is
-    J[i, j] = tr(rho^{-1} d_i rho d_j rho), the ordering consistent with
-    the closed-form inverses in `bounds`.  The leading 2x2 block is the
-    matrix of the two-parameter family at fixed N.
+    Moving zeta along delta multiplies D by exp(delta a^dagger - conj(delta) a)
+    up to a phase, so the theta1 and theta2 derivatives of D rho_th D^dagger
+    are its commutators with (a^dagger - a)/sqrt(2) and i(a^dagger + a)/sqrt(2),
+    formed on a window one row taller than the cutoff (for the top-edge term)
+    and then truncated; the N derivative is D diag(dp_k/dN) D^dagger.
+    J[i, j] = tr(rho^{-1} d_i rho d_j rho) is ordered as the closed-form
+    inverses in `bounds`; its leading 2x2 block is the matrix at fixed N.
     """
-    center = np.array([theta.theta1, theta.theta2, theta.n_mean], dtype=float)
-
-    def density(vec: np.ndarray) -> np.ndarray:
-        point = ThetaPoint(vec[0], vec[1], vec[2])
-        return displaced_thermal_density(point.zeta, point.n_mean, cutoff)
-
-    rho = density(center)
-    condition = np.linalg.cond(rho)
-    if condition > _CONDITION_LIMIT:
-        raise NumericalError(
-            f"density is too ill-conditioned for a reliable inverse "
-            f"(condition {condition:.2e} > {_CONDITION_LIMIT:.0e}); "
-            "increase n_mean or decrease the cutoff"
-        )
-    derivatives = []
-    for i in range(3):
-        plus = center.copy()
-        minus = center.copy()
-        plus[i] += _FD_STEP
-        minus[i] -= _FD_STEP
-        derivatives.append((density(plus) - density(minus)) / (2.0 * _FD_STEP))
+    n_mean = theta.n_mean
+    tall = displacement_operator(theta.zeta, cutoff + 1)[:, :cutoff]
+    weights = np.diagonal(thermal_density(n_mean, cutoff))
+    # dp_k/dN of the thermal weights p_k = N^k / (N + 1)^(k + 1)
+    weights_dn = weights * (np.arange(cutoff) - n_mean) / (n_mean * (n_mean + 1.0))
+    moved = (tall * weights) @ tall.conj().T
+    rho = moved[:cutoff, :cutoff]
+    a = annihilation(cutoff + 1).real
+    x = (a.T - a) / math.sqrt(2.0)
+    p = (a.T + a) / math.sqrt(2.0)
+    derivatives = [
+        (x @ moved - moved @ x)[:cutoff, :cutoff],
+        1j * (p @ moved - moved @ p)[:cutoff, :cutoff],
+        (tall[:cutoff] * weights_dn) @ tall[:cutoff].conj().T,
+    ]
     solved = [np.linalg.solve(rho, d) for d in derivatives]
-    fisher = np.empty((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            fisher[i, j] = np.trace(solved[i] @ derivatives[j])
-    return fisher
+    return np.array([[np.trace(s @ d) for d in derivatives] for s in solved])
 
 
 # ---------------------------------------------------------------------------

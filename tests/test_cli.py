@@ -101,6 +101,35 @@ class TestBoundsCommand:
         assert code == 3 and out == ""
         assert "the bound overflows float64" in err
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_huge_weight_closed_form_matches_general(self, capsys, tmp_path, dim):
+        # g1^2 overflows at 1e200; the closed form is formed in scaled units
+        path = tmp_path / "w.txt"
+        path.write_text(f"{dim}\n" + " ".join("1e200" if i % (dim + 1) == 0 else "0"
+                                             for i in range(dim * dim)))
+        known_n = ("--known-n",) if dim == 2 else ()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(
+                capsys, "bounds", "--n-mean", "1", *known_n, "--weight", str(path), "--json"
+            )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["c_r_general"] == pytest.approx((4e200, 6e200)[dim - 2], rel=1e-12)
+        assert payload["c_r_closed"] == pytest.approx(payload["c_r_general"], rel=1e-12)
+
+    def test_antisymmetric_weight_near_the_float64_limit_exits_3(self, capsys, tmp_path):
+        # m - m.T overflows here, so symmetry is tested on m / 2
+        path = tmp_path / "w.txt"
+        path.write_text("2\n1e308 1e308\n-1e308 1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "bounds", "--n-mean", "1", "--known-n", "--weight", str(path)
+            )
+        assert code == 3 and out == ""
+        assert "must be symmetric" in err
+
     def test_text_output(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--n-mean", "1")
         assert code == 0
@@ -180,6 +209,39 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert json.loads((tmp_path / "g.json.manifest.json").read_text())["threads"] == 1
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--protocol", "separable"),
+            ("--n-mean", "7"),
+            ("--theta1", "1"),
+            ("--theta2", "1"),
+            ("--zeta-re", "9"),
+            ("--zeta-im", "1"),
+            ("--n-copies", "3"),
+            ("--weight", "identity3"),
+            ("--clip-nonneg", None),
+            ("--trial-csv", "rt.csv"),
+        ],
+    )
+    def test_ratio_table_refuses_per_run_flags(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "grid.json"
+        extra = [] if value is None else [str(tmp_path / value) if flag == "--trial-csv" else value]
+        code, stdout, err = run_cli(
+            capsys, "simulate", "--ratio-table", "--trials", "100", "--threads", "2",
+            "--out", str(out), flag, *extra,
+        )
+        assert code == 2 and stdout == ""
+        assert flag in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ratio_table_refuses_per_run_config_keys(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"ratio_table": True, "trials": 100, "n_copies": 3}))
+        code, stdout, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 2 and stdout == ""
+        assert "--n-copies" in err
 
     def test_trial_csv_schema(self, capsys, tmp_path):
         path = tmp_path / "trials.csv"
@@ -455,6 +517,12 @@ class TestOracleCheckCommand:
         rld = {c["name"]: c for c in payload["checks"]}
         assert rld["rld-2param"]["max_dev"] < 1e-3
         assert rld["rld-3param"]["max_dev"] < 1e-3
+
+    def test_moderate_amplitude_passes(self, capsys):
+        # the RLD step once refused this input for the condition of its density
+        code, out, _ = run_cli(capsys, "oracle-check", "--zeta-re", "0.8", "--json")
+        assert code == 0
+        assert all(c["pass"] for c in json.loads(out)["checks"])
 
     def test_small_cutoff_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "oracle-check", "--cutoff", "5", "--n-mean", "2")

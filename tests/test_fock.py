@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dtslab import fock
 from dtslab.bounds import ThetaPoint, rld_inverse_2param, rld_inverse_3param
-from dtslab.errors import DomainError, NumericalError, PreconditionError
+from dtslab.errors import DomainError, PreconditionError
 
 
 def displaced_thermal_density_quadrature(
@@ -35,6 +36,24 @@ def displaced_thermal_density_quadrature(
         weight = math.exp(-r * r / n_mean) * r * w * (2.0 * np.pi / angular_points)
         rho += (weight / (math.pi * n_mean)) * (vectors.T @ vectors.conj())
     return rho
+
+
+def rld_fisher_central_differences(theta: ThetaPoint, cutoff: int, step: float = 1e-4) -> np.ndarray:
+    """Reference RLD Fisher matrix: central differences of the truncated density."""
+    center = np.array([theta.theta1, theta.theta2, theta.n_mean])
+
+    def density(vec):
+        point = ThetaPoint(*vec)
+        return fock.displaced_thermal_density(point.zeta, point.n_mean, cutoff)
+
+    rho = density(center)
+    derivatives = []
+    for i in range(3):
+        shift = np.zeros(3)
+        shift[i] = step
+        derivatives.append((density(center + shift) - density(center - shift)) / (2.0 * step))
+    solved = [np.linalg.solve(rho, d) for d in derivatives]
+    return np.array([[np.trace(s @ d) for d in derivatives] for s in solved])
 
 
 class TestAnnihilation:
@@ -149,6 +168,15 @@ class TestDisplacedThermal:
     def test_tail_bound_reduces_to_thermal_at_zero_amplitude(self):
         assert fock.displaced_thermal_tail_bound(1.0, 0.0, 30) == fock.thermal_tail(1.0, 30)
 
+    @pytest.mark.parametrize(
+        "zeta,dtype",
+        [(0.5, np.float64), (-0.5 + 0j, np.float64), (0.3 + 0.4j, np.complex128), (0.4j, np.complex128)],
+    )
+    def test_dtype_follows_the_amplitude(self, zeta, dtype):
+        assert fock.thermal_density(1.0, 8).dtype == np.float64
+        assert fock.displacement_operator(zeta, 8).dtype == dtype
+        assert fock.displaced_thermal_density(zeta, 1.0, 8).dtype == dtype
+
 
 class TestBeamSplitter:
     def test_zero_angle_is_identity(self):
@@ -215,6 +243,15 @@ class TestBeamSplitter:
         x = x + x.conj().T
         u = fock.beam_splitter(fock.concentration_angle(2), d)
         assert np.max(np.abs(fock._conjugate_by_blocks(u, x) - u @ x @ u.T)) < 1e-12
+
+    def test_block_conjugation_keeps_a_real_operator_real(self):
+        d = 9
+        x = np.random.default_rng(6).normal(size=(d * d, d * d))
+        x = x + x.T
+        u = fock.beam_splitter(fock.concentration_angle(2), d)
+        conjugated = fock._conjugate_by_blocks(u, x)
+        assert conjugated.dtype == np.float64
+        assert np.max(np.abs(conjugated - u @ x @ u.T)) < 1e-12
 
 
 class TestPartialTrace:
@@ -295,6 +332,17 @@ class TestConcentration:
             for name in ("dist_first", "dist_second", "dist_joint"):
                 assert getattr(report, name) == pytest.approx(getattr(ref, name), abs=1e-14)
 
+    def test_real_amplitude_memory(self):
+        # float64 operators for a real amplitude: 1600-side two-mode operators
+        # of 20 MB each, half the complex size
+        tracemalloc.start()
+        try:
+            fock.verify_concentration_cascade(0.5, 1.0, n_copies=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150 * 2**20
+
     def test_tail_precondition_names_required_cutoff(self):
         with pytest.raises(PreconditionError, match="use cutoff >="):
             fock.verify_concentration_cascade(0.5, 2.0, n_copies=2, cutoff=5)
@@ -323,11 +371,19 @@ class TestNumericRld:
         moved = fock.numeric_rld_fisher(ThetaPoint.from_zeta(0.3 + 0.4j, 1.0), 30)[:2, :2]
         assert np.max(np.abs(base - moved)) < 1e-4
 
-    def test_ill_conditioned_rejected(self):
-        # thermal occupation at the top of a deep cutoff underflows the
-        # conditioning limit: (1/2)^44 cond ~ 1.8e13
-        with pytest.raises(NumericalError, match="condition"):
-            fock.numeric_rld_fisher(ThetaPoint(0.0, 0.0, 1.0), 45)
+    @pytest.mark.parametrize(
+        "zeta,n_mean,cutoff", [(0.5, 1.0, 27), (0.3 + 0.4j, 0.5, 17), (0.5, 0.5, 30)]
+    )
+    def test_matches_central_differences(self, zeta, n_mean, cutoff):
+        theta = ThetaPoint.from_zeta(zeta, n_mean)
+        exact = fock.numeric_rld_fisher(theta, cutoff)
+        assert np.max(np.abs(exact - rld_fisher_central_differences(theta, cutoff))) < 1e-8
+
+    def test_deep_cutoff_is_accurate(self):
+        # condition ~ 2^44 at this cutoff; the solve stays accurate, and the
+        # truncation error of the family is below 1e-10
+        fisher = fock.numeric_rld_fisher(ThetaPoint(0.0, 0.0, 1.0), 45)
+        assert np.max(np.abs(np.linalg.inv(fisher) - rld_inverse_3param(1.0))) < 1e-9
 
 
 class TestPovmProbabilities:

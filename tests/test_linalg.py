@@ -85,8 +85,8 @@ def test_trace_distance_basic():
 
 
 def test_trace_distance_zero_imaginary_part_matches_real():
-    # a complex operator whose imaginary part is exactly zero takes the real
-    # symmetric eigensolver and must agree with its real part
+    # a complex operator whose imaginary part is exactly zero runs the complex
+    # Hermitian eigensolver and must agree with the real one on its real part
     rng = np.random.default_rng(3)
     x = rng.normal(size=(30, 30))
     y = rng.normal(size=(30, 30))
