@@ -14,7 +14,6 @@ identifiers, version); volatile facts (command line, wall time) go to a
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -22,7 +21,7 @@ import time
 
 import numpy as np
 
-from . import __version__, fock, rng, states
+from . import __version__, csvtext, fock, rng, states
 from .bounds import (
     ThetaPoint,
     WeightMatrix,
@@ -200,35 +199,18 @@ def _merge_config_file(args) -> None:
 
 
 def _simulate_once(config: ExperimentConfig, csv_path: str | None):
-    csv_file = None
-    sink = None
-    if csv_path:
-        csv_file = open(csv_path, "w", newline="", encoding="utf-8")
-        writer = csv.writer(csv_file)
-        writer.writerow(CSV_COLUMNS)
+    if not csv_path:
+        return monte_carlo_mse(config)
+    with open(csv_path, "wb") as fh:
+        writer = csvtext.RowWriter(fh, CSV_COLUMNS)
 
         def sink(start, zeta_hat, n_hat, errors):
-            # csv writes a float as its repr; squaring Python floats keeps
-            # the bits of the scalar square (the vectorised one can differ)
-            count = zeta_hat.shape[0]
-            blank = [""] * count
-            columns = [
-                range(start, start + count),
-                zeta_hat.real.tolist(),
-                zeta_hat.imag.tolist(),
-                blank if n_hat is None else n_hat.tolist(),
-                *([v**2 for v in column] for column in errors.T.tolist()),
-            ]
-            if errors.shape[1] == 2:
-                columns.append(blank)
-            writer.writerows(zip(*columns))
+            squares = [np.array([v**2 for v in column]) for column in errors.T.tolist()]
+            if len(squares) == 2:
+                squares.append(None)
+            writer.write(start, [zeta_hat.real, zeta_hat.imag, n_hat, *squares])
 
-    try:
-        mse = monte_carlo_mse(config, trial_sink=sink)
-    finally:
-        if csv_file is not None:
-            csv_file.close()
-    return mse
+        return monte_carlo_mse(config, trial_sink=sink)
 
 
 def _summary_payload(config: ExperimentConfig, mse, comparison) -> dict:
