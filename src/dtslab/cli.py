@@ -47,6 +47,7 @@ _ALGORITHMS = {
     "gamma": rng.GAMMA_NAME,
     "poisson": rng.POISSON_NAME,
     "estimates": "sufficient-statistics",
+    "trial_csv": "shortest-repr-ieee-squares",
 }
 
 CSV_COLUMNS = (
@@ -205,7 +206,9 @@ def _simulate_once(config: ExperimentConfig, csv_path: str | None):
         writer = csvtext.RowWriter(fh, CSV_COLUMNS)
 
         def sink(start, zeta_hat, n_hat, errors):
-            squares = [np.array([v**2 for v in column]) for column in errors.T.tolist()]
+            # IEEE products are the correctly rounded squares, which libm's
+            # pow (float ** 2) is not always; the MSE reduction uses them too
+            squares = list((errors * errors).T)
             if len(squares) == 2:
                 squares.append(None)
             writer.write(start, [zeta_hat.real, zeta_hat.imag, n_hat, *squares])

@@ -475,16 +475,16 @@ class TestSimulateCommand:
     # must update these together with the "algorithms" identifiers
     GOLDEN = {
         "collective": (
-            "7fac54b724efeeb25d6d4eb3cd53b549ba1a7bdeb4de520fde67f3fc36fc3472",
-            "660e461ef44745d8b7d28cb30981d8e7e97e0e1a8a40193fc192fcbb09f2eae5",
+            "084578c9ac8100867bec6057f251fce3060a34bbbb7df0473be7d2b4490d21c8",
+            "3117e638f856d5ba9fe7a813a751830aa13738057ef8c024ba105bdaaf9645e5",
         ),
         "separable": (
-            "2201b3cb2f7b6b261130704e0540606d2db56325569157cbcd71550c332bb058",
-            "6159aed96e10bdbcca87072d8e2205ea440dff1cc4a05e54e140d499297c872b",
+            "b709d9878772b45079eb1b07dd8cd2fe492ea6a2bd8cbf756b681ee9d7488850",
+            "011938160d55af6598e9c259dd7aaab6640a1be60e22080ede3e8a5ad079853e",
         ),
         "known-n": (
-            "fc19b3fc0b454fbf509503883775ecf49d08348a69afb18b0052dfba4d3fb73d",
-            "e20ca5713052deb22ba58d6607855bfe82d1b392c3924728eea0084ad07ef763",
+            "7fbc2b3713af006e259bfcf5db7c32b6500b06cc62d7cff2604144043cc34d66",
+            "16a2462e3ccbd39535d5cf7010fa0e9138ba6becc1b2036434cf17b13dedce6b",
         ),
     }
 

@@ -84,7 +84,7 @@ def reference_trial_csv(config: ExperimentConfig) -> bytes:
             zeta_hat.real.tolist(),
             zeta_hat.imag.tolist(),
             blank if n_hat is None else n_hat.tolist(),
-            *([v**2 for v in column] for column in errors.T.tolist()),
+            *(errors * errors).T.tolist(),
         ]
         if errors.shape[1] == 2:
             columns.append(blank)
