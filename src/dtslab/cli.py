@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -216,6 +217,19 @@ def _simulate_once(config: ExperimentConfig, csv_path: str | None):
         return monte_carlo_mse(config, trial_sink=sink)
 
 
+def _refuse_colliding_outputs(out: str | None, trial_csv: str | None) -> None:
+    """Refuse a trial CSV that would share a file with the summary or the manifest."""
+    if not (out and trial_csv):
+        return  # the manifest of a lone output is that path plus a suffix
+    csv_path = os.path.realpath(trial_csv)
+    if csv_path == os.path.realpath(out):
+        raise ValueError(f"--out and --trial-csv name the same file {out!r}")
+    if csv_path == os.path.realpath(out + ".manifest.json"):
+        raise ValueError(
+            f"--trial-csv {trial_csv!r} is the manifest that --out {out!r} writes"
+        )
+
+
 def _summary_payload(config: ExperimentConfig, mse, comparison) -> dict:
     return {
         "protocol": config.protocol.value,
@@ -252,6 +266,7 @@ def cmd_simulate(args, argv) -> int:
         raise ValueError(f"--n-copies must be at least 2, got {n_copies}")
     if trials < 100:
         raise ValueError(f"--trials must be at least 100, got {trials}")
+    _refuse_colliding_outputs(args.out, args.trial_csv)
     theta = _theta_from_args(args)
     weight = load_weight(
         args.weight or ("identity2" if protocol is ProtocolKind.KNOWN_N_HETERODYNE else "identity3")

@@ -255,6 +255,25 @@ class TestSimulateCommand:
         first = rows[1]
         assert float(first[4]) >= 0.0 and float(first[6]) >= 0.0
 
+    @pytest.mark.parametrize("csv_name", ["s.json", "./s.json"])
+    def test_trial_csv_at_the_summary_path_exits_2(self, capsys, tmp_path, monkeypatch, csv_name):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run_cli(
+            capsys, *SIM_ARGS, "--out", "s.json", "--trial-csv", csv_name
+        )
+        assert code == 2 and stdout == ""
+        assert "--out" in err and "--trial-csv" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []  # refused before any sampling
+
+    def test_trial_csv_at_the_manifest_path_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "s.json"
+        code, stdout, err = run_cli(
+            capsys, *SIM_ARGS, "--out", str(out), "--trial-csv", f"{out}.manifest.json"
+        )
+        assert code == 2 and stdout == ""
+        assert "--out" in err and "--trial-csv" in err and "manifest" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_known_n_csv_leaves_photon_columns_empty(self, capsys, tmp_path):
         path = tmp_path / "trials.csv"
         code, _, _ = run_cli(
