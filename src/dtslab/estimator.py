@@ -29,8 +29,8 @@ NegBin(n-1, N/(N+1)), which is Poisson(N G) with G ~ Gamma(n-1, 1).
 
 Sampling has one path: `_chunk_estimates(config, start, count)` draws
 trials start .. start+count-1, and a single trial is a chunk of size 1.
-Trial t draws from the counter-based stream with stream_index = t, in one
-counter layout for all protocols:
+Trial t draws from the counter-based stream with stream_index = t, whose
+key is mixed once per chunk, in one counter layout for all protocols:
 
     0, 1                  the uniform pair of the amplitude estimate
     2 + 3j .. 4 + 3j      attempt j of the Gamma draw (collective, separable)
@@ -181,9 +181,8 @@ def _chunk_estimates(
     """
     n = config.n_copies
     theta = config.theta
-    seed = config.seed
-    streams = np.arange(start, start + count, dtype=np.uint64)
-    u = rng_mod.uniform_block(seed, streams, 0, 2)
+    keys = rng_mod.stream_keys(config.seed, np.arange(start, start + count, dtype=np.uint64))
+    u = rng_mod.uniform_block(keys, 0, 2)
     # the amplified mode, or the mean of n per-copy outcomes: one outcome of
     # amplitude sqrt(n) zeta and thermal number N, scaled by 1/sqrt(n)
     pairs = rng_mod.box_muller(u)
@@ -191,10 +190,10 @@ def _chunk_estimates(
     zeta_hat = zeta_hat / math.sqrt(n)
     if config.protocol is ProtocolKind.KNOWN_N_HETERODYNE:
         return zeta_hat, None
-    gamma = rng_mod.gamma(seed, streams, n - 1.0, _GAMMA_COUNTER)
+    gamma = rng_mod.gamma(keys, n - 1.0, _GAMMA_COUNTER)
     if config.protocol is ProtocolKind.COLLECTIVE_CONCENTRATION:
         # the count total of the n-1 thermal modes: Poisson(N G), G ~ Gamma(n-1, 1)
-        counts = rng_mod.poisson(seed, streams, theta.n_mean * gamma, _POISSON_COUNTER)
+        counts = rng_mod.poisson(keys, theta.n_mean * gamma, _POISSON_COUNTER)
         n_hat = counts / (n - 1.0)
     else:
         # the spread sum |alpha_i - mean|^2 is (N+1) Gamma(n-1, 1)

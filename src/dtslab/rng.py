@@ -63,20 +63,23 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def stream_keys(seed: int, stream_indices: np.ndarray) -> np.ndarray:
-    """Per-stream 64-bit keys for the given stream indices."""
+    """Per-stream 64-bit keys for the given stream indices.
+
+    The samplers below take these keys, so a caller mixes them once for
+    all the draws of its streams.
+    """
     s = np.asarray([seed & _MASK64], dtype=np.uint64)
     idx = np.asarray(stream_indices, dtype=np.uint64)
     return _mix64(_mix64(s + _GAMMA) ^ _mix64(idx + _KAPPA))
 
 
-def uniform_block(seed: int, stream_indices: np.ndarray, counter_start: int, count: int) -> np.ndarray:
+def uniform_block(keys: np.ndarray, counter_start: int, count: int) -> np.ndarray:
     """Uniforms in [0, 1) for several streams at consecutive counters.
 
-    Returns an array of shape (len(stream_indices), count) whose row i holds
-    the draws of stream_indices[i] at counters counter_start ... counter_start
-    + count - 1.
+    Returns an array of shape (len(keys), count) whose row i holds the
+    draws of the stream with key keys[i] at counters counter_start ...
+    counter_start + count - 1.
     """
-    keys = stream_keys(seed, stream_indices)
     counters = np.arange(counter_start, counter_start + count, dtype=np.uint64)
     w = _mix64(keys[..., None] + (counters + np.uint64(1)) * _GAMMA)
     return (w >> np.uint64(11)).astype(np.float64) * _TWO_POW_MINUS_53
@@ -106,22 +109,21 @@ def _log1pmx(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def gamma(seed: int, stream_indices: np.ndarray, shape: float, counter_start: int) -> np.ndarray:
-    """Gamma(shape, 1) draws for shape >= 1, one per stream (Marsaglia-Tsang).
+def gamma(keys: np.ndarray, shape: float, counter_start: int) -> np.ndarray:
+    """Gamma(shape, 1) draws for shape >= 1, one per stream key (Marsaglia-Tsang).
 
     With d = shape - 1/3 and c = 1/sqrt(9d), attempt j turns counters
     counter_start + 3j, + 1 into a normal x (the first of a Box-Muller pair)
     and counter + 2 into a uniform u.  With v = (1 + c x)^3 = 1 + w, the
     draw d v is accepted when v > 0 and log(1 - u) < x^2/2 + d (log1p(w) - w).
     """
-    streams = np.asarray(stream_indices, dtype=np.uint64)
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(streams.shape[0])
-    pending = np.arange(streams.shape[0])
+    out = np.empty(keys.shape[0])
+    pending = np.arange(keys.shape[0])
     attempt = 0
     while pending.size:
-        u = uniform_block(seed, streams[pending], counter_start + 3 * attempt, 3)
+        u = uniform_block(keys[pending], counter_start + 3 * attempt, 3)
         x = box_muller(u[:, :2])[:, 0]
         t = c * x
         w = t * (3.0 + t * (3.0 + t))  # (1 + t)^3 - 1 without cancellation
@@ -160,7 +162,7 @@ def _log_poisson_pmf(k: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poisson_inversion(seed: int, streams: np.ndarray, mu: np.ndarray, counter: int) -> np.ndarray:
+def _poisson_inversion(keys: np.ndarray, mu: np.ndarray, counter: int) -> np.ndarray:
     """The least k with u < P(K <= k), for the uniform u at `counter`.
 
     Every stream still searching is at the same k, so the search runs on
@@ -168,7 +170,7 @@ def _poisson_inversion(seed: int, streams: np.ndarray, mu: np.ndarray, counter: 
     growing (the remaining mass is below its rounding, about 1e-16) takes
     the k reached there.
     """
-    u = uniform_block(seed, streams, counter, 1)[:, 0]
+    u = uniform_block(keys, counter, 1)[:, 0]
     out = np.zeros(mu.shape)
     p = np.exp(-mu)
     cdf = p
@@ -187,7 +189,7 @@ def _poisson_inversion(seed: int, streams: np.ndarray, mu: np.ndarray, counter: 
         out[idx] = k
 
 
-def _poisson_ptrs(seed: int, streams: np.ndarray, lam: np.ndarray, counter_start: int) -> np.ndarray:
+def _poisson_ptrs(keys: np.ndarray, lam: np.ndarray, counter_start: int) -> np.ndarray:
     """Poisson draws for means >= 10 by transformed rejection with squeeze."""
     b = 0.931 + 2.53 * np.sqrt(lam)
     a = -0.059 + 0.02483 * b
@@ -197,7 +199,7 @@ def _poisson_ptrs(seed: int, streams: np.ndarray, lam: np.ndarray, counter_start
     pending = np.arange(lam.shape[0])
     attempt = 0
     while pending.size:
-        r = uniform_block(seed, streams[pending], counter_start + 2 * attempt, 2)
+        r = uniform_block(keys[pending], counter_start + 2 * attempt, 2)
         lp, ap, bp = lam[pending], a[pending], b[pending]
         u = r[:, 0] - 0.5
         v = 1.0 - r[:, 1]  # in (0, 1], so log(v) is finite
@@ -215,16 +217,15 @@ def _poisson_ptrs(seed: int, streams: np.ndarray, lam: np.ndarray, counter_start
     return out
 
 
-def poisson(seed: int, stream_indices: np.ndarray, means: np.ndarray, counter_start: int) -> np.ndarray:
-    """Poisson draws (as float64 counts) of the given means, one per stream.
+def poisson(keys: np.ndarray, means: np.ndarray, counter_start: int) -> np.ndarray:
+    """Poisson draws (as float64 counts) of the given means, one per stream key.
 
     Means below 10 invert the uniform at counter_start; larger means run
     PTRS, attempt j reading counters counter_start + 2j and + 1.
     """
-    streams = np.asarray(stream_indices, dtype=np.uint64)
     means = np.asarray(means, dtype=np.float64)
     out = np.empty(means.shape)
     small = means < 10.0
-    out[small] = _poisson_inversion(seed, streams[small], means[small], counter_start)
-    out[~small] = _poisson_ptrs(seed, streams[~small], means[~small], counter_start)
+    out[small] = _poisson_inversion(keys[small], means[small], counter_start)
+    out[~small] = _poisson_ptrs(keys[~small], means[~small], counter_start)
     return out

@@ -56,7 +56,7 @@ def per_copy_estimates(config, seed, count):
     sum |alpha_i - mean|^2 / (n-1) - 1.  n_hat is None for known-n.
     """
     n, theta = config.n_copies, config.theta
-    u = uniform_block(seed, np.arange(count), 0, 2 * n)
+    u = uniform_block(rng.stream_keys(seed, np.arange(count)), 0, 2 * n)
     if config.protocol is ProtocolKind.COLLECTIVE_CONCENTRATION:
         counts = geometric_from_uniforms(theta.n_mean, u[:, 2 : n + 1])
         return None, counts.mean(axis=1)
@@ -138,14 +138,14 @@ class TestSingleTrials:
     def test_dispatch_matches_specific_runners(self, monkeypatch):
         # one counter layout: counters 0-1 give the amplitude pair, the Gamma
         # draw's attempts start at counter 2 and the Poisson draw's at 2**32
-        n, streams = 5, np.arange(3)
-        u = uniform_block(42, streams, 0, 2)
-        gamma = rng.gamma(42, streams, n - 1.0, 2)
+        n, keys = 5, rng.stream_keys(42, np.arange(3))
+        u = uniform_block(keys, 0, 2)
+        gamma = rng.gamma(keys, n - 1.0, 2)
         blocks = []
 
-        def recording(seed, streams, start, count):
+        def recording(keys, start, count):
             blocks.append((start, count))
-            return uniform_block(seed, streams, start, count)
+            return uniform_block(keys, start, count)
 
         monkeypatch.setattr(rng, "uniform_block", recording)
         for protocol in ProtocolKind:
@@ -155,7 +155,7 @@ class TestSingleTrials:
                 math.sqrt(n) * theta.zeta, theta.n_mean, box_muller(u)
             )
             if protocol is ProtocolKind.COLLECTIVE_CONCENTRATION:
-                counts = rng.poisson(42, streams, theta.n_mean * gamma, 1 << 32)
+                counts = rng.poisson(keys, theta.n_mean * gamma, 1 << 32)
                 want_n = counts / (n - 1.0)
             elif protocol is ProtocolKind.SEPARABLE_HETERODYNE:
                 want_n = (theta.n_mean + 1.0) * gamma / (n - 1.0) - 1.0
@@ -338,12 +338,12 @@ class TestMonteCarlo:
         zeta_hat, n_hat = _chunk_estimates(config, 0, config.trials)
         retried = {"gamma": 0, "poisson": 0}
 
-        def recording(seed, streams, start, count):
+        def recording(keys, start, count):
             if start == 5:
                 retried["gamma"] += 1
             elif start == (1 << 32) + 2:
                 retried["poisson"] += 1
-            return uniform_block(seed, streams, start, count)
+            return uniform_block(keys, start, count)
 
         monkeypatch.setattr(rng, "uniform_block", recording)
         singles = [_chunk_estimates(config, t, 1) for t in range(config.trials)]
@@ -352,6 +352,27 @@ class TestMonteCarlo:
         assert retried["gamma"] >= 10
         if protocol is ProtocolKind.COLLECTIVE_CONCENTRATION:
             assert retried["poisson"] >= 10
+
+    def test_stream_keys_are_mixed_once_per_chunk(self, monkeypatch):
+        # n = 2 and N = 50 send Gamma and PTRS draws through several attempts,
+        # each of which reuses the chunk's keys
+        config = make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, n_copies=2, seed=13, n_mean=50.0)
+        mixed, attempts = [], []
+        stream_keys = rng.stream_keys
+
+        def keys(seed, streams):
+            mixed.append(len(streams))
+            return stream_keys(seed, streams)
+
+        def recording(keys, start, count):
+            attempts.append(start)
+            return uniform_block(keys, start, count)
+
+        monkeypatch.setattr(rng, "stream_keys", keys)
+        monkeypatch.setattr(rng, "uniform_block", recording)
+        _chunk_estimates(config, 0, 600)
+        assert mixed == [600]
+        assert len(attempts) > 4  # the pair, and more than one attempt of each sampler
 
     # sha256 of zeta_hat for trials 0 .. 4999 (N = 1, seed 42): the amplitude
     # draws are those of counters 0-1, the same in every protocol and at every n
@@ -375,9 +396,9 @@ class TestMonteCarlo:
         # average, whatever n is; a per-copy path would draw n - 1 more
         words = []
 
-        def recording(seed, streams, start, count):
-            words.append(len(streams) * count)
-            return uniform_block(seed, streams, start, count)
+        def recording(keys, start, count):
+            words.append(len(keys) * count)
+            return uniform_block(keys, start, count)
 
         monkeypatch.setattr(rng, "uniform_block", recording)
         for protocol in ProtocolKind:

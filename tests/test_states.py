@@ -8,7 +8,7 @@ from dtslab import fock, rng
 from dtslab.bounds import ThetaPoint, WeightMatrix
 from dtslab.errors import DomainError
 from dtslab.estimator import ExperimentConfig, ProtocolKind, _chunk_estimates
-from dtslab.rng import box_muller, uniform_block
+from dtslab.rng import box_muller, stream_keys, uniform_block
 from dtslab.states import heterodyne_from_normal_pairs, heterodyne_pdf, photon_pmf
 
 
@@ -23,11 +23,12 @@ def geometric_from_uniforms(n_mean, u):
 
 
 def uniforms(seed, count):
-    return uniform_block(seed, np.asarray([0]), 0, count)[0]
+    return uniform_block(stream_keys(seed, np.asarray([0])), 0, count)[0]
 
 
 def normal_pairs(seed, stream, count):
-    return box_muller(uniform_block(seed, np.asarray([stream]), 0, 2 * count)[0].reshape(count, 2))
+    keys = stream_keys(seed, np.asarray([stream]))
+    return box_muller(uniform_block(keys, 0, 2 * count)[0].reshape(count, 2))
 
 
 class TestHeterodynePdf:
@@ -155,11 +156,12 @@ class TestConcentrate:
         )
         zeta_hat, n_hat = _chunk_estimates(config, 0, 3)
         streams = np.arange(3)
-        u = uniform_block(8, streams, 0, 2)
+        keys = stream_keys(8, streams)
+        u = uniform_block(keys, 0, 2)
         alpha = heterodyne_from_normal_pairs(2.0 * theta.zeta, 0.5, box_muller(u))
         assert np.array_equal(zeta_hat, alpha / 2.0)
         # the 3 counts enter only through their total, Poisson(N G), G ~ Gamma(3, 1)
-        total = rng.poisson(8, streams, 0.5 * rng.gamma(8, streams, 3.0, 2), 1 << 32)
+        total = rng.poisson(keys, 0.5 * rng.gamma(keys, 3.0, 2), 1 << 32)
         assert np.array_equal(n_hat, total / 3.0)
 
 
