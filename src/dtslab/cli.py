@@ -9,6 +9,11 @@ ignored, so summaries are byte-identical for any value.  Summary JSON
 carries the deterministic run description (config echo, algorithm
 identifiers, version); volatile facts (command line, wall time) go to a
 .manifest.json file written next to --out.
+
+--trial-csv writes one CSV row per trial, chunk by chunk as the trials
+are reduced, through `csvtext.RowWriter`: the bytes `csv.writer` would
+write, with the IEEE squares of the errors.  It may not name the --out
+file or its manifest.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 The bytes are those `csv.writer` writes for the same rows: fields joined
 by commas, rows ended by CRLF, the index as `str`, a float as its `repr`
 and a missing field as an empty one.  `repr` is the shortest decimal
-that reads back as the same double (of those, the closest), written
-positionally when -4 < decpt <= 16 and as `d.ddde+XX` otherwise, where
-decpt is the decimal exponent of the place just left of the first digit.
+that reads back as the same double (of those, the closest), 0.d1d2...
+10^decpt, written positionally when -4 < decpt <= 16 and as `d.ddde+XX`
+(`d.ddde-XX`) otherwise.
 
 The shortest digits come from Schubfach (R. Giulietti, "The Schubfach
 way to render doubles", 2020).  For v = c 2^q, with k = floor(log10 2^q)
@@ -255,7 +255,8 @@ def _encode_floats(x: np.ndarray, text: np.ndarray, mask: np.ndarray) -> tuple[n
     mask[..., 0] = np.signbit(x)
     mask[..., 1:_SEP] = masks[form, shown]
     text[..., _DIG:_EXP:2] = digits
-    text[..., _EXP + 1 : _SEP] = tails[decpt - _DECPT_MIN]
+    exponent_form = np.nonzero(~positional)  # the other slots mask their exponent out
+    text[..., _EXP + 1 : _SEP][exponent_form] = tails[decpt[exponent_form] - _DECPT_MIN]
     for at in zip(*special):
         field = np.frombuffer(repr(float(x[at])).encode(), dtype=np.uint8)
         text[at][: len(field)] = field
