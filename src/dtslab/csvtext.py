@@ -208,9 +208,11 @@ class RowWriter:
     def write(self, start: int, columns: Sequence[np.ndarray | None]) -> None:
         """Rows start, start + 1, ...: the index, then one field per column.
 
-        A column of None leaves its field empty.  Indices stay below 10^17.
+        A column of None leaves its field empty.
         """
         rows = next(len(column) for column in columns if column is not None)
+        if start < 0 or start + rows > 10**_DIGITS:
+            raise ValueError(f"row indices must lie in [0, 10^{_DIGITS})")
         blank = [f for f, column in enumerate(columns, 1) if column is None]
         columns = [np.ones(rows) if column is None else column for column in columns]
         for first in range(0, rows, BLOCK_ROWS):

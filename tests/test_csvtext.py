@@ -70,6 +70,15 @@ def test_rows_match_csv_writer_across_blocks():
     assert out.getvalue() == text.getvalue().encode()
 
 
+def test_index_has_at_most_17_digits():
+    out = io.BytesIO()
+    writer = csvtext.RowWriter(out, ["i", "x"])
+    writer.write(10**17 - 2, [np.ones(2)])
+    assert out.getvalue() == b"i,x\r\n99999999999999998,1.0\r\n99999999999999999,1.0\r\n"
+    with pytest.raises(ValueError, match="row indices"):
+        writer.write(10**17 - 1, [np.ones(2)])
+
+
 def reference_trial_csv(config: ExperimentConfig) -> bytes:
     """The trial CSV of a run as csv.writer writes it, the numpy encoder's reference."""
     text = io.StringIO()
