@@ -56,9 +56,9 @@ _DECPT_MIN = -307
 @functools.cache
 def _pow10_table() -> tuple[np.ndarray, ...]:
     """The high 64-bit word and the 32-bit quarters, high first, of
-    g(e) = floor(10^e 2^(127 - floor(log2 10^e))) + 1.
+    g(e) = floor(10^e 2^(127 - floor(log2 10^e))) + 1, each g in (2^127, 2^128].
 
-    Row -k holds g for e = -k, k = -324 .. 292; each g is in (2^127, 2^128].
+    Entry e + 292 is for e = -292 .. 324, the -k of every double's k.
     """
     rows = []
     for e in range(-_K_MAX, -_K_MIN + 1):
