@@ -138,7 +138,7 @@ class WeightMatrix:
 
 
 @dataclass(frozen=True)
-class GaussianTradeoff:
+class _GaussianTradeoff:
     """Optimal squeezed Gaussian measurement for a 2x2 weight."""
 
     squeeze_r: float
@@ -233,7 +233,7 @@ def c_r_closed_3param(g0: float, g1: float, g2: float, g3: float, n_mean: float)
     )
 
 
-def optimal_gaussian_tradeoff(g1: float, g2: float, g3: float, n_mean: float) -> GaussianTradeoff:
+def optimal_gaussian_tradeoff(g1: float, g2: float, g3: float, n_mean: float) -> _GaussianTradeoff:
     """Minimize Tr G (Sigma_rho + Sigma_m) over squeezed heterodyne measurements.
 
     The outcome covariance is Sigma_rho + Sigma_m with Sigma_rho = (N + 1/2) I
@@ -243,7 +243,8 @@ def optimal_gaussian_tradeoff(g1: float, g2: float, g3: float, n_mean: float) ->
     high e^{2r} + low e^{-2r} is least at e^{4r} = low / high.  `achieved` is
     the model objective at that r; that it reproduces the closed-form bound is
     how the model is certified.  A rank-one block (low = 0 within the PSD
-    tolerance) has no finite optimum and raises DomainError.
+    tolerance) has no finite optimum and raises DomainError.  The result's
+    fields are squeeze_r (r), squeeze_angle (phi) and achieved.
     """
     _require_n_mean(n_mean)
     if not (g1 > 0):
@@ -263,7 +264,7 @@ def optimal_gaussian_tradeoff(g1: float, g2: float, g3: float, n_mean: float) ->
     r_star = 0.25 * math.log(low / high)
     base = 2.0 * (n_mean + 0.5) * g1
     achieved = base + high * math.exp(2.0 * r_star) + low * math.exp(-2.0 * r_star)
-    return GaussianTradeoff(r_star, phi, achieved)
+    return _GaussianTradeoff(r_star, phi, achieved)
 
 
 def load_weight(source: str) -> WeightMatrix:

@@ -2,7 +2,7 @@
 
 This module rebuilds everything the analytic layers assume as explicit
 matrices on the basis |0> ... |cutoff-1>: displaced thermal densities, the
-two-mode beam-splitter unitary, the measurement probabilities, and the RLD
+two-mode beam-splitter blocks, the measurement probabilities, and the RLD
 Fisher matrix from exact derivatives of the truncated family.  It exists to
 certify the closed forms in `bounds` and the sampling laws in `states`, so
 it shares no formulas with them beyond the thermal weights.
@@ -16,8 +16,10 @@ here have trace <= 1, with the deficit bounded by the tail functions below.
 The beam splitter conserves the total photon number m + n, so the two-mode
 window splits into 2 cutoff - 1 blocks of equal total (`_photon_blocks`),
 each at most cutoff states wide.  The unitary is exponentiated one block at
-a time and the concentration checks conjugate by it one block at a time, so
-they form no dense two-mode matrix product and no matrix exponential.
+a time and never assembled: the concentration checks conjugate by its blocks
+in place, so they form no dense two-mode unitary, matrix product or matrix
+exponential, and a cascade step holds at most two two-mode operators at
+once (`_concentration_step`).
 """
 
 from __future__ import annotations
@@ -30,13 +32,14 @@ import numpy as np
 
 from .bounds import ThetaPoint
 from .errors import DomainError, NumericalError, PreconditionError
-from .linalg import trace_distance
+from .linalg import hermitian_trace_norm, trace_distance
 
 DEFAULT_TAIL_TOL = 1e-8
 _DISTANCE_RULE_TOL = 1e-12  # default-cutoff target for trace-distance certifications
 # two-mode operators hold cutoff**4 entries, 384 MB at 70 for a complex amplitude
-# (half that for a real one); a check keeps about five alive at its peak, in
-# trace_distance of the joint output: N = 2's default cutoff 69 fits, N = 3's 97 does not
+# (half that for a real one); a cascade step keeps two alive at its peak, about
+# 390 MB at 70 for a real amplitude (measured) and 770 MB for a complex one:
+# N = 2's default cutoff 69 fits, N = 3's 97 does not
 MAX_CUTOFF = 70
 
 
@@ -251,53 +254,58 @@ def _photon_blocks(cutoff: int) -> list[np.ndarray]:
     return blocks
 
 
-def beam_splitter(phi: float, cutoff: int) -> np.ndarray:
-    """Two-mode unitary exp(phi (adag x b - a x bdag)) on the truncated space.
+def _beam_splitter_blocks(phi: float, cutoff: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Blocks of the two-mode unitary exp(phi (adag x b - a x bdag)) on the truncated space.
 
     The truncated generator maps each total-photon block to itself, so the
-    exponential is the direct sum of its block exponentials.  Block T is the
-    real antisymmetric tridiagonal matrix G with G[k+1, k] = sqrt((m+1)(T-m))
-    for m the mode-1 count of entry k; i G is Hermitian, and with
-    i G = V diag(w) V^dagger the block is V diag(exp(-i phi w)) V^dagger,
-    whose real part is stored.  This is exact on every block, including the
-    blocks with total >= cutoff that the window truncates (there it is the
-    exponential of the truncated generator, still orthogonal).  At
-    phi = arctan(1/sqrt(1)) two equal coherent amplitudes merge into mode 1.
+    exponential is the direct sum of its block exponentials; this returns
+    (indices, block) for each `_photon_blocks` entry.  Block T is the
+    exponential of the real antisymmetric tridiagonal matrix G with
+    G[k+1, k] = sqrt((m+1)(T-m)) for m the mode-1 count of entry k; i G is
+    Hermitian, and with i G = V diag(w) V^dagger the block is
+    V diag(exp(-i phi w)) V^dagger, whose real part is kept.  This is exact on
+    every block, including the blocks with total >= cutoff that the window
+    truncates (there it is the exponential of the truncated generator, still
+    orthogonal).  At phi = arctan(1/sqrt(1)) two equal coherent amplitudes
+    merge into mode 1.
     """
     if cutoff < 2:
         raise DomainError(f"cutoff must be at least 2, got {cutoff}")
-    unitary = np.zeros((cutoff * cutoff, cutoff * cutoff))
+    blocks = []
     for idx in _photon_blocks(cutoff):
         m, n = np.divmod(idx[:-1], cutoff)
         coupling = np.sqrt((m + 1.0) * n)
         generator = np.diag(coupling, -1) - np.diag(coupling, 1)
         w, v = np.linalg.eigh(1j * generator)
-        unitary[np.ix_(idx, idx)] = ((v * np.exp(-1j * phi * w)) @ v.conj().T).real
-    if not np.all(np.isfinite(unitary)):
-        raise NumericalError(f"matrix exponential failed for phi={phi}, cutoff={cutoff}")
-    return unitary
+        block = ((v * np.exp(-1j * phi * w)) @ v.conj().T).real
+        if not np.all(np.isfinite(block)):
+            raise NumericalError(f"matrix exponential failed for phi={phi}, cutoff={cutoff}")
+        blocks.append((idx, block))
+    return blocks
 
 
-def _conjugate_by_blocks(unitary: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """unitary @ op @ unitary.T for a real unitary that keeps each photon block.
+def _conjugate_by_blocks(blocks: list[tuple[np.ndarray, np.ndarray]], op: np.ndarray) -> np.ndarray:
+    """U op U^T for the real unitary U given by its photon blocks; op is overwritten.
 
-    U X U^T = (U (U X)^T)^T: two passes that each mix rows block by block,
-    costing cutoff^2 times the sum of squared block sizes instead of
-    cutoff^6.  The unitary is real, so a pass acts on the real and imaginary
-    parts of a complex operator alike and runs as real products on the float
-    view of the rows; a real operator stays real.
+    U X U^T = (U (U X)^T)^T: two passes that each mix rows block by block in
+    place, costing cutoff^2 times the sum of squared block sizes instead of
+    cutoff^6.  The contiguous copy of the transpose between the passes is the
+    only full-size allocation, and `op` is dropped as soon as it exists, so a
+    temporary passed in is freed there.  U is real, so a pass acts on the real
+    and imaginary parts of a complex operator alike and runs as real products
+    on the float view of the rows; a real operator stays real.  `op` must be
+    C-contiguous.
     """
-    cutoff = math.isqrt(op.shape[0])
-    blocks = [(idx, unitary[np.ix_(idx, idx)]) for idx in _photon_blocks(cutoff)]
 
-    def mix_rows(x: np.ndarray) -> np.ndarray:
-        flat = np.ascontiguousarray(x).view(float)
-        out = np.empty_like(flat)
+    def mix_rows(x: np.ndarray) -> None:
+        flat = x.view(float)
         for idx, u in blocks:
-            out[idx] = u @ flat[idx]
-        return out.view(x.dtype)
+            flat[idx] = u @ flat[idx]
 
-    return mix_rows(mix_rows(op).T).T
+    mix_rows(op)
+    op = np.ascontiguousarray(op.T)
+    mix_rows(op)
+    return op.T
 
 
 def partial_trace(op: np.ndarray, keep: str) -> np.ndarray:
@@ -400,23 +408,46 @@ def verify_concentration_cascade(
     carried = fresh
     reports = []
     for i in range(1, n_copies):
-        phi = concentration_angle(i)
-        unitary = beam_splitter(phi, cutoff)
-        joint = _conjugate_by_blocks(unitary, np.kron(carried, fresh))
         target_first = displaced_thermal_density(
             math.sqrt(i + 1.0) * complex(zeta), n_mean, cutoff
         )
         reports.append(
-            ConcentrationReport(
-                cutoff=cutoff,
-                phi=phi,
-                dist_first=trace_distance(partial_trace(joint, "first"), target_first),
-                dist_second=trace_distance(partial_trace(joint, "second"), target_second),
-                dist_joint=trace_distance(joint, np.kron(target_first, target_second)),
-            )
+            _concentration_step(concentration_angle(i), carried, fresh, target_first, target_second)
         )
         carried = target_first
     return reports
+
+
+def _concentration_step(
+    phi: float,
+    carried: np.ndarray,
+    fresh: np.ndarray,
+    target_first: np.ndarray,
+    target_second: np.ndarray,
+) -> ConcentrationReport:
+    """Trace distances of one cascade step, with at most two two-mode operators alive.
+
+    The joint output is the `np.kron` input conjugated in place; the other
+    full-size buffer is first the transpose copy of the conjugation, then
+    the eigensolver's copy in `hermitian_trace_norm`.  Both marginals are
+    traced out first.  Then the target product is subtracted from the joint
+    output one mode-1 row block at a time, with the same products and
+    differences as `trace_distance(joint, np.kron(target_first,
+    target_second))`, and the difference is handed over to be overwritten.
+    """
+    cutoff = fresh.shape[0]
+    joint = _conjugate_by_blocks(_beam_splitter_blocks(phi, cutoff), np.kron(carried, fresh))
+    dist_first = trace_distance(partial_trace(joint, "first"), target_first)
+    dist_second = trace_distance(partial_trace(joint, "second"), target_second)
+    for m in range(cutoff):
+        joint[m * cutoff : (m + 1) * cutoff] -= np.kron(target_first[m : m + 1], target_second)
+    return ConcentrationReport(
+        cutoff=cutoff,
+        phi=phi,
+        dist_first=dist_first,
+        dist_second=dist_second,
+        dist_joint=hermitian_trace_norm(joint) / 2,
+    )
 
 
 def numeric_rld_fisher(theta: ThetaPoint, cutoff: int) -> np.ndarray:

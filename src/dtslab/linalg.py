@@ -13,16 +13,7 @@ import numpy as np
 from .errors import DomainError
 
 PSD_EIGENVALUE_TOL = 1e-12
-
-
-def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Return (A + A^dagger) / 2, as a new array with no other full-size temporary."""
-    a = np.asarray(a)
-    # np.conjugate always allocates; for a real array a.conj() is a itself
-    h = np.conjugate(a.T, dtype=np.result_type(a, 1.0))
-    h += a
-    h /= 2
-    return h
+_STRIP = 64  # rows per strip in hermitian_trace_norm
 
 
 def sqrt_psd(m: np.ndarray, negative_tol: float = PSD_EIGENVALUE_TOL) -> np.ndarray:
@@ -53,23 +44,47 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
+def hermitian_trace_norm(d: np.ndarray) -> float:
+    """Trace norm of a Hermitian float64 or complex128 matrix that the caller hands over.
+
+    d is overwritten with its Hermitian part (d + d^dagger) / 2, formed one
+    strip of rows and the matching strip of columns at a time, so the strip
+    temporaries and the eigensolver's own copy are the only other buffers.
+    The skew residual d - (d + d^dagger) / 2 must stay within 1e-9 of
+    max(1, max |d|), or DomainError.  Real operators take the several times
+    faster real solver.
+    """
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise DomainError(f"hermitian_trace_norm expects a square matrix, got shape {d.shape}")
+    scale = skew = 0.0
+    for start in range(0, d.shape[0], _STRIP):
+        # the column strip from the diagonal down and its mirror row strip:
+        # no earlier strip touched either, and the diagonal block, in both,
+        # gets the same values twice
+        lower = d[start:, start : start + _STRIP]
+        upper = d[start : start + _STRIP, start:]
+        parts = []
+        for x, mirror in ((lower, upper), (upper, lower)):
+            h = np.conjugate(mirror.T)
+            h += x
+            h /= 2
+            scale = max(scale, float(np.max(np.abs(x))))
+            skew = max(skew, float(np.max(np.abs(x - h))))
+            parts.append(h)
+        lower[...], upper[...] = parts
+    if skew > 1e-9 * max(1.0, scale):
+        raise DomainError("hermitian_trace_norm expects a Hermitian matrix")
+    return float(np.abs(np.linalg.eigvalsh(d)).sum())
+
+
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm of the difference of two Hermitian operators.
 
-    The difference and its Hermitian part are the only full-size buffers;
-    the skew residual overwrites the difference, which is freed before
-    the eigensolve.  Real operators take the several times faster real solver.
+    a - b is the one full-size buffer this allocates; `hermitian_trace_norm`
+    overwrites it, and the inputs stay untouched.
     """
     a, b = np.asarray(a), np.asarray(b)
     d = np.subtract(a, b, dtype=np.result_type(a, b, 1.0))
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DomainError("trace_distance expects square matrices of equal shape")
-    scale = max(1.0, float(np.max(np.abs(d))))
-    h = hermitian_part(d)
-    d -= h
-    skew = float(np.max(np.abs(d)))
-    del d
-    if skew > 1e-9 * scale:
-        raise DomainError("trace_distance expects Hermitian operators")
-    return float(np.abs(np.linalg.eigvalsh(h)).sum() / 2)
-
+    return hermitian_trace_norm(d) / 2

@@ -600,20 +600,20 @@ class TestOracleCheckCommand:
 
     def test_deep_adds_cascade(self, capsys, monkeypatch):
         calls = []
-        beam_splitter = fock.beam_splitter
+        beam_splitter_blocks = fock._beam_splitter_blocks
 
         def counting(phi, cutoff):
             calls.append(phi)
-            return beam_splitter(phi, cutoff)
+            return beam_splitter_blocks(phi, cutoff)
 
-        monkeypatch.setattr(fock, "beam_splitter", counting)
+        monkeypatch.setattr(fock, "_beam_splitter_blocks", counting)
         code, out, _ = run_cli(
             capsys, "oracle-check", "--n-mean", "0.5", "--zeta-re", "0.5", "--deep", "--json"
         )
         assert code == 0
         names = [c["name"] for c in json.loads(out)["checks"]]
         assert "concentration-n3" in names
-        # one cascade serves both checks: one beam splitter per step
+        # one cascade serves both checks: one set of beam-splitter blocks per step
         assert calls == [fock.concentration_angle(1), fock.concentration_angle(2)]
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):

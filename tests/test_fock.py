@@ -7,6 +7,7 @@ import pytest
 from dtslab import fock
 from dtslab.bounds import ThetaPoint, rld_inverse_2param, rld_inverse_3param
 from dtslab.errors import DomainError, PreconditionError
+from dtslab.linalg import trace_distance
 
 
 def displaced_thermal_density_quadrature(
@@ -54,6 +55,58 @@ def rld_fisher_central_differences(theta: ThetaPoint, cutoff: int, step: float =
         derivatives.append((density(center + shift) - density(center - shift)) / (2.0 * step))
     solved = [np.linalg.solve(rho, d) for d in derivatives]
     return np.array([[np.trace(s @ d) for d in derivatives] for s in solved])
+
+
+def beam_splitter(phi: float, cutoff: int) -> np.ndarray:
+    """The dense two-mode unitary: the direct sum of `fock._beam_splitter_blocks`."""
+    unitary = np.zeros((cutoff * cutoff, cutoff * cutoff))
+    for idx, block in fock._beam_splitter_blocks(phi, cutoff):
+        unitary[np.ix_(idx, idx)] = block
+    return unitary
+
+
+def dense_concentration_cascade(
+    zeta: complex, n_mean: float, n_copies: int, cutoff: int
+) -> list[fock.ConcentrationReport]:
+    """Out-of-place reference of `fock.verify_concentration_cascade`, to compare bit for bit.
+
+    It assembles the dense unitary, conjugates a fresh `np.kron` input out of
+    place by row blocks cut from that unitary, and takes every distance with
+    `trace_distance` against the `np.kron` target.  Block products, not a
+    dense U K U^T: BLAS sums a dense product in another order, which moves
+    the distances by a few 1e-20 at cutoff 14.
+    """
+    fresh = fock.displaced_thermal_density(zeta, n_mean, cutoff)
+    target_second = fock.thermal_density(n_mean, cutoff)
+    carried = fresh
+    reports = []
+    for i in range(1, n_copies):
+        phi = fock.concentration_angle(i)
+        unitary = beam_splitter(phi, cutoff)
+        blocks = [(idx, unitary[np.ix_(idx, idx)]) for idx in fock._photon_blocks(cutoff)]
+
+        def mix_rows(x):
+            flat = np.ascontiguousarray(x).view(float)
+            out = np.empty_like(flat)
+            for idx, u in blocks:
+                out[idx] = u @ flat[idx]
+            return out.view(x.dtype)
+
+        joint = mix_rows(mix_rows(np.kron(carried, fresh)).T).T
+        target_first = fock.displaced_thermal_density(
+            math.sqrt(i + 1.0) * complex(zeta), n_mean, cutoff
+        )
+        reports.append(
+            fock.ConcentrationReport(
+                cutoff=cutoff,
+                phi=phi,
+                dist_first=trace_distance(fock.partial_trace(joint, "first"), target_first),
+                dist_second=trace_distance(fock.partial_trace(joint, "second"), target_second),
+                dist_joint=trace_distance(joint, np.kron(target_first, target_second)),
+            )
+        )
+        carried = target_first
+    return reports
 
 
 class TestAnnihilation:
@@ -180,7 +233,7 @@ class TestDisplacedThermal:
 
 class TestBeamSplitter:
     def test_zero_angle_is_identity(self):
-        assert np.allclose(fock.beam_splitter(0.0, 6), np.eye(36))
+        assert np.allclose(beam_splitter(0.0, 6), np.eye(36))
 
     def test_first_cascade_angle_is_pi_over_4(self):
         assert fock.concentration_angle(1) == math.pi / 4.0
@@ -193,7 +246,7 @@ class TestBeamSplitter:
 
     def test_conserves_total_photon_number(self):
         d = 8
-        u = fock.beam_splitter(0.6, d)
+        u = beam_splitter(0.6, d)
         n_tot = np.kron(fock.number_operator(d), np.eye(d)) + np.kron(
             np.eye(d), fock.number_operator(d)
         )
@@ -201,7 +254,7 @@ class TestBeamSplitter:
 
     def test_unitary_on_retained_blocks(self):
         d = 8
-        u = fock.beam_splitter(fock.concentration_angle(1), d)
+        u = beam_splitter(fock.concentration_angle(1), d)
         totals = np.add.outer(np.arange(d), np.arange(d)).ravel()
         keep = totals <= d - 1
         gram = u.conj().T @ u
@@ -213,7 +266,7 @@ class TestBeamSplitter:
         expm = pytest.importorskip("scipy.linalg").expm
         a = fock.annihilation(cutoff)
         generator = np.kron(a.conj().T, a) - np.kron(a, a.conj().T)
-        u = fock.beam_splitter(phi, cutoff)
+        u = beam_splitter(phi, cutoff)
         assert u.dtype == np.float64 and u.shape == (cutoff**2, cutoff**2)
         assert np.max(np.abs(u - expm(phi * generator))) < 1e-13
 
@@ -222,9 +275,13 @@ class TestBeamSplitter:
         # the truncated blocks (total >= cutoff) included: the exponential of
         # the truncated antisymmetric generator is still orthogonal
         d = 10
-        u = fock.beam_splitter(phi, d)
+        u = beam_splitter(phi, d)
         assert np.max(np.abs(u.T @ u - np.eye(d * d))) < 1e-13
         assert np.max(np.abs(u @ u.T - np.eye(d * d))) < 1e-13
+
+    def test_blocks_reject_small_cutoff(self):
+        with pytest.raises(DomainError):
+            fock._beam_splitter_blocks(0.5, 1)
 
     def test_photon_blocks_partition_the_window(self):
         d = 5
@@ -241,15 +298,18 @@ class TestBeamSplitter:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
         x = x + x.conj().T
-        u = fock.beam_splitter(fock.concentration_angle(2), d)
-        assert np.max(np.abs(fock._conjugate_by_blocks(u, x) - u @ x @ u.T)) < 1e-12
+        u = beam_splitter(fock.concentration_angle(2), d)
+        blocks = fock._beam_splitter_blocks(fock.concentration_angle(2), d)
+        assert np.max(np.abs(fock._conjugate_by_blocks(blocks, x.copy()) - u @ x @ u.T)) < 1e-12
 
     def test_block_conjugation_keeps_a_real_operator_real(self):
         d = 9
         x = np.random.default_rng(6).normal(size=(d * d, d * d))
         x = x + x.T
-        u = fock.beam_splitter(fock.concentration_angle(2), d)
-        conjugated = fock._conjugate_by_blocks(u, x)
+        u = beam_splitter(fock.concentration_angle(2), d)
+        conjugated = fock._conjugate_by_blocks(
+            fock._beam_splitter_blocks(fock.concentration_angle(2), d), x.copy()
+        )
         assert conjugated.dtype == np.float64
         assert np.max(np.abs(conjugated - u @ x @ u.T)) < 1e-12
 
@@ -332,16 +392,31 @@ class TestConcentration:
             for name in ("dist_first", "dist_second", "dist_joint"):
                 assert getattr(report, name) == pytest.approx(getattr(ref, name), abs=1e-14)
 
-    def test_real_amplitude_memory(self):
-        # float64 operators for a real amplitude: 1600-side two-mode operators
-        # of 20 MB each, half the complex size
+    @staticmethod
+    def cascade_peak_mib(zeta: complex) -> float:
         tracemalloc.start()
         try:
-            fock.verify_concentration_cascade(0.5, 1.0, n_copies=2)
-            peak = tracemalloc.get_traced_memory()[1]
+            fock.verify_concentration_cascade(zeta, 1.0, n_copies=2)
+            return tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-        assert peak < 150 * 2**20
+
+    def test_real_amplitude_memory(self):
+        # float64 operators for a real amplitude: 1600-side two-mode operators
+        # of 20 MB each; a step holds the joint output and one other at a time
+        assert self.cascade_peak_mib(0.5) < 64
+
+    def test_complex_amplitude_memory(self):
+        # complex128 operators of 40 MB each
+        assert self.cascade_peak_mib(0.3 + 0.4j) < 128
+
+    @pytest.mark.parametrize(
+        "cutoff,n_mean,zeta",
+        [(8, 0.05, 0.2), (8, 0.05, 0.12 + 0.16j), (14, 0.2, 0.5), (14, 0.2, 0.3 + 0.4j)],
+    )
+    def test_matches_dense_reference_bit_for_bit(self, cutoff, n_mean, zeta):
+        reports = fock.verify_concentration_cascade(zeta, n_mean, n_copies=3, cutoff=cutoff)
+        assert reports == dense_concentration_cascade(zeta, n_mean, 3, cutoff)
 
     def test_tail_precondition_names_required_cutoff(self):
         with pytest.raises(PreconditionError, match="use cutoff >="):

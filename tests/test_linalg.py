@@ -3,7 +3,7 @@ import pytest
 
 from dtslab.errors import DomainError
 from dtslab.linalg import (
-    hermitian_part,
+    hermitian_trace_norm,
     sqrt_psd,
     trace_distance,
     trace_norm,
@@ -66,15 +66,36 @@ def test_trace_norm_rejects_nonsquare():
         trace_norm(np.zeros((2, 3)))
 
 
-def test_hermitian_decomposition_recombines():
+@pytest.mark.parametrize("n", [4, 150])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_hermitian_trace_norm_leaves_the_hermitian_part(n, dtype):
+    # 150 rows span three strips, the last one short; the input carries a
+    # skew part inside the tolerance, which the strips must remove exactly as
+    # the one-shot (conj(a.T) + a) / 2 does
     rng = np.random.default_rng(11)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h = hermitian_part(a)
-    k = a - h  # the anti-Hermitian complement
-    assert np.allclose(h, h.conj().T)
-    assert np.allclose(k, -k.conj().T)
-    assert np.allclose(k, (a - a.conj().T) / 2, rtol=0, atol=1e-15)
-    assert h.shape == a.shape and k.shape == a.shape
+    a = rng.normal(size=(n, n)).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.normal(size=(n, n))
+    a = a + a.conj().T + 1e-12 * rng.normal(size=(n, n))
+    d = a.copy()
+    norm = hermitian_trace_norm(d)
+    h = (a.conj().T + a) / 2
+    assert np.array_equal(d, h)
+    assert np.array_equal(d, d.conj().T)
+    assert norm == float(np.abs(np.linalg.eigvalsh(h)).sum())
+
+
+@pytest.mark.parametrize("row,col", [(1, 0), (149, 140), (3, 148)])
+def test_hermitian_trace_norm_rejects_a_skew_entry_in_any_strip(row, col):
+    a = np.eye(150)
+    a[row, col] = 1e-6
+    with pytest.raises(DomainError):
+        hermitian_trace_norm(a)
+
+
+def test_hermitian_trace_norm_rejects_nonsquare():
+    with pytest.raises(DomainError):
+        hermitian_trace_norm(np.zeros((2, 3)))
 
 
 def test_trace_distance_basic():
@@ -93,3 +114,12 @@ def test_trace_distance_zero_imaginary_part_matches_real():
     a, b = x + x.T, y + y.T
     real = trace_distance(a, b)
     assert trace_distance(a.astype(complex), b.astype(complex)) == pytest.approx(real, rel=1e-15)
+
+
+def test_trace_distance_leaves_its_inputs_untouched():
+    rng = np.random.default_rng(4)
+    x, y = rng.normal(size=(70, 70)), rng.normal(size=(70, 70))
+    a, b = x + x.T, y + y.T
+    a0, b0 = a.copy(), b.copy()
+    trace_distance(a, b)
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
