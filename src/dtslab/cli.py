@@ -382,8 +382,8 @@ def _run_oracle_checks(args) -> tuple[list[dict], bool]:
     theta = ThetaPoint.from_zeta(zeta, n_mean)
     checks = []
 
-    def record(name, dev, tol):
-        checks.append({"name": name, "max_dev": dev, "tol": tol, "pass": bool(dev < tol)})
+    def record(name, dev, tol, **extra):
+        checks.append({"name": name, "max_dev": dev, "tol": tol, "pass": bool(dev < tol), **extra})
 
     # before anything is allocated: the concentration checks need the largest cutoff
     copies = 3 if args.deep else 2
@@ -423,6 +423,13 @@ def _run_oracle_checks(args) -> tuple[list[dict], bool]:
     if args.deep:
         dev = max(max(r.dist_first, r.dist_second) for r in reports)
         record("concentration-n3", dev, 1e-6)
+    # product structure of each step's joint output, and with --deep of the
+    # whole cascade's (the sum telescopes; see verify_concentration_cascade)
+    for i, r in enumerate(reports, start=2):
+        record(f"concentration-joint-n{i}", r.joint_bound, 1e-6, kind="rank-frobenius-bound")
+    if args.deep:
+        total = sum(r.joint_bound for r in reports)
+        record("concentration-cascade", total, 1e-6, kind="telescoped-rank-frobenius-bound")
 
     # RLD Fisher matrix from exact derivatives against the closed-form inverses;
     # the two-parameter matrix is the leading block of the three-parameter one
@@ -444,7 +451,7 @@ def cmd_oracle_check(args, argv) -> int:
     else:
         for c in checks:
             status = "PASS" if c["pass"] else "FAIL"
-            print(f"check {c['name']:<18} max dev {c['max_dev']:.3e}  tol {c['tol']:.1e}  {status}")
+            print(f"check {c['name']:<22} max dev {c['max_dev']:.3e}  tol {c['tol']:.1e}  {status}")
         if not ok:
             failing = ", ".join(c["name"] for c in checks if not c["pass"])
             print(f"FAILED: {failing}", file=sys.stderr)

@@ -19,7 +19,10 @@ each at most cutoff states wide.  The unitary is exponentiated one block at
 a time and never assembled: the concentration checks conjugate by its blocks
 in place, so they form no dense two-mode unitary, matrix product or matrix
 exponential, and a cascade step holds at most two two-mode operators at
-once (`_concentration_step`).
+once, the `np.kron` input and the transpose copy that becomes the joint
+output (`_concentration_step`).  The joint output is certified against the
+product target by the rank-Frobenius bound, one norm pass over the
+difference, not by a two-mode eigensolve.
 """
 
 from __future__ import annotations
@@ -32,14 +35,15 @@ import numpy as np
 
 from .bounds import ThetaPoint
 from .errors import DomainError, NumericalError, PreconditionError
-from .linalg import hermitian_trace_norm, trace_distance
+from .linalg import rank_frobenius_bound, trace_distance
 
 DEFAULT_TAIL_TOL = 1e-8
 _DISTANCE_RULE_TOL = 1e-12  # default-cutoff target for trace-distance certifications
 # two-mode operators hold cutoff**4 entries, 384 MB at 70 for a complex amplitude
-# (half that for a real one); a cascade step keeps two alive at its peak, about
-# 390 MB at 70 for a real amplitude (measured) and 770 MB for a complex one:
-# N = 2's default cutoff 69 fits, N = 3's 97 does not
+# (half that for a real one); a cascade step keeps two alive at its peak, the
+# np.kron input and the transpose copy that becomes the joint output, about
+# 370 MiB at 70 for a real amplitude (measured): N = 2's default cutoff 69
+# fits, N = 3's 97 does not
 MAX_CUTOFF = 70
 
 
@@ -148,12 +152,6 @@ def annihilation(cutoff: int) -> np.ndarray:
     if cutoff < 2:
         raise DomainError(f"cutoff must be at least 2, got {cutoff}")
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), k=1).astype(complex)
-
-
-def number_operator(cutoff: int) -> np.ndarray:
-    if cutoff < 2:
-        raise DomainError(f"cutoff must be at least 2, got {cutoff}")
-    return np.diag(np.arange(cutoff, dtype=float)).astype(complex)
 
 
 def thermal_density(n_mean: float, cutoff: int) -> np.ndarray:
@@ -330,13 +328,19 @@ def partial_trace(op: np.ndarray, keep: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConcentrationReport:
-    """Trace distances certifying one concentration step."""
+    """Certificates of one concentration step.
+
+    dist_first and dist_second are the trace distances of the marginals
+    from their targets; joint_bound is an upper bound (the rank-Frobenius
+    bound, `linalg.rank_frobenius_bound`) on the trace distance of the
+    joint output from the product of the targets, not that distance.
+    """
 
     cutoff: int
     phi: float
     dist_first: float
     dist_second: float
-    dist_joint: float
+    joint_bound: float
 
 
 def require_cutoff_limit(cutoff: int) -> None:
@@ -344,7 +348,8 @@ def require_cutoff_limit(cutoff: int) -> None:
     if cutoff > MAX_CUTOFF:
         raise PreconditionError(
             f"the run needs Fock cutoff {cutoff}, above the limit {MAX_CUTOFF} "
-            "(two-mode operators grow as cutoff**4, 384 MB each at the limit)"
+            "(two-mode operators grow as cutoff**4, 384 MB each at the limit, "
+            "and a cascade step holds two)"
         )
 
 
@@ -386,12 +391,30 @@ def verify_concentration_cascade(
 
     Step i couples the running concentrated mode (amplitude sqrt(i) zeta)
     with a fresh copy at angle arctan(1/sqrt(i)), expecting outputs
-    sqrt(i+1) zeta and vacuum-centered thermal; the trace distances of the
-    joint output and both marginals from those targets certify the step,
-    and the joint distance also certifies the product structure.  Step 1
-    (phi = pi/4) is the n = 2 identity.  Each step starts from the analytic
-    intermediate certified by the previous one, so the full n_copies-mode
-    state is never materialized.
+    sqrt(i+1) zeta and vacuum-centered thermal; the trace distances of
+    both marginals from those targets certify the step, and the bound on
+    the joint output's distance from their product certifies the product
+    structure.  Step 1 (phi = pi/4) is the n = 2 identity.  Each step
+    starts from the analytic intermediate certified by the previous one, so
+    the full n_copies-mode state is never materialized.
+
+    The sum of the joint bounds bounds the whole cascade.  Write rho_a for
+    the displaced thermal state at amplitude a, tau for the thermal one, V_i
+    for step i's unitary on modes 1 and i+1 (identity elsewhere), and
+    S_i = V_i S_{i-1} V_i^T for the n-mode state after step i, from
+    S_0 = rho_zeta^(x n).  Its target is
+    P_i = rho_{sqrt(i+1) zeta} (x) tau^(x i) (x) rho_zeta^(x (n-1-i)), with
+    P_0 = S_0, and
+
+        S_i - P_i = V_i (S_{i-1} - P_{i-1}) V_i^T + (V_i P_{i-1} V_i^T - P_i).
+
+    Up to the order of the modes, the last term is X_i (x) R_i, where X_i is
+    the two-mode difference that step i bounds and R_i is a product of
+    truncated states, of trace at most 1; so its trace norm is
+    ||X_i||_1 tr R_i <= ||X_i||_1.  V_i is orthogonal on the whole window
+    and keeps the trace norm, so ||S_{n-1} - P_{n-1}||_1 <= sum_i ||X_i||_1:
+    the n-mode output lies within sum_i joint_bound_i of
+    rho_{sqrt(n) zeta} (x) tau^(x (n-1)) in trace distance.
 
     The automatic cutoff is `concentration_cutoff`; an explicit one must
     pass `require_tails` and `require_cutoff_limit`.
@@ -425,15 +448,15 @@ def _concentration_step(
     target_first: np.ndarray,
     target_second: np.ndarray,
 ) -> ConcentrationReport:
-    """Trace distances of one cascade step, with at most two two-mode operators alive.
+    """Certificates of one cascade step, with at most two two-mode operators alive.
 
-    The joint output is the `np.kron` input conjugated in place; the other
-    full-size buffer is first the transpose copy of the conjugation, then
-    the eigensolver's copy in `hermitian_trace_norm`.  Both marginals are
-    traced out first.  Then the target product is subtracted from the joint
-    output one mode-1 row block at a time, with the same products and
-    differences as `trace_distance(joint, np.kron(target_first,
-    target_second))`, and the difference is handed over to be overwritten.
+    The conjugation mixes the rows of the `np.kron` input in place, then
+    those of its transpose copy, which becomes the joint output; the input
+    is dropped there, so no other full-size buffer is alive when the
+    certificates are taken.  Both marginal distances are exact.  Then the target product is subtracted from the joint output in place,
+    one mode-1 row block at a time, and the difference D, of side
+    cutoff^2, is bounded: ||D||_1 <= sqrt(rank D) ||D||_F <= cutoff ||D||_F,
+    so the joint trace distance is at most (cutoff / 2) ||D||_F.
     """
     cutoff = fresh.shape[0]
     joint = _conjugate_by_blocks(_beam_splitter_blocks(phi, cutoff), np.kron(carried, fresh))
@@ -446,7 +469,7 @@ def _concentration_step(
         phi=phi,
         dist_first=dist_first,
         dist_second=dist_second,
-        dist_joint=hermitian_trace_norm(joint) / 2,
+        joint_bound=rank_frobenius_bound(joint) / 2,
     )
 
 

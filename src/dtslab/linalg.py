@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DomainError
 
 PSD_EIGENVALUE_TOL = 1e-12
-_STRIP = 64  # rows per strip in hermitian_trace_norm
+_STRIP = 64  # rows per strip in the skew check of rank_frobenius_bound
 
 
 def sqrt_psd(m: np.ndarray, negative_tol: float = PSD_EIGENVALUE_TOL) -> np.ndarray:
@@ -44,47 +44,48 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def hermitian_trace_norm(d: np.ndarray) -> float:
-    """Trace norm of a Hermitian float64 or complex128 matrix that the caller hands over.
+def rank_frobenius_bound(d: np.ndarray) -> float:
+    """Upper bound sqrt(side) * ||d||_F on the trace norm of a Hermitian matrix.
 
-    d is overwritten with its Hermitian part (d + d^dagger) / 2, formed one
-    strip of rows and the matching strip of columns at a time, so the strip
-    temporaries and the eigensolver's own copy are the only other buffers.
-    The skew residual d - (d + d^dagger) / 2 must stay within 1e-9 of
-    max(1, max |d|), or DomainError.  Real operators take the several times
-    faster real solver.
+    By Cauchy-Schwarz on the eigenvalues, ||d||_1 <= sqrt(rank d) ||d||_F, and
+    the rank is at most the side.  The bound is tight when d has full rank
+    and eigenvalues of one modulus, and never more than sqrt(side) times
+    the trace norm.  It reads d twice and never writes it: once in strips of rows and
+    the matching strips of columns, where the skew residual
+    (d - d^dagger) / 2 must stay within 1e-9 of max(1, max |d|), or
+    DomainError; then once for the Frobenius norm.  The strip temporaries
+    are the only other buffers.
     """
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise DomainError(f"hermitian_trace_norm expects a square matrix, got shape {d.shape}")
+        raise DomainError(f"rank_frobenius_bound expects a square matrix, got shape {d.shape}")
     scale = skew = 0.0
     for start in range(0, d.shape[0], _STRIP):
-        # the column strip from the diagonal down and its mirror row strip:
-        # no earlier strip touched either, and the diagonal block, in both,
-        # gets the same values twice
-        lower = d[start:, start : start + _STRIP]
+        # the row strip from the diagonal on and its mirror column strip:
+        # together over all strips they cover every entry
         upper = d[start : start + _STRIP, start:]
-        parts = []
-        for x, mirror in ((lower, upper), (upper, lower)):
-            h = np.conjugate(mirror.T)
-            h += x
-            h /= 2
-            scale = max(scale, float(np.max(np.abs(x))))
-            skew = max(skew, float(np.max(np.abs(x - h))))
-            parts.append(h)
-        lower[...], upper[...] = parts
+        lower = d[start:, start : start + _STRIP]
+        scale = max(scale, float(np.max(np.abs(upper))), float(np.max(np.abs(lower))))
+        skew = max(skew, float(np.max(np.abs(upper - np.conjugate(lower.T)))) / 2)
     if skew > 1e-9 * max(1.0, scale):
-        raise DomainError("hermitian_trace_norm expects a Hermitian matrix")
-    return float(np.abs(np.linalg.eigvalsh(d)).sum())
+        raise DomainError("rank_frobenius_bound expects a Hermitian matrix")
+    return float(np.sqrt(d.shape[0]) * np.linalg.norm(d))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm of the difference of two Hermitian operators.
 
-    a - b is the one full-size buffer this allocates; `hermitian_trace_norm`
-    overwrites it, and the inputs stay untouched.
+    The difference d = a - b and its Hermitian part (conj(d^T) + d) / 2 are
+    the full-size buffers; the skew residual d - (conj(d^T) + d) / 2 must
+    stay within 1e-9 of max(1, max |d|), or DomainError.  Real operators
+    take the several times faster real solver.
     """
     a, b = np.asarray(a), np.asarray(b)
     d = np.subtract(a, b, dtype=np.result_type(a, b, 1.0))
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DomainError("trace_distance expects square matrices of equal shape")
-    return hermitian_trace_norm(d) / 2
+    h = np.conjugate(d.T) + d
+    h /= 2
+    scale = max(1.0, float(np.max(np.abs(d), initial=0.0)))
+    if np.max(np.abs(d - h), initial=0.0) > 1e-9 * scale:
+        raise DomainError("trace_distance expects Hermitian operators")
+    return float(np.abs(np.linalg.eigvalsh(h)).sum()) / 2

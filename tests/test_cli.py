@@ -530,6 +530,7 @@ class TestOracleCheckCommand:
             "heterodyne-pdf",
             "photon-pmf",
             "concentration-n2",
+            "concentration-joint-n2",
             "rld-2param",
             "rld-3param",
         }
@@ -611,10 +612,34 @@ class TestOracleCheckCommand:
             capsys, "oracle-check", "--n-mean", "0.5", "--zeta-re", "0.5", "--deep", "--json"
         )
         assert code == 0
-        names = [c["name"] for c in json.loads(out)["checks"]]
-        assert "concentration-n3" in names
-        # one cascade serves both checks: one set of beam-splitter blocks per step
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert "concentration-n3" in checks
+        kinds = {name: c.get("kind") for name, c in checks.items() if "joint" in name}
+        assert kinds == {
+            "concentration-joint-n2": "rank-frobenius-bound",
+            "concentration-joint-n3": "rank-frobenius-bound",
+        }
+        cascade = checks["concentration-cascade"]
+        assert cascade["kind"] == "telescoped-rank-frobenius-bound" and cascade["tol"] == 1e-6
+        assert cascade["max_dev"] == (
+            checks["concentration-joint-n2"]["max_dev"] + checks["concentration-joint-n3"]["max_dev"]
+        )
+        # one cascade serves every check: one set of beam-splitter blocks per step
         assert calls == [fock.concentration_angle(1), fock.concentration_angle(2)]
+
+    def test_joint_bound_fails_where_the_marginals_pass(self, capsys):
+        # at the default cutoff 20 the marginals pass but the joint output is
+        # 3.0e-6 from the product target (bound 3.0e-5); cutoff 46 certifies it
+        code, out, err = run_cli(capsys, "oracle-check", "--n-mean", "0.25", "--zeta-re", "1")
+        assert code == 1
+        assert "FAILED: concentration-joint-n2\n" in err
+        line = next(x for x in out.splitlines() if "concentration-joint-n2" in x)
+        assert line.startswith("check concentration-joint-n2 max dev") and line.endswith("FAIL")
+        code, out, _ = run_cli(
+            capsys, "oracle-check", "--n-mean", "0.25", "--zeta-re", "1", "--cutoff", "46", "--json"
+        )
+        assert code == 0
+        assert all(c["pass"] for c in json.loads(out)["checks"])
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(states, "heterodyne_pdf", lambda params, alpha: 0.0)

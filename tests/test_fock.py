@@ -7,7 +7,7 @@ import pytest
 from dtslab import fock
 from dtslab.bounds import ThetaPoint, rld_inverse_2param, rld_inverse_3param
 from dtslab.errors import DomainError, PreconditionError
-from dtslab.linalg import trace_distance
+from dtslab.linalg import rank_frobenius_bound, trace_distance
 
 
 def displaced_thermal_density_quadrature(
@@ -57,6 +57,10 @@ def rld_fisher_central_differences(theta: ThetaPoint, cutoff: int, step: float =
     return np.array([[np.trace(s @ d) for d in derivatives] for s in solved])
 
 
+def number_operator(cutoff: int) -> np.ndarray:
+    return np.diag(np.arange(cutoff, dtype=float))
+
+
 def beam_splitter(phi: float, cutoff: int) -> np.ndarray:
     """The dense two-mode unitary: the direct sum of `fock._beam_splitter_blocks`."""
     unitary = np.zeros((cutoff * cutoff, cutoff * cutoff))
@@ -67,14 +71,16 @@ def beam_splitter(phi: float, cutoff: int) -> np.ndarray:
 
 def dense_concentration_cascade(
     zeta: complex, n_mean: float, n_copies: int, cutoff: int
-) -> list[fock.ConcentrationReport]:
+) -> list[tuple[fock.ConcentrationReport, float]]:
     """Out-of-place reference of `fock.verify_concentration_cascade`, to compare bit for bit.
 
     It assembles the dense unitary, conjugates a fresh `np.kron` input out of
-    place by row blocks cut from that unitary, and takes every distance with
-    `trace_distance` against the `np.kron` target.  Block products, not a
-    dense U K U^T: BLAS sums a dense product in another order, which moves
-    the distances by a few 1e-20 at cutoff 14.
+    place by row blocks cut from that unitary, and takes the marginal
+    distances with `trace_distance` and the joint bound with
+    `rank_frobenius_bound` against the `np.kron` targets.  Block products,
+    not a dense U K U^T: BLAS sums a dense product in another order, which
+    moves the distances by a few 1e-20 at cutoff 14.  Each report comes with
+    the exact joint trace distance, from a dense eigensolve.
     """
     fresh = fock.displaced_thermal_density(zeta, n_mean, cutoff)
     target_second = fock.thermal_density(n_mean, cutoff)
@@ -96,15 +102,19 @@ def dense_concentration_cascade(
         target_first = fock.displaced_thermal_density(
             math.sqrt(i + 1.0) * complex(zeta), n_mean, cutoff
         )
-        reports.append(
-            fock.ConcentrationReport(
-                cutoff=cutoff,
-                phi=phi,
-                dist_first=trace_distance(fock.partial_trace(joint, "first"), target_first),
-                dist_second=trace_distance(fock.partial_trace(joint, "second"), target_second),
-                dist_joint=trace_distance(joint, np.kron(target_first, target_second)),
-            )
+        dist_first = trace_distance(fock.partial_trace(joint, "first"), target_first)
+        dist_second = trace_distance(fock.partial_trace(joint, "second"), target_second)
+        # in place, so the difference keeps the joint output's memory order,
+        # and with it the order in which the Frobenius norm sums
+        joint -= np.kron(target_first, target_second)
+        report = fock.ConcentrationReport(
+            cutoff=cutoff,
+            phi=phi,
+            dist_first=dist_first,
+            dist_second=dist_second,
+            joint_bound=rank_frobenius_bound(joint) / 2,
         )
+        reports.append((report, trace_distance(joint, np.zeros_like(joint))))
         carried = target_first
     return reports
 
@@ -247,8 +257,8 @@ class TestBeamSplitter:
     def test_conserves_total_photon_number(self):
         d = 8
         u = beam_splitter(0.6, d)
-        n_tot = np.kron(fock.number_operator(d), np.eye(d)) + np.kron(
-            np.eye(d), fock.number_operator(d)
+        n_tot = np.kron(number_operator(d), np.eye(d)) + np.kron(
+            np.eye(d), number_operator(d)
         )
         assert np.max(np.abs(u @ n_tot - n_tot @ u)) < 1e-10
 
@@ -355,7 +365,7 @@ class TestConcentration:
         assert report.phi == math.pi / 4.0
         assert report.dist_first < 1e-6
         assert report.dist_second < 1e-6
-        assert report.dist_joint < 1e-5
+        assert report.joint_bound < 1e-5
 
     def test_automatic_cutoff(self):
         report = fock.verify_concentration_cascade(0.5, 0.5, n_copies=2)[0]
@@ -373,13 +383,14 @@ class TestConcentration:
 
     def test_complex_amplitude_n2(self):
         # a complex amplitude keeps the joint output complex (the complex
-        # eigensolver path); a phase rotation leaves every distance unchanged
+        # eigensolver path for the marginals); a phase rotation leaves every
+        # distance, and the Frobenius norm in the joint bound, unchanged
         report = fock.verify_concentration_cascade(0.3 + 0.4j, 0.5, n_copies=2)[0]
         real = fock.verify_concentration_cascade(0.5, 0.5, n_copies=2)[0]
         assert report.cutoff == real.cutoff
         assert report.dist_first < 1e-7 and report.dist_second < 1e-7
-        assert report.dist_joint < 1e-6
-        for name in ("dist_first", "dist_second", "dist_joint"):
+        assert report.joint_bound < 1e-6
+        for name in ("dist_first", "dist_second", "joint_bound"):
             assert getattr(report, name) == pytest.approx(getattr(real, name), abs=1e-14)
 
     def test_complex_amplitude_cascade(self):
@@ -389,7 +400,7 @@ class TestConcentration:
         for report, ref in zip(reports, real):
             assert report.phi == ref.phi
             assert report.dist_first < 1e-6 and report.dist_second < 1e-6
-            for name in ("dist_first", "dist_second", "dist_joint"):
+            for name in ("dist_first", "dist_second", "joint_bound"):
                 assert getattr(report, name) == pytest.approx(getattr(ref, name), abs=1e-14)
 
     @staticmethod
@@ -416,7 +427,22 @@ class TestConcentration:
     )
     def test_matches_dense_reference_bit_for_bit(self, cutoff, n_mean, zeta):
         reports = fock.verify_concentration_cascade(zeta, n_mean, n_copies=3, cutoff=cutoff)
-        assert reports == dense_concentration_cascade(zeta, n_mean, 3, cutoff)
+        assert reports == [r for r, _ in dense_concentration_cascade(zeta, n_mean, 3, cutoff)]
+
+    @pytest.mark.parametrize(
+        "zeta,n_mean,cutoff",
+        [(0.3, 0.2, 20), (0.6, 0.2, 20), (0.3, 0.5, 26), (1.0, 0.5, 26), (0.5, 0.8, 30),
+         (0.3 + 0.4j, 0.5, 26)],
+    )
+    def test_joint_bound_dominates_the_exact_distance(self, zeta, n_mean, cutoff, record_property):
+        # ||D||_F <= ||D||_1 <= cutoff ||D||_F for D of side cutoff^2, so the
+        # bound is at least the exact distance and at most cutoff times it;
+        # the ratio itself is only recorded (10 to 16 was measured)
+        ratios = []
+        for report, exact in dense_concentration_cascade(zeta, n_mean, 3, cutoff):
+            assert exact <= report.joint_bound <= cutoff * exact
+            ratios.append(report.joint_bound / exact)
+        record_property("bound_over_exact", ratios)
 
     def test_tail_precondition_names_required_cutoff(self):
         with pytest.raises(PreconditionError, match="use cutoff >="):

@@ -3,7 +3,7 @@ import pytest
 
 from dtslab.errors import DomainError
 from dtslab.linalg import (
-    hermitian_trace_norm,
+    rank_frobenius_bound,
     sqrt_psd,
     trace_distance,
     trace_norm,
@@ -66,36 +66,65 @@ def test_trace_norm_rejects_nonsquare():
         trace_norm(np.zeros((2, 3)))
 
 
-@pytest.mark.parametrize("n", [4, 150])
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_hermitian_trace_norm_leaves_the_hermitian_part(n, dtype):
-    # 150 rows span three strips, the last one short; the input carries a
-    # skew part inside the tolerance, which the strips must remove exactly as
-    # the one-shot (conj(a.T) + a) / 2 does
-    rng = np.random.default_rng(11)
+def near_hermitian(n, dtype, seed=11):
+    # a Hermitian matrix plus a skew part inside the 1e-9 tolerance
+    rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n)).astype(dtype)
     if dtype is complex:
         a += 1j * rng.normal(size=(n, n))
-    a = a + a.conj().T + 1e-12 * rng.normal(size=(n, n))
-    d = a.copy()
-    norm = hermitian_trace_norm(d)
-    h = (a.conj().T + a) / 2
-    assert np.array_equal(d, h)
-    assert np.array_equal(d, d.conj().T)
-    assert norm == float(np.abs(np.linalg.eigvalsh(h)).sum())
+    return a + a.conj().T + 1e-12 * rng.normal(size=(n, n))
+
+
+@pytest.mark.parametrize("n", [4, 150])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_trace_distance_takes_the_hermitian_part(n, dtype):
+    # the skew part is dropped exactly as by (a + conj(a.T)) / 2: IEEE
+    # addition commutes, so the order of the two terms moves no bit
+    a = near_hermitian(n, dtype)
+    h = (a + a.conj().T) / 2
+    assert np.array_equal(h, (a.conj().T + a) / 2)
+    assert trace_distance(a, np.zeros((n, n))) == float(np.abs(np.linalg.eigvalsh(h)).sum()) / 2
 
 
 @pytest.mark.parametrize("row,col", [(1, 0), (149, 140), (3, 148)])
-def test_hermitian_trace_norm_rejects_a_skew_entry_in_any_strip(row, col):
+def test_trace_distance_rejects_a_skew_entry(row, col):
     a = np.eye(150)
     a[row, col] = 1e-6
     with pytest.raises(DomainError):
-        hermitian_trace_norm(a)
+        trace_distance(a, np.eye(150))
 
 
-def test_hermitian_trace_norm_rejects_nonsquare():
+@pytest.mark.parametrize("row,col", [(1, 0), (149, 140), (3, 148)])
+def test_rank_frobenius_bound_rejects_a_skew_entry_in_any_strip(row, col):
+    # 150 rows span three strips, the last one short
+    a = np.eye(150)
+    a[row, col] = 1e-6
     with pytest.raises(DomainError):
-        hermitian_trace_norm(np.zeros((2, 3)))
+        rank_frobenius_bound(a)
+
+
+def test_rank_frobenius_bound_and_trace_distance_reject_nonsquare():
+    for f in (rank_frobenius_bound, lambda d: trace_distance(d, d)):
+        with pytest.raises(DomainError):
+            f(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("n", [4, 150])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_rank_frobenius_bound_holds_and_leaves_its_argument(n, dtype):
+    a = near_hermitian(n, dtype)
+    a0 = a.copy()
+    bound = rank_frobenius_bound(a)
+    assert np.array_equal(a, a0)
+    assert bound == float(np.sqrt(n) * np.linalg.norm(a))
+    exact = 2 * trace_distance(a, np.zeros((n, n)))
+    # ||d||_1 <= sqrt(n) ||d||_F <= sqrt(n) ||d||_1
+    assert exact <= bound <= np.sqrt(n) * exact
+
+
+def test_rank_frobenius_bound_is_tight_at_equal_moduli():
+    d = np.diag([1.0, -1.0, 1.0, -1.0])
+    assert rank_frobenius_bound(d) == 4.0 == 2 * trace_distance(d, np.zeros((4, 4)))
 
 
 def test_trace_distance_basic():
