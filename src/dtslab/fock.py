@@ -20,9 +20,13 @@ a time and never assembled: the concentration checks conjugate by its blocks
 in place, so they form no dense two-mode unitary, matrix product or matrix
 exponential, and a cascade step holds at most two two-mode operators at
 once, the `np.kron` input and the transpose copy that becomes the joint
-output (`_concentration_step`).  The joint output is certified against the
-product target by the rank-Frobenius bound, one norm pass over the
-difference, not by a two-mode eigensolve.
+output (`_concentration_step`).  Each block's rows are a basic slice of the
+two-mode basis, and each block exponential takes one real tridiagonal
+eigensolve.  The joint output is certified against the product target by
+the rank-Frobenius bound, one norm pass over the difference, not by a
+two-mode eigensolve.  The product target is never formed: its thermal
+factor is diagonal, so it is subtracted through strided views of the joint
+output, and the step's one `np.kron` is its input.
 """
 
 from __future__ import annotations
@@ -148,10 +152,10 @@ def _least_poisson_cutoff(mu: float, tol: float, start: int) -> int:
 # ---------------------------------------------------------------------------
 
 def annihilation(cutoff: int) -> np.ndarray:
-    """Annihilation operator: <m|a|n> = sqrt(n) delta_{m,n-1}."""
+    """Annihilation operator: <m|a|n> = sqrt(n) delta_{m,n-1}, real (float64)."""
     if cutoff < 2:
         raise DomainError(f"cutoff must be at least 2, got {cutoff}")
-    return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), k=1).astype(complex)
+    return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), k=1)
 
 
 def thermal_density(n_mean: float, cutoff: int) -> np.ndarray:
@@ -239,66 +243,76 @@ def concentration_angle(i: int) -> float:
     return math.atan(1.0 / math.sqrt(i))
 
 
-def _photon_blocks(cutoff: int) -> list[np.ndarray]:
-    """Two-mode basis indices of each total T = 0 .. 2 cutoff - 2, mode-1 count ascending.
+def _photon_blocks(cutoff: int) -> list[slice]:
+    """Two-mode rows of each total T = 0 .. 2 cutoff - 2, mode-1 count ascending.
 
-    Block T holds the window states (m, T - m); the beam splitter couples
-    only neighbours (m, T - m) and (m + 1, T - m - 1) inside one block.
+    Block T holds the window states (m, T - m), at rows
+    m cutoff + T - m = m (cutoff - 1) + T: an arithmetic progression, so each
+    block is a basic slice and selects a view, not a copy.  The beam splitter
+    couples only neighbours (m, T - m) and (m + 1, T - m - 1) inside one block.
     """
+    step = cutoff - 1
     blocks = []
     for total in range(2 * cutoff - 1):
-        m = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
-        blocks.append(m * cutoff + (total - m))
+        first, last = max(0, total - step), min(total, step)
+        blocks.append(slice(first * step + total, last * step + total + 1, step))
     return blocks
 
 
-def _beam_splitter_blocks(phi: float, cutoff: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _beam_splitter_blocks(phi: float, cutoff: int) -> list[tuple[slice, np.ndarray]]:
     """Blocks of the two-mode unitary exp(phi (adag x b - a x bdag)) on the truncated space.
 
     The truncated generator maps each total-photon block to itself, so the
     exponential is the direct sum of its block exponentials; this returns
-    (indices, block) for each `_photon_blocks` entry.  Block T is the
+    (rows, block) for each `_photon_blocks` entry.  Block T is the
     exponential of the real antisymmetric tridiagonal matrix G with
-    G[k+1, k] = sqrt((m+1)(T-m)) for m the mode-1 count of entry k; i G is
-    Hermitian, and with i G = V diag(w) V^dagger the block is
-    V diag(exp(-i phi w)) V^dagger, whose real part is kept.  This is exact on
-    every block, including the blocks with total >= cutoff that the window
+    G[k+1, k] = sqrt((m+1)(T-m)) for m the mode-1 count of entry k.  With
+    S = diag(i^k), S^dagger (i G) S is the real symmetric tridiagonal H with
+    the same couplings, so for eigh(H) = (w, W) entry [j, k] of the block
+    is Re(i^(j-k) (W diag(exp(-i phi w)) W^T)[j, k]): a real eigensolve.
+    That product is formed as one complex product, summed in the order of
+    the Hermitian form V diag(exp(-i phi w)) V^dagger with V = S W; the two
+    real products W cos(phi w) W^T and W sin(phi w) W^T sum in another order
+    and move the last bits of the larger blocks.  The phase, 1, i, -1 or
+    -i, moves no bit.  This is exact
+    on every block, including the blocks with total >= cutoff that the window
     truncates (there it is the exponential of the truncated generator, still
     orthogonal).  At phi = arctan(1/sqrt(1)) two equal coherent amplitudes
     merge into mode 1.
     """
     if cutoff < 2:
         raise DomainError(f"cutoff must be at least 2, got {cutoff}")
+    phase = np.array([1, 1j, -1, -1j])[np.subtract.outer(np.arange(cutoff), np.arange(cutoff)) % 4]
     blocks = []
-    for idx in _photon_blocks(cutoff):
-        m, n = np.divmod(idx[:-1], cutoff)
+    for rows in _photon_blocks(cutoff):
+        m, n = np.divmod(np.arange(rows.start, rows.stop, rows.step)[:-1], cutoff)
         coupling = np.sqrt((m + 1.0) * n)
-        generator = np.diag(coupling, -1) - np.diag(coupling, 1)
-        w, v = np.linalg.eigh(1j * generator)
-        block = ((v * np.exp(-1j * phi * w)) @ v.conj().T).real
+        w, v = np.linalg.eigh(np.diag(coupling, -1) + np.diag(coupling, 1))
+        block = (((v * np.exp(-1j * phi * w)) @ v.T) * phase[: len(w), : len(w)]).real
         if not np.all(np.isfinite(block)):
             raise NumericalError(f"matrix exponential failed for phi={phi}, cutoff={cutoff}")
-        blocks.append((idx, block))
+        blocks.append((rows, block))
     return blocks
 
 
-def _conjugate_by_blocks(blocks: list[tuple[np.ndarray, np.ndarray]], op: np.ndarray) -> np.ndarray:
+def _conjugate_by_blocks(blocks: list[tuple[slice, np.ndarray]], op: np.ndarray) -> np.ndarray:
     """U op U^T for the real unitary U given by its photon blocks; op is overwritten.
 
     U X U^T = (U (U X)^T)^T: two passes that each mix rows block by block in
     place, costing cutoff^2 times the sum of squared block sizes instead of
-    cutoff^6.  The contiguous copy of the transpose between the passes is the
+    cutoff^6.  A block's rows are a basic slice, so each product reads them
+    in place.  The contiguous copy of the transpose between the passes is the
     only full-size allocation, and `op` is dropped as soon as it exists, so a
     temporary passed in is freed there.  U is real, so a pass acts on the real
     and imaginary parts of a complex operator alike and runs as real products
     on the float view of the rows; a real operator stays real.  `op` must be
-    C-contiguous.
+    C-contiguous, and so is the transpose of the result.
     """
 
     def mix_rows(x: np.ndarray) -> None:
         flat = x.view(float)
-        for idx, u in blocks:
-            flat[idx] = u @ flat[idx]
+        for rows, u in blocks:
+            flat[rows] = u @ flat[rows]
 
     mix_rows(op)
     op = np.ascontiguousarray(op.T)
@@ -453,17 +467,25 @@ def _concentration_step(
     The conjugation mixes the rows of the `np.kron` input in place, then
     those of its transpose copy, which becomes the joint output; the input
     is dropped there, so no other full-size buffer is alive when the
-    certificates are taken.  Both marginal distances are exact.  Then the target product is subtracted from the joint output in place,
-    one mode-1 row block at a time, and the difference D, of side
-    cutoff^2, is bounded: ||D||_1 <= sqrt(rank D) ||D||_F <= cutoff ||D||_F,
-    so the joint trace distance is at most (cutoff / 2) ||D||_F.
+    certificates are taken.  Both marginal distances are exact.  Then the
+    target product is subtracted from the joint output in place.  The
+    thermal target is diagonal, so kron(target_first, target_second) is
+    nonzero only where the mode-2 counts of row and column agree; its
+    entries there, target_first * weight, are subtracted one mode-2 count at
+    a time through a strided view, and the other entries stay as they are.
+    The difference D, of side cutoff^2, is bounded:
+    ||D||_1 <= sqrt(rank D) ||D||_F <= cutoff ||D||_F, so the joint trace
+    distance is at most (cutoff / 2) ||D||_F.
     """
     cutoff = fresh.shape[0]
     joint = _conjugate_by_blocks(_beam_splitter_blocks(phi, cutoff), np.kron(carried, fresh))
     dist_first = trace_distance(partial_trace(joint, "first"), target_first)
     dist_second = trace_distance(partial_trace(joint, "second"), target_second)
-    for m in range(cutoff):
-        joint[m * cutoff : (m + 1) * cutoff] -= np.kron(target_first[m : m + 1], target_second)
+    # joint.T is C-contiguous, so this is a view: entry [p, q, m, n] is
+    # joint[m cutoff + n, p cutoff + q]
+    by_mode = joint.T.reshape(cutoff, cutoff, cutoff, cutoff)
+    for n, weight in enumerate(np.diagonal(target_second)):
+        by_mode[:, n, :, n] -= target_first.T * weight
     return ConcentrationReport(
         cutoff=cutoff,
         phi=phi,
@@ -491,7 +513,7 @@ def numeric_rld_fisher(theta: ThetaPoint, cutoff: int) -> np.ndarray:
     weights_dn = weights * (np.arange(cutoff) - n_mean) / (n_mean * (n_mean + 1.0))
     moved = (tall * weights) @ tall.conj().T
     rho = moved[:cutoff, :cutoff]
-    a = annihilation(cutoff + 1).real
+    a = annihilation(cutoff + 1)
     x = (a.T - a) / math.sqrt(2.0)
     p = (a.T + a) / math.sqrt(2.0)
     derivatives = [
@@ -499,7 +521,13 @@ def numeric_rld_fisher(theta: ThetaPoint, cutoff: int) -> np.ndarray:
         1j * (p @ moved - moved @ p)[:cutoff, :cutoff],
         (tall[:cutoff] * weights_dn) @ tall[:cutoff].conj().T,
     ]
-    solved = [np.linalg.solve(rho, d) for d in derivatives]
+    try:
+        solved = [np.linalg.solve(rho, d) for d in derivatives]
+    except np.linalg.LinAlgError:
+        raise PreconditionError(
+            f"the RLD step cannot invert the truncated density at N = {n_mean:g} "
+            f"(cutoff {cutoff}): it is singular in float64"
+        ) from None
     return np.array([[np.trace(s @ d) for d in derivatives] for s in solved])
 
 

@@ -14,6 +14,9 @@ from .errors import DomainError
 
 PSD_EIGENVALUE_TOL = 1e-12
 _STRIP = 64  # rows per strip in the skew check of rank_frobenius_bound
+# norms at or below this skip that check; the 1% under its 1e-9 floor covers
+# the rounding of the computed norm
+_GATE_FREE_NORM = 0.99e-9
 
 
 def sqrt_psd(m: np.ndarray, negative_tol: float = PSD_EIGENVALUE_TOL) -> np.ndarray:
@@ -50,25 +53,29 @@ def rank_frobenius_bound(d: np.ndarray) -> float:
     By Cauchy-Schwarz on the eigenvalues, ||d||_1 <= sqrt(rank d) ||d||_F, and
     the rank is at most the side.  The bound is tight when d has full rank
     and eigenvalues of one modulus, and never more than sqrt(side) times
-    the trace norm.  It reads d twice and never writes it: once in strips of rows and
-    the matching strips of columns, where the skew residual
+    the trace norm.  It never writes d.  It reads it once for the Frobenius
+    norm and, where that norm exceeds _GATE_FREE_NORM, once more in strips of
+    rows and the matching strips of columns, where the skew residual
     (d - d^dagger) / 2 must stay within 1e-9 of max(1, max |d|), or
-    DomainError; then once for the Frobenius norm.  The strip temporaries
-    are the only other buffers.
+    DomainError.  Below that norm the gate cannot fail: the residual is at
+    most max |d| <= ||d||_F, under the tolerance, which is at least 1e-9.
+    The strip temporaries are the only other buffers.
     """
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DomainError(f"rank_frobenius_bound expects a square matrix, got shape {d.shape}")
-    scale = skew = 0.0
-    for start in range(0, d.shape[0], _STRIP):
-        # the row strip from the diagonal on and its mirror column strip:
-        # together over all strips they cover every entry
-        upper = d[start : start + _STRIP, start:]
-        lower = d[start:, start : start + _STRIP]
-        scale = max(scale, float(np.max(np.abs(upper))), float(np.max(np.abs(lower))))
-        skew = max(skew, float(np.max(np.abs(upper - np.conjugate(lower.T)))) / 2)
-    if skew > 1e-9 * max(1.0, scale):
-        raise DomainError("rank_frobenius_bound expects a Hermitian matrix")
-    return float(np.sqrt(d.shape[0]) * np.linalg.norm(d))
+    norm = float(np.linalg.norm(d))
+    if not norm <= _GATE_FREE_NORM:
+        scale = skew = 0.0
+        for start in range(0, d.shape[0], _STRIP):
+            # the row strip from the diagonal on and its mirror column strip:
+            # together over all strips they cover every entry
+            upper = d[start : start + _STRIP, start:]
+            lower = d[start:, start : start + _STRIP]
+            scale = max(scale, float(np.max(np.abs(upper))), float(np.max(np.abs(lower))))
+            skew = max(skew, float(np.max(np.abs(upper - np.conjugate(lower.T)))) / 2)
+        if skew > 1e-9 * max(1.0, scale):
+            raise DomainError("rank_frobenius_bound expects a Hermitian matrix")
+    return float(np.sqrt(d.shape[0]) * norm)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -599,6 +599,16 @@ class TestOracleCheckCommand:
         assert code == 2
         assert "no finite cutoff" in err
 
+    @pytest.mark.parametrize("n_mean", ["1e-8", "1e-20", "1e-300", "5e-324"])
+    def test_singular_rld_density_exits_2(self, capsys, n_mean):
+        # thermal weights N^k / (N + 1)^(k + 1) fall below the rounding of the
+        # vacuum weight, so the truncated density is singular in float64
+        code, out, err = run_cli(capsys, "oracle-check", "--n-mean", n_mean)
+        assert code == 2 and out == ""
+        assert err.startswith("error: the RLD step cannot invert the truncated density at N = ")
+        assert f"N = {float(n_mean):g} (cutoff 8)" in err and "singular" in err
+        assert "Traceback" not in err
+
     def test_deep_adds_cascade(self, capsys, monkeypatch):
         calls = []
         beam_splitter_blocks = fock._beam_splitter_blocks

@@ -64,9 +64,14 @@ def number_operator(cutoff: int) -> np.ndarray:
 def beam_splitter(phi: float, cutoff: int) -> np.ndarray:
     """The dense two-mode unitary: the direct sum of `fock._beam_splitter_blocks`."""
     unitary = np.zeros((cutoff * cutoff, cutoff * cutoff))
-    for idx, block in fock._beam_splitter_blocks(phi, cutoff):
-        unitary[np.ix_(idx, idx)] = block
+    for rows, block in fock._beam_splitter_blocks(phi, cutoff):
+        unitary[rows, rows] = block
     return unitary
+
+
+def block_indices(cutoff: int) -> list[np.ndarray]:
+    """`fock._photon_blocks` as index arrays."""
+    return [np.arange(cutoff * cutoff)[rows] for rows in fock._photon_blocks(cutoff)]
 
 
 def dense_concentration_cascade(
@@ -75,7 +80,8 @@ def dense_concentration_cascade(
     """Out-of-place reference of `fock.verify_concentration_cascade`, to compare bit for bit.
 
     It assembles the dense unitary, conjugates a fresh `np.kron` input out of
-    place by row blocks cut from that unitary, and takes the marginal
+    place by row blocks cut from that unitary, gathered and scattered by
+    index arrays where `fock` takes basic slices, and takes the marginal
     distances with `trace_distance` and the joint bound with
     `rank_frobenius_bound` against the `np.kron` targets.  Block products,
     not a dense U K U^T: BLAS sums a dense product in another order, which
@@ -89,7 +95,7 @@ def dense_concentration_cascade(
     for i in range(1, n_copies):
         phi = fock.concentration_angle(i)
         unitary = beam_splitter(phi, cutoff)
-        blocks = [(idx, unitary[np.ix_(idx, idx)]) for idx in fock._photon_blocks(cutoff)]
+        blocks = [(idx, unitary[np.ix_(idx, idx)]) for idx in block_indices(cutoff)]
 
         def mix_rows(x):
             flat = np.ascontiguousarray(x).view(float)
@@ -275,10 +281,27 @@ class TestBeamSplitter:
     def test_matches_dense_expm(self, cutoff, phi):
         expm = pytest.importorskip("scipy.linalg").expm
         a = fock.annihilation(cutoff)
-        generator = np.kron(a.conj().T, a) - np.kron(a, a.conj().T)
+        # scipy's expm of the complex generator agrees with the blocks to a
+        # few 1e-14; of the real one, only to a few 1e-13
+        generator = (np.kron(a.T, a) - np.kron(a, a.T)).astype(complex)
         u = beam_splitter(phi, cutoff)
         assert u.dtype == np.float64 and u.shape == (cutoff**2, cutoff**2)
         assert np.max(np.abs(u - expm(phi * generator))) < 1e-13
+
+    @pytest.mark.parametrize("cutoff", [26, 40])
+    @pytest.mark.parametrize("phi", [math.pi / 4, math.atan(1 / math.sqrt(2)), -0.6, 2.0])
+    def test_each_block_matches_expm_of_its_truncated_generator(self, cutoff, phi):
+        # every block, the truncated ones (total >= cutoff) included, against
+        # the exponential of the generator restricted to its rows and columns
+        expm = pytest.importorskip("scipy.linalg").expm
+        a = fock.annihilation(cutoff)
+        generator = np.kron(a.T, a) - np.kron(a, a.T)
+        blocks = fock._beam_splitter_blocks(phi, cutoff)
+        assert len(blocks) == 2 * cutoff - 1
+        for (rows, block), idx in zip(blocks, block_indices(cutoff)):
+            assert block.dtype == np.float64
+            reference = expm(phi * generator[np.ix_(idx, idx)].astype(complex))
+            assert np.max(np.abs(block - reference)) < 1e-13
 
     @pytest.mark.parametrize("phi", [math.pi / 4, 2.0])
     def test_orthogonal_on_whole_window(self, phi):
@@ -295,7 +318,7 @@ class TestBeamSplitter:
 
     def test_photon_blocks_partition_the_window(self):
         d = 5
-        blocks = fock._photon_blocks(d)
+        blocks = block_indices(d)
         assert len(blocks) == 2 * d - 1
         assert [len(b) for b in blocks] == [1, 2, 3, 4, 5, 4, 3, 2, 1]
         assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(d * d))
@@ -443,6 +466,30 @@ class TestConcentration:
             assert exact <= report.joint_bound <= cutoff * exact
             ratios.append(report.joint_bound / exact)
         record_property("bound_over_exact", ratios)
+
+    def test_a_step_calls_kron_once_for_its_input(self, monkeypatch):
+        # the product target is subtracted through strided views of the
+        # joint output, never formed: the one np.kron is the step's input
+        cutoff, n_mean = 14, 0.2
+        expected = fock.verify_concentration_cascade(0.5, n_mean, n_copies=2, cutoff=cutoff)
+        carried = fock.displaced_thermal_density(0.5, n_mean, cutoff)
+        fresh = carried.copy()
+        target_first = fock.displaced_thermal_density(math.sqrt(2.0) * 0.5, n_mean, cutoff)
+        target_second = fock.thermal_density(n_mean, cutoff)
+        calls = []
+        kron = np.kron
+
+        def counting(a, b):
+            calls.append((a, b))
+            return kron(a, b)
+
+        monkeypatch.setattr(np, "kron", counting)
+        report = fock._concentration_step(
+            fock.concentration_angle(1), carried, fresh, target_first, target_second
+        )
+        assert len(calls) == 1
+        assert calls[0][0] is carried and calls[0][1] is fresh
+        assert [report] == expected
 
     def test_tail_precondition_names_required_cutoff(self):
         with pytest.raises(PreconditionError, match="use cutoff >="):

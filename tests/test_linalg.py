@@ -102,6 +102,48 @@ def test_rank_frobenius_bound_rejects_a_skew_entry_in_any_strip(row, col):
         rank_frobenius_bound(a)
 
 
+def strip_gate_raises(d):
+    # the Hermiticity gate of rank_frobenius_bound, run on every input
+    scale = skew = 0.0
+    for start in range(0, d.shape[0], 64):
+        upper = d[start : start + 64, start:]
+        lower = d[start:, start : start + 64]
+        scale = max(scale, float(np.max(np.abs(upper))), float(np.max(np.abs(lower))))
+        skew = max(skew, float(np.max(np.abs(upper - np.conjugate(lower.T)))) / 2)
+    return skew > 1e-9 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_rank_frobenius_bound_raises_exactly_where_the_strip_gate_does(dtype):
+    # the gate is skipped at small norms; it must not change a verdict
+    rng = np.random.default_rng(21)
+    n = 150
+    verdicts = []
+    for norm in np.logspace(-11, -6, 31):
+        for skew_share in (1e-3, 0.05, 0.3, 1.0):
+            h = rng.normal(size=(n, n)).astype(dtype)
+            s = rng.normal(size=(n, n)).astype(dtype)
+            if dtype is complex:
+                h += 1j * rng.normal(size=(n, n))
+                s += 1j * rng.normal(size=(n, n))
+            h += h.conj().T
+            s -= s.conj().T
+            # the skew part of one entry pair, concentrated, or spread out
+            concentrated = np.zeros_like(s)
+            concentrated[7, 120] = s[7, 120]
+            for skew in (s, concentrated):
+                d = h / np.linalg.norm(h) + skew_share * skew / np.linalg.norm(skew)
+                d *= norm / np.linalg.norm(d)
+                raises = strip_gate_raises(d)
+                verdicts.append(raises)
+                if raises:
+                    with pytest.raises(DomainError):
+                        rank_frobenius_bound(d)
+                else:
+                    assert rank_frobenius_bound(d) == float(np.sqrt(n) * np.linalg.norm(d))
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_rank_frobenius_bound_and_trace_distance_reject_nonsquare():
     for f in (rank_frobenius_bound, lambda d: trace_distance(d, d)):
         with pytest.raises(DomainError):
