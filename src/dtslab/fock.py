@@ -7,11 +7,13 @@ Fisher matrix from exact derivatives of the truncated family.  It exists to
 certify the closed forms in `bounds` and the sampling laws in `states`, so
 it shares no formulas with them beyond the thermal weights.
 
-Conventions: operators carry the dtype of their entries, float64 for a real
-amplitude and complex128 otherwise.  Single-mode operators are (cutoff x
-cutoff); two-mode operators are (cutoff^2 x cutoff^2) with basis index
-(m, n) -> m * cutoff + n (numpy.kron order, mode 1 first).  Densities built
-here have trace <= 1, with the deficit bounded by the tail functions below.
+Conventions: single-mode operators follow the amplitude, float64 for a real
+one and complex128 otherwise; two-mode operators are float64, because the
+concentration cascade runs at |zeta| (`verify_concentration_cascade`).
+Single-mode operators are (cutoff x cutoff); two-mode operators are
+(cutoff^2 x cutoff^2) with basis index (m, n) -> m * cutoff + n (numpy.kron
+order, mode 1 first).  Densities built here have trace <= 1, with the
+deficit bounded by the tail functions below.
 
 The beam splitter conserves the total photon number m + n, so the two-mode
 window splits into 2 cutoff - 1 blocks of equal total (`_photon_blocks`),
@@ -43,11 +45,10 @@ from .linalg import rank_frobenius_bound, trace_distance
 
 DEFAULT_TAIL_TOL = 1e-8
 _DISTANCE_RULE_TOL = 1e-12  # default-cutoff target for trace-distance certifications
-# two-mode operators hold cutoff**4 entries, 384 MB at 70 for a complex amplitude
-# (half that for a real one); a cascade step keeps two alive at its peak, the
-# np.kron input and the transpose copy that becomes the joint output, about
-# 370 MiB at 70 for a real amplitude (measured): N = 2's default cutoff 69
-# fits, N = 3's 97 does not
+# two-mode operators hold cutoff**4 float64 entries, 192 MB at 70; a cascade
+# step keeps two alive at its peak, the np.kron input and the transpose copy
+# that becomes the joint output, about 370 MiB at 70 (measured): N = 2's
+# default cutoff 69 fits, N = 3's 97 does not
 MAX_CUTOFF = 70
 
 
@@ -194,8 +195,12 @@ def displacement_operator(zeta: complex, cutoff: int) -> np.ndarray:
 
         sqrt(m+1) d[m+1, n] = zeta d[m, n] + sqrt(n) d[m, n-1]
 
-    This reproduces the associated-Laguerre closed form without cancellation
-    for the amplitudes used here.  Unitarity holds away from the top edge of
+    The recurrence loses accuracy toward the bottom-right corner of the
+    window: against a 50-digit reference of the associated-Laguerre closed
+    form the corner entries are off by 7.9e-7 at zeta = 2 sqrt(2), cutoff 37,
+    and by 2.7e-7 at 1.2 sqrt(2), cutoff 69.  The densities built from it
+    stay within 5e-15 of the reference in trace distance, because the thermal
+    weights damp those columns.  Unitarity holds away from the top edge of
     the window; the leaked weight is controlled by the cutoff rule.  The
     window is real (float64) for a real zeta.
     """
@@ -274,11 +279,12 @@ def _beam_splitter_blocks(phi: float, cutoff: int) -> list[tuple[slice, np.ndarr
     the Hermitian form V diag(exp(-i phi w)) V^dagger with V = S W; the two
     real products W cos(phi w) W^T and W sin(phi w) W^T sum in another order
     and move the last bits of the larger blocks.  The phase, 1, i, -1 or
-    -i, moves no bit.  This is exact
-    on every block, including the blocks with total >= cutoff that the window
-    truncates (there it is the exponential of the truncated generator, still
-    orthogonal).  At phi = arctan(1/sqrt(1)) two equal coherent amplitudes
-    merge into mode 1.
+    -i, moves no bit.  Every block, the blocks with total >= cutoff that the
+    window truncates included, is the exponential of its truncated generator
+    to rounding (within 3.4e-14 of scipy's `expm`, and orthogonal as
+    closely, at cutoffs 26 to 60), so U is orthogonal on the whole window.
+    At phi = arctan(1/sqrt(1)) two equal coherent amplitudes merge into
+    mode 1.
     """
     if cutoff < 2:
         raise DomainError(f"cutoff must be at least 2, got {cutoff}")
@@ -303,16 +309,13 @@ def _conjugate_by_blocks(blocks: list[tuple[slice, np.ndarray]], op: np.ndarray)
     cutoff^6.  A block's rows are a basic slice, so each product reads them
     in place.  The contiguous copy of the transpose between the passes is the
     only full-size allocation, and `op` is dropped as soon as it exists, so a
-    temporary passed in is freed there.  U is real, so a pass acts on the real
-    and imaginary parts of a complex operator alike and runs as real products
-    on the float view of the rows; a real operator stays real.  `op` must be
-    C-contiguous, and so is the transpose of the result.
+    temporary passed in is freed there.  `op` must be C-contiguous, and so is
+    the transpose of the result.
     """
 
     def mix_rows(x: np.ndarray) -> None:
-        flat = x.view(float)
         for rows, u in blocks:
-            flat[rows] = u @ flat[rows]
+            x[rows] = u @ x[rows]
 
     mix_rows(op)
     op = np.ascontiguousarray(op.T)
@@ -362,7 +365,7 @@ def require_cutoff_limit(cutoff: int) -> None:
     if cutoff > MAX_CUTOFF:
         raise PreconditionError(
             f"the run needs Fock cutoff {cutoff}, above the limit {MAX_CUTOFF} "
-            "(two-mode operators grow as cutoff**4, 384 MB each at the limit, "
+            "(two-mode operators grow as cutoff**4, 192 MB each at the limit, "
             "and a cascade step holds two)"
         )
 
@@ -430,24 +433,35 @@ def verify_concentration_cascade(
     the n-mode output lies within sum_i joint_bound_i of
     rho_{sqrt(n) zeta} (x) tau^(x (n-1)) in trace distance.
 
+    The cascade runs at r = |zeta|, so every two-mode operator is float64;
+    in exact arithmetic the certificates at zeta = e^{i theta} r equal those
+    at r.  R = diag(e^{i k theta}) is unitary on the window, and
+    D(e^{i theta} r) = R D(r) R^dagger, so rho_{e^{i theta} r} = R rho_r R^dagger,
+    because the thermal density, also the second target, is diagonal and
+    commutes with R.  R (x) R is the scalar e^{i T theta} on photon block T,
+    so it commutes with every block of the beam splitter.  Each step's
+    input, joint output and product target at zeta are therefore those at r
+    conjugated by R (x) R, and its marginals and their targets those at r
+    conjugated by R.  Partial traces, trace distances and Frobenius norms
+    are unchanged by these unitaries.
+
     The automatic cutoff is `concentration_cutoff`; an explicit one must
     pass `require_tails` and `require_cutoff_limit`.
     """
     if n_copies < 2:
         raise DomainError(f"n_copies must be at least 2, got {n_copies}")
-    amplitude = math.sqrt(n_copies) * abs(complex(zeta))
+    modulus = abs(complex(zeta))
+    amplitude = math.sqrt(n_copies) * modulus
     if cutoff is None:
         cutoff = concentration_cutoff(zeta, n_mean, n_copies)
     require_cutoff_limit(cutoff)
     require_tails(n_mean, amplitude, cutoff)
-    fresh = displaced_thermal_density(zeta, n_mean, cutoff)
+    fresh = displaced_thermal_density(modulus, n_mean, cutoff)
     target_second = thermal_density(n_mean, cutoff)
     carried = fresh
     reports = []
     for i in range(1, n_copies):
-        target_first = displaced_thermal_density(
-            math.sqrt(i + 1.0) * complex(zeta), n_mean, cutoff
-        )
+        target_first = displaced_thermal_density(math.sqrt(i + 1.0) * modulus, n_mean, cutoff)
         reports.append(
             _concentration_step(concentration_angle(i), carried, fresh, target_first, target_second)
         )

@@ -13,9 +13,9 @@ import numpy as np
 from .errors import DomainError
 
 PSD_EIGENVALUE_TOL = 1e-12
-_STRIP = 64  # rows per strip in the skew check of rank_frobenius_bound
-# norms at or below this skip that check; the 1% under its 1e-9 floor covers
-# the rounding of the computed norm
+_STRIP = 64  # rows per strip in the Hermiticity gate
+# rank_frobenius_bound skips the gate at norms at or below this; the 1% under
+# the gate's 1e-9 floor covers the rounding of the computed norm
 _GATE_FREE_NORM = 0.99e-9
 
 
@@ -47,6 +47,23 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
+def _require_hermitian(d: np.ndarray, caller: str) -> None:
+    """Raise DomainError unless d's skew residual is within 1e-9 of max(1, max |d|).
+
+    The residual (d - d^dagger) / 2 is taken in strips of rows from the
+    diagonal on and the matching strips of columns, which together cover
+    every entry; the strip temporaries are the only buffers.
+    """
+    scale = skew = 0.0
+    for start in range(0, d.shape[0], _STRIP):
+        upper = d[start : start + _STRIP, start:]
+        lower = d[start:, start : start + _STRIP]
+        scale = max(scale, float(np.max(np.abs(upper))), float(np.max(np.abs(lower))))
+        skew = max(skew, float(np.max(np.abs(upper - np.conjugate(lower.T)))) / 2)
+    if skew > 1e-9 * max(1.0, scale):
+        raise DomainError(f"{caller} expects Hermitian operators")
+
+
 def rank_frobenius_bound(d: np.ndarray) -> float:
     """Upper bound sqrt(side) * ||d||_F on the trace norm of a Hermitian matrix.
 
@@ -54,45 +71,32 @@ def rank_frobenius_bound(d: np.ndarray) -> float:
     the rank is at most the side.  The bound is tight when d has full rank
     and eigenvalues of one modulus, and never more than sqrt(side) times
     the trace norm.  It never writes d.  It reads it once for the Frobenius
-    norm and, where that norm exceeds _GATE_FREE_NORM, once more in strips of
-    rows and the matching strips of columns, where the skew residual
-    (d - d^dagger) / 2 must stay within 1e-9 of max(1, max |d|), or
-    DomainError.  Below that norm the gate cannot fail: the residual is at
-    most max |d| <= ||d||_F, under the tolerance, which is at least 1e-9.
-    The strip temporaries are the only other buffers.
+    norm and, where that norm exceeds _GATE_FREE_NORM, once more for the
+    Hermiticity gate (`_require_hermitian`).  Below that norm the gate cannot
+    fail: the residual is at most max |d| <= ||d||_F, under the tolerance,
+    which is at least 1e-9.
     """
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DomainError(f"rank_frobenius_bound expects a square matrix, got shape {d.shape}")
     norm = float(np.linalg.norm(d))
     if not norm <= _GATE_FREE_NORM:
-        scale = skew = 0.0
-        for start in range(0, d.shape[0], _STRIP):
-            # the row strip from the diagonal on and its mirror column strip:
-            # together over all strips they cover every entry
-            upper = d[start : start + _STRIP, start:]
-            lower = d[start:, start : start + _STRIP]
-            scale = max(scale, float(np.max(np.abs(upper))), float(np.max(np.abs(lower))))
-            skew = max(skew, float(np.max(np.abs(upper - np.conjugate(lower.T)))) / 2)
-        if skew > 1e-9 * max(1.0, scale):
-            raise DomainError("rank_frobenius_bound expects a Hermitian matrix")
+        _require_hermitian(d, "rank_frobenius_bound")
     return float(np.sqrt(d.shape[0]) * norm)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm of the difference of two Hermitian operators.
 
-    The difference d = a - b and its Hermitian part (conj(d^T) + d) / 2 are
-    the full-size buffers; the skew residual d - (conj(d^T) + d) / 2 must
-    stay within 1e-9 of max(1, max |d|), or DomainError.  Real operators
-    take the several times faster real solver.
+    The difference d = a - b must pass the Hermiticity gate
+    (`_require_hermitian`); it and its Hermitian part (conj(d^T) + d) / 2 are
+    the full-size buffers.  Real operators take the several times faster
+    real solver.
     """
     a, b = np.asarray(a), np.asarray(b)
     d = np.subtract(a, b, dtype=np.result_type(a, b, 1.0))
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DomainError("trace_distance expects square matrices of equal shape")
+    _require_hermitian(d, "trace_distance")
     h = np.conjugate(d.T) + d
     h /= 2
-    scale = max(1.0, float(np.max(np.abs(d), initial=0.0)))
-    if np.max(np.abs(d - h), initial=0.0) > 1e-9 * scale:
-        raise DomainError("trace_distance expects Hermitian operators")
     return float(np.abs(np.linalg.eigvalsh(h)).sum()) / 2

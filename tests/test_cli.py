@@ -637,6 +637,29 @@ class TestOracleCheckCommand:
         # one cascade serves every check: one set of beam-splitter blocks per step
         assert calls == [fock.concentration_angle(1), fock.concentration_angle(2)]
 
+    def test_complex_amplitude_certifies_the_cascade_at_its_modulus(self, capsys, monkeypatch):
+        # abs(0.3 + 0.4j) == 0.5 in float64, so the concentration entries of
+        # the two runs are equal; the heterodyne density keeps the complex zeta
+        amplitudes = []
+        density = fock.displaced_thermal_density
+
+        def recording(zeta, n_mean, cutoff):
+            amplitudes.append(zeta)
+            return density(zeta, n_mean, cutoff)
+
+        monkeypatch.setattr(fock, "displaced_thermal_density", recording)
+        entries = []
+        for argv in (("--zeta-re", "0.5"), ("--zeta-re", "0.3", "--zeta-im", "0.4")):
+            amplitudes.clear()
+            code, out, _ = run_cli(capsys, "oracle-check", "--deep", *argv, "--json")
+            assert code == 0
+            checks = json.loads(out)["checks"]
+            entries.append([c for c in checks if c["name"].startswith("concentration")])
+        assert len(entries[0]) == 5 and entries[0] == entries[1]
+        # the complex run's densities: the heterodyne one, then the cascade's
+        assert amplitudes[0] == 0.3 + 0.4j
+        assert all(type(z) is float for z in amplitudes[1:])
+
     def test_joint_bound_fails_where_the_marginals_pass(self, capsys):
         # at the default cutoff 20 the marginals pass but the joint output is
         # 3.0e-6 from the product target (bound 3.0e-5); cutoff 46 certifies it

@@ -113,12 +113,11 @@ def strip_gate_raises(d):
     return skew > 1e-9 * max(1.0, scale)
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_rank_frobenius_bound_raises_exactly_where_the_strip_gate_does(dtype):
-    # the gate is skipped at small norms; it must not change a verdict
+def gate_cases(dtype):
+    # side-150 matrices at Frobenius norms from 1e-11 to 1e-6, their skew
+    # part spread out or in one entry pair, on both sides of the gate
     rng = np.random.default_rng(21)
     n = 150
-    verdicts = []
     for norm in np.logspace(-11, -6, 31):
         for skew_share in (1e-3, 0.05, 0.3, 1.0):
             h = rng.normal(size=(n, n)).astype(dtype)
@@ -128,20 +127,39 @@ def test_rank_frobenius_bound_raises_exactly_where_the_strip_gate_does(dtype):
                 s += 1j * rng.normal(size=(n, n))
             h += h.conj().T
             s -= s.conj().T
-            # the skew part of one entry pair, concentrated, or spread out
             concentrated = np.zeros_like(s)
             concentrated[7, 120] = s[7, 120]
             for skew in (s, concentrated):
                 d = h / np.linalg.norm(h) + skew_share * skew / np.linalg.norm(skew)
                 d *= norm / np.linalg.norm(d)
-                raises = strip_gate_raises(d)
-                verdicts.append(raises)
-                if raises:
-                    with pytest.raises(DomainError):
-                        rank_frobenius_bound(d)
-                else:
-                    assert rank_frobenius_bound(d) == float(np.sqrt(n) * np.linalg.norm(d))
+                yield d
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_rank_frobenius_bound_raises_exactly_where_the_strip_gate_does(dtype):
+    # the gate is skipped at small norms; it must not change a verdict
+    verdicts = []
+    for d in gate_cases(dtype):
+        raises = strip_gate_raises(d)
+        verdicts.append(raises)
+        if raises:
+            with pytest.raises(DomainError):
+                rank_frobenius_bound(d)
+        else:
+            assert rank_frobenius_bound(d) == float(np.sqrt(d.shape[0]) * np.linalg.norm(d))
     assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_trace_distance_raises_exactly_where_the_strip_gate_does(dtype):
+    # trace_distance runs the same gate on the difference, at every norm
+    for d in gate_cases(dtype):
+        zero = np.zeros_like(d)
+        if strip_gate_raises(d):
+            with pytest.raises(DomainError):
+                trace_distance(d, zero)
+        else:
+            trace_distance(d, zero)
 
 
 def test_rank_frobenius_bound_and_trace_distance_reject_nonsquare():
