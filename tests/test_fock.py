@@ -87,7 +87,9 @@ def dense_concentration_cascade(
     `rank_frobenius_bound` against the `np.kron` targets.  Block products,
     not a dense U K U^T: BLAS sums a dense product in another order, which
     moves the distances by a few 1e-20 at cutoff 14.  Each report comes with
-    the exact joint trace distance, from a dense eigensolve.
+    the exact joint trace distance, from a dense eigensolve.  At a complex
+    zeta it runs in complex128, where `fock` runs at |zeta|: the reference
+    for the phase-covariance argument.
     """
     fresh = fock.displaced_thermal_density(zeta, n_mean, cutoff)
     target_second = fock.thermal_density(n_mean, cutoff)
