@@ -96,8 +96,9 @@ def test_shortest_matches_three_product_reference():
         d_ref, e_ref = reference_shortest(chunk)
         np.testing.assert_array_equal(d, d_ref)
         np.testing.assert_array_equal(e, e_ref)
-        irregular += np.count_nonzero(chunk.view(np.uint64) & np.uint64((1 << 52) - 1) == 0)
-    assert irregular >= 2045
+        bits = chunk.view(np.uint64)
+        irregular += np.count_nonzero((bits << np.uint64(12) == 0) & (bits >> np.uint64(52) > 1))
+    assert irregular >= 2045  # 2^-1021 .. 2^1023 at least
 
 
 def test_round_to_odd_sums_are_exact():
