@@ -122,6 +122,7 @@ def test_round_to_odd_sums_are_exact():
             for middle in middles:
                 for low in (0, noise, 2**64 - 1, d0, (d0 - 1) % 2**64):
                     cases.append((high | middle << 64 | low, g, shift, subtract))
+
     def words(values, count):
         return [np.array([v >> 64 * i & (2**64 - 1) for v in values], dtype=np.uint64)
                 for i in reversed(range(count))]
