@@ -7,10 +7,13 @@ that a collective beam-splitter concentration strategy attains the bound
 while a per-copy heterodyne strategy does not.
 
 Modules:
-    bounds    -- RLD Fisher matrix inverses, bound formulas, Gaussian trade-off
+    bounds    -- weight matrices, RLD Fisher matrix inverses, bound formulas, Gaussian trade-off
+    rng       -- counter-based random streams: every draw a function of (seed, stream, counter)
     states    -- analytic outcome laws and block samplers (heterodyne, photon counting)
     fock      -- truncated Fock-space oracle that certifies the analytic laws
+    linalg    -- the oracle's trace norms: exact trace distance and rank-Frobenius bound
     estimator -- outcome-level protocol simulation and empirical MSE matrices
+    csvtext   -- the per-trial CSV, encoded in numpy with csv.writer's bytes
     cli       -- batch front-end (bounds | simulate | oracle-check)
 """
 

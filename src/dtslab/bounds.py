@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import PSD_EIGENVALUE_TOL, sqrt_psd, trace_norm
 
+PSD_EIGENVALUE_TOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
 _OFF_BLOCK_TOL = 1e-12
 
@@ -64,10 +64,13 @@ class WeightMatrix:
 
     Strictly positive weights are the textbook setting; semidefinite ones
     (zero eigenvalues, "ignore this direction") are accepted because every
-    bound formula stays finite there.
+    bound formula stays finite there.  Eigenvalues in [-PSD_EIGENVALUE_TOL
+    * max(1, max |G|), 0) count as round-off: `root`, the read-only
+    symmetric square root of G that the general bound needs, clamps them
+    to zero.
     """
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "entries", "root")
 
     def __init__(self, entries: np.ndarray):
         m = np.asarray(entries, dtype=float)
@@ -82,14 +85,17 @@ class WeightMatrix:
         if np.max(np.abs(m / 2 - m.T / 2)) > 0.5e-9 * scale:  # m - m.T can overflow
             raise DomainError("weight matrix must be symmetric")
         m = m / 2 + m.T / 2  # (m + m.T) / 2 overflows near the float64 limit
-        w = np.linalg.eigvalsh(m)
+        w, v = np.linalg.eigh(m)
         if w.min() < -PSD_EIGENVALUE_TOL * scale:
             raise DomainError(
                 f"weight matrix must be positive semidefinite (min eigenvalue {w.min():.3e})"
             )
+        root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
         self.dim = d
         self.entries = m
+        self.root = (root + root.T) / 2
         self.entries.setflags(write=False)
+        self.root.setflags(write=False)
 
     @classmethod
     def identity(cls, dim: int) -> "WeightMatrix":
@@ -177,22 +183,18 @@ def rld_inverse_3param(n_mean: float) -> np.ndarray:
     return out
 
 
-def c_r_general(weight: WeightMatrix, j_inv: np.ndarray) -> float:
-    """Bound from the matrix formula Tr G Re Jinv + Tr |sqrt(G) Im Jinv sqrt(G)|."""
-    j_inv = np.asarray(j_inv)
-    if j_inv.ndim != 2 or j_inv.shape != (weight.dim, weight.dim):
-        raise DomainError(
-            f"weight dimension {weight.dim} does not match matrix shape {j_inv.shape}"
-        )
-    scale = max(1.0, float(np.max(np.abs(j_inv))))
-    if np.max(np.abs(j_inv - j_inv.conj().T)) > 1e-9 * scale:
-        raise DomainError("inverse Fisher matrix must be Hermitian")
-    g = weight.entries
-    root = sqrt_psd(g)
+def c_r_general(weight: WeightMatrix, n_mean: float) -> float:
+    """Bound from the matrix formula Tr G Re Jinv + Tr |sqrt(G) Im Jinv sqrt(G)|.
+
+    Jinv is `rld_inverse_2param` for a 2x2 weight (N known) and
+    `rld_inverse_3param` for a 3x3 one; the trace norm is the sum of
+    singular values.
+    """
+    j_inv = rld_inverse_2param(n_mean) if weight.dim == 2 else rld_inverse_3param(n_mean)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        real_term = float(np.trace(g @ j_inv.real))
-    imag_term = trace_norm(root @ j_inv.imag @ root)
-    return _finite_bound(real_term + imag_term)
+        real_term = float(np.trace(weight.entries @ j_inv.real))
+    imag = weight.root @ j_inv.imag @ weight.root
+    return _finite_bound(real_term + float(np.linalg.svd(imag, compute_uv=False).sum()))
 
 
 def _finite_bound(value: float) -> float:

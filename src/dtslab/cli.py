@@ -114,8 +114,7 @@ def cmd_bounds(args, argv) -> int:
         raise ValueError("--known-n requires a 2x2 weight matrix")
     theta = _theta_from_args(args)  # the bound depends only on n_mean; echoed for the record
     n_mean = theta.n_mean
-    j_inv = rld_inverse_2param(n_mean) if weight.dim == 2 else rld_inverse_3param(n_mean)
-    general = c_r_general(weight, j_inv)
+    general = c_r_general(weight, n_mean)
 
     closed = tradeoff = None
     if weight.is_block_form():

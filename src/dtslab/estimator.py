@@ -64,13 +64,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from . import states
-from .bounds import (
-    ThetaPoint,
-    WeightMatrix,
-    c_r_general,
-    rld_inverse_2param,
-    rld_inverse_3param,
-)
+from .bounds import ThetaPoint, WeightMatrix, c_r_general
 from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
@@ -150,7 +144,6 @@ class MseMatrix:
     single trial).
     """
 
-    dim: int
     entries: np.ndarray
     trials: int
     n_trace_gv: float
@@ -159,8 +152,6 @@ class MseMatrix:
 
 @dataclass(frozen=True)
 class BoundComparison:
-    n_trace_gv: float
-    se_trace: float | None
     c_r: float
     ratio: float
     ratio_se: float | None
@@ -257,14 +248,7 @@ def monte_carlo_mse(config: ExperimentConfig, trial_sink: TrialSink | None = Non
         raise DomainError(
             f"the weight's scale {scale:g} is too large: the MSE moments overflow float64"
         )
-    return MseMatrix(dim=d, entries=entries, trials=trials, n_trace_gv=n_trace_gv, se_trace=se)
-
-
-def reference_bound(config: ExperimentConfig) -> float:
-    """The RLD bound the experiment is measured against."""
-    if config.protocol.n_params == 2:
-        return c_r_general(config.weight, rld_inverse_2param(config.theta.n_mean))
-    return c_r_general(config.weight, rld_inverse_3param(config.theta.n_mean))
+    return MseMatrix(entries=entries, trials=trials, n_trace_gv=n_trace_gv, se_trace=se)
 
 
 def _identity_weight(config: ExperimentConfig) -> bool:
@@ -296,7 +280,7 @@ def compare_to_bounds(mse: MseMatrix, config: ExperimentConfig) -> BoundComparis
     For identity weights the large-n ratio tends to 1 for the collective and
     known-N protocols and to (N+3)/(N+2) for the separable baseline.
     """
-    c_r = reference_bound(config)
+    c_r = c_r_general(config.weight, config.theta.n_mean)
     expected = None
     if _identity_weight(config):
         if config.protocol is ProtocolKind.SEPARABLE_HETERODYNE:
@@ -304,8 +288,6 @@ def compare_to_bounds(mse: MseMatrix, config: ExperimentConfig) -> BoundComparis
         else:
             expected = 1.0
     return BoundComparison(
-        n_trace_gv=mse.n_trace_gv,
-        se_trace=mse.se_trace,
         c_r=c_r,
         ratio=mse.n_trace_gv / c_r,
         ratio_se=None if mse.se_trace is None else mse.se_trace / c_r,

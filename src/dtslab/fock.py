@@ -96,12 +96,7 @@ def displaced_thermal_tail_bound(n_mean: float, amplitude: float, cutoff: int) -
     return math.exp(best) if best < 0.0 else 1.0
 
 
-def cutoff_for(
-    n_mean: float,
-    amplitude: float = 0.0,
-    tol: float = DEFAULT_TAIL_TOL,
-    min_cutoff: int = 2,
-) -> int:
+def cutoff_for(n_mean: float, amplitude: float = 0.0, tol: float = DEFAULT_TAIL_TOL) -> int:
     """Smallest cutoff whose thermal and coherent tails both fall below tol.
 
     `amplitude` is the largest coherent amplitude the computation touches;
@@ -116,7 +111,7 @@ def cutoff_for(
     d_thermal = math.log(tol) / -math.log1p(1.0 / n_mean)
     if not math.isfinite(d_thermal):
         raise PreconditionError(f"no finite cutoff reaches tail {tol:g} at n_mean {n_mean:g}")
-    d = max(min_cutoff, 2, math.ceil(d_thermal))
+    d = max(2, math.ceil(d_thermal))
     try:
         return _least_poisson_cutoff(float(abs(amplitude)) ** 2, tol, d)
     except (OverflowError, ValueError):

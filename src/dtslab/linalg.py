@@ -1,9 +1,11 @@
-"""Small dense matrix helpers used across the package.
+"""Trace norms for the Fock oracle's certificates.
 
-Complex matrices are plain ``numpy.ndarray`` objects; these functions supply
-the decompositions and norms the bound formulas and the Fock oracle need.
-Everything here targets desk-scale matrices (a few entries up to a few
-thousand per side), so dense LAPACK routines are always the right tool.
+`trace_distance` is the exact half trace norm of a difference of Hermitian
+operators, by one dense eigensolve; `rank_frobenius_bound` is a certified
+upper bound on a trace norm from the Frobenius norm.  Both share one
+Hermiticity gate, taken in strips of rows so that it needs no full-size
+temporary.  Operators are plain ``numpy.ndarray`` objects, up to a few
+thousand per side.
 """
 
 from __future__ import annotations
@@ -12,39 +14,10 @@ import numpy as np
 
 from .errors import DomainError
 
-PSD_EIGENVALUE_TOL = 1e-12
 _STRIP = 64  # rows per strip in the Hermiticity gate
 # rank_frobenius_bound skips the gate at norms at or below this; the 1% under
 # the gate's 1e-9 floor covers the rounding of the computed norm
 _GATE_FREE_NORM = 0.99e-9
-
-
-def sqrt_psd(m: np.ndarray, negative_tol: float = PSD_EIGENVALUE_TOL) -> np.ndarray:
-    """Symmetric square root of a real symmetric positive semidefinite matrix.
-
-    Eigenvalues in [-negative_tol, 0) are treated as round-off and clamped to
-    zero; anything more negative, or an asymmetric input, raises DomainError.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"sqrt_psd expects a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m / 2 - m.T / 2)) > 0.5e-9 * scale:  # m - m.T can overflow
-        raise DomainError("sqrt_psd expects a symmetric matrix")
-    w, v = np.linalg.eigh(m / 2 + m.T / 2)  # (m + m.T) / 2 overflows near the float64 limit
-    if w.min() < -negative_tol * scale:
-        raise DomainError(f"matrix is not positive semidefinite (min eigenvalue {w.min():.3e})")
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.T
-    return (root + root.T) / 2
-
-
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values of a square real or complex matrix."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"trace_norm expects a square matrix, got shape {m.shape}")
-    return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
 def _require_hermitian(d: np.ndarray, caller: str) -> None:

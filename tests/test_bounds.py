@@ -85,6 +85,30 @@ class TestWeightMatrix:
         assert np.allclose(w.entries, w.entries.T)
 
 
+class TestWeightMatrixRoot:
+    def test_diagonal(self):
+        assert np.allclose(WeightMatrix(np.diag([4.0, 1.0])).root, np.diag([2.0, 1.0]), atol=1e-14)
+
+    def test_identity(self):
+        assert np.allclose(WeightMatrix.identity(3).root, np.eye(3), atol=1e-14)
+
+    def test_random_roundtrip(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            a = rng.normal(size=(3, 3))
+            m = a @ a.T
+            root = WeightMatrix(m).root
+            assert np.linalg.norm(root @ root - m) < 1e-9 * max(1.0, np.linalg.norm(m))
+
+    def test_symmetric_and_read_only(self):
+        m = np.array([[2.0, 1.0], [1.0, 2.0]])
+        root = WeightMatrix(m).root
+        assert np.linalg.norm(root @ root - m) < 1e-10
+        assert np.array_equal(root, root.T)
+        with pytest.raises(ValueError, match="read-only"):
+            root[0, 0] = 1.0
+
+
 class TestRldInverse:
     def test_2param_at_n1(self):
         expected = np.array([[1.5, 0.5j], [-0.5j, 1.5]])
@@ -126,38 +150,118 @@ class TestRldInverse:
 
 class TestCrGeneral:
     def test_identity2(self):
-        assert c_r_general(WeightMatrix.identity(2), rld_inverse_2param(1.0)) == pytest.approx(
-            4.0, abs=1e-12
-        )
+        assert c_r_general(WeightMatrix.identity(2), 1.0) == pytest.approx(4.0, abs=1e-12)
 
     def test_identity3(self):
-        assert c_r_general(WeightMatrix.identity(3), rld_inverse_3param(1.0)) == pytest.approx(
-            6.0, abs=1e-12
-        )
+        assert c_r_general(WeightMatrix.identity(3), 1.0) == pytest.approx(6.0, abs=1e-12)
 
     def test_zero_weight(self):
-        assert c_r_general(WeightMatrix(np.zeros((2, 2))), rld_inverse_2param(1.0)) == 0.0
+        assert c_r_general(WeightMatrix(np.zeros((2, 2))), 1.0) == 0.0
 
     def test_overflowing_bound_is_refused(self):
         weight = WeightMatrix(np.eye(2) * 1e10)
         with pytest.raises(DomainError, match="overflows"):
-            c_r_general(weight, rld_inverse_2param(1e300))
+            c_r_general(weight, 1e300)
         with pytest.raises(DomainError, match="overflows"):
             c_r_closed_2param(1e10, 0.0, 0.0, 1e300)
 
-    def test_dim_mismatch(self):
-        with pytest.raises(DomainError):
-            c_r_general(WeightMatrix.identity(3), rld_inverse_2param(1.0))
+    # Tr |sqrt(G) Im Jinv sqrt(G)| is a sum of singular values; at the identity
+    # weight it is the trace norm of Im Jinv = [[0, 1/2], [-1/2, 0]] (padded by
+    # a zero row and column for three parameters)
+    def test_imaginary_term_of_an_antisymmetric_matrix(self):
+        assert c_r_general(WeightMatrix.identity(2), 0.5) - 2.0 == pytest.approx(1.0, abs=1e-14)
 
-    def test_nonhermitian_rejected(self):
-        with pytest.raises(DomainError):
-            c_r_general(WeightMatrix.identity(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
+    def test_imaginary_term_of_a_zero_matrix(self):
+        assert c_r_general(WeightMatrix(np.zeros((3, 3))), 1.0) == 0.0
+
+    def test_imaginary_term_padded_antisymmetric_against_eigen_oracle(self):
+        # independent oracle: for real antisymmetric m, singular values are the
+        # absolute eigenvalues of the Hermitian matrix i*m
+        oracle = float(np.abs(np.linalg.eigvalsh(1j * rld_inverse_3param(1.0).imag)).sum())
+        assert oracle == pytest.approx(1.0, abs=1e-14)
+        real_term = 2.0 * 1.5 + 1.0 * 2.0  # Tr Re Jinv at N = 1
+        imag_term = c_r_general(WeightMatrix.identity(3), 1.0) - real_term
+        assert imag_term == pytest.approx(oracle, abs=1e-12)
 
     def test_value_nonnegative_on_random_psd(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             w = random_psd_2(rng)
-            assert c_r_general(w, rld_inverse_2param(0.7)) >= 0.0
+            assert c_r_general(w, 0.7) >= 0.0
+
+
+def reference_c_r_general(m, n_mean):
+    """C_R(G) for a raw matrix, with the square root taken afresh from G.
+
+    The weight is validated (symmetry on m / 2, PSD on `eigvalsh`), Jinv is
+    chosen by dimension, the root comes from a second `eigh` of the
+    re-symmetrized entries with its own symmetry and PSD tests, and the
+    imaginary term is an SVD trace norm.  The weight's and the bound's
+    messages are the package's; the root's own tests keep messages of
+    their own, so a grid point where only they fire cannot match.
+    """
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise DomainError("weight matrix entries must be finite")
+    scale = max(1.0, float(np.max(np.abs(m))))
+    if np.max(np.abs(m / 2 - m.T / 2)) > 0.5e-9 * scale:
+        raise DomainError("weight matrix must be symmetric")
+    g = m / 2 + m.T / 2
+    w = np.linalg.eigvalsh(g)
+    if w.min() < -1e-12 * scale:
+        raise DomainError(
+            f"weight matrix must be positive semidefinite (min eigenvalue {w.min():.3e})"
+        )
+    j_inv = rld_inverse_2param(n_mean) if len(g) == 2 else rld_inverse_3param(n_mean)
+    scale = max(1.0, float(np.max(np.abs(g))))
+    if np.max(np.abs(g / 2 - g.T / 2)) > 0.5e-9 * scale:
+        raise DomainError("the root's symmetry test failed")
+    w, v = np.linalg.eigh(g / 2 + g.T / 2)
+    if w.min() < -1e-12 * scale:
+        raise DomainError("the root's PSD test failed")
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    root = (root + root.T) / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        real_term = float(np.trace(g @ j_inv.real))
+    value = real_term + float(np.linalg.svd(root @ j_inv.imag @ root, compute_uv=False).sum())
+    if not math.isfinite(value):
+        raise DomainError("the bound overflows float64 for this weight and n_mean")
+    return value
+
+
+def reference_grid():
+    """Seeded weights: both dimensions, scales 10^-200..10^200, full rank,
+    rank-deficient, block form, indefinite and asymmetric."""
+    rng = np.random.default_rng(41)
+    for dim in (2, 3):
+        for exponent in (-200, -100, -8, 0, 8, 100, 154, 200, 300):
+            scale = 10.0**exponent
+            for _ in range(4):
+                a = rng.normal(size=(dim, dim))
+                v = rng.normal(size=dim)
+                yield scale * (a @ a.T)
+                yield scale * np.outer(v, v)
+                yield scale * np.diag(np.abs(v) * (np.arange(dim) > 0))
+                yield scale * (a @ a.T - 2.0 * np.abs(a).sum() ** 2 * np.eye(dim))
+                yield scale * (a @ a.T + np.triu(np.full((dim, dim), 1e-6), 1))
+
+
+class TestCrGeneralMatchesReference:
+    @pytest.mark.parametrize("n_mean", [1e-12, 0.5, 1.0, 7.3, 1e150])
+    def test_bit_for_bit(self, n_mean):
+        outcomes = {"value": 0, "error": 0}
+        for m in reference_grid():
+            try:
+                expected = reference_c_r_general(m, n_mean)
+            except DomainError as exc:
+                with pytest.raises(DomainError) as info:
+                    c_r_general(WeightMatrix(m), n_mean)
+                assert str(info.value) == str(exc), m
+                outcomes["error"] += 1
+            else:
+                assert c_r_general(WeightMatrix(m), n_mean) == expected, m
+                outcomes["value"] += 1
+        assert min(outcomes.values()) > 0
 
 
 class TestClosedForms:
@@ -188,54 +292,50 @@ class TestClosedForms:
         # every bound formula returns a plain float
         assert type(c_r_closed_2param(1.0, 0.0, 0.0, 1.0)) is float
         assert type(c_r_closed_3param(0.0, 1.0, 0.0, 0.0, 1.0)) is float
-        assert type(c_r_general(WeightMatrix.identity(2), rld_inverse_2param(1.0))) is float
+        assert type(c_r_general(WeightMatrix.identity(2), 1.0)) is float
 
     @pytest.mark.parametrize("n_mean", [0.5, 1.0, 2.0])
     def test_matches_general_2param(self, n_mean):
         rng = np.random.default_rng(17)
-        j_inv = rld_inverse_2param(n_mean)
         for _ in range(100):
             w = random_psd_2(rng)
             g1, g2, g3 = w.two_param_gs()
             closed = c_r_closed_2param(g1, g2, g3, n_mean)
-            general = c_r_general(w, j_inv)
+            general = c_r_general(w, n_mean)
             assert abs(closed - general) < 1e-10
 
     @pytest.mark.parametrize("n_mean", [0.5, 1.0, 2.0])
     def test_matches_general_3param_block(self, n_mean):
         rng = np.random.default_rng(19)
-        j_inv = rld_inverse_3param(n_mean)
         for _ in range(100):
             g0, g1, g2, g3 = random_block_3(rng)
             w = WeightMatrix.from_three_param_gs(g0, g1, g2, g3)
             closed = c_r_closed_3param(g0, g1, g2, g3, n_mean)
-            general = c_r_general(w, j_inv)
+            general = c_r_general(w, n_mean)
             assert abs(closed - general) < 1e-10
 
 
 class TestBoundProperties:
     def test_homogeneity(self):
         rng = np.random.default_rng(23)
-        j_inv = rld_inverse_2param(0.8)
         for _ in range(20):
             w = random_psd_2(rng)
             c = rng.uniform(0.0, 3.0)
             scaled = WeightMatrix(c * w.entries)
-            assert c_r_general(scaled, j_inv) == pytest.approx(
-                c * c_r_general(w, j_inv), rel=1e-10, abs=1e-12
+            assert c_r_general(scaled, 0.8) == pytest.approx(
+                c * c_r_general(w, 0.8), rel=1e-10, abs=1e-12
             )
 
     def test_superadditivity(self):
         # from the variational form inf{Tr G V : V >= Jinv}: the infimum of a
         # sum dominates the sum of infima, so C_R(G1 + G2) >= C_R(G1) + C_R(G2)
         rng = np.random.default_rng(29)
-        j_inv = rld_inverse_2param(1.3)
         for _ in range(50):
             w1 = random_psd_2(rng)
             w2 = random_psd_2(rng)
             total = WeightMatrix(w1.entries + w2.entries)
-            lhs = c_r_general(total, j_inv)
-            rhs = c_r_general(w1, j_inv) + c_r_general(w2, j_inv)
+            lhs = c_r_general(total, 1.3)
+            rhs = c_r_general(w1, 1.3) + c_r_general(w2, 1.3)
             assert lhs >= rhs - 1e-10
 
 

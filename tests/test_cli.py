@@ -12,7 +12,7 @@ import tracemalloc
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dtslab import cli, fock, states
@@ -741,6 +741,49 @@ def test_any_config_values_end_in_an_exit_code(tmp_path, values):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["simulate", "--config", str(config)])
     assert code in (0, 1, 2, 3)
+
+
+@st.composite
+def _weight_files(draw):
+    """(dim, row-major entries) of a weight file, symmetric in about half of them."""
+    dim = draw(st.sampled_from([2, 3]))
+    entries = draw(st.lists(st.floats(), min_size=dim * dim, max_size=dim * dim))
+    if draw(st.booleans()):
+        for i in range(dim):
+            for j in range(i):
+                entries[i * dim + j] = entries[j * dim + i]
+    return dim, entries
+
+
+# G is indefinite by 3e137, within the PSD tolerance of 1e-12 times its
+# 5.7e200 entry, and its off-block entries count as zero; the general bound
+# reads 6.8e141 and the closed form 1.36e142, so the two are not compared
+_WIDE_SCALE_WEIGHT = (3, [6.8e141, 0.0, 1.9687993803331008e171, 0.0, 6.8e141, 0.0,
+                          1.9687993803331008e171, 0.0, 5.7e200])
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    database=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(weight=_weight_files(), n_mean=st.floats())
+@example(weight=(2, [1.0, 0.0, 0.0, 1.0]), n_mean=1.0)
+@example(weight=_WIDE_SCALE_WEIGHT, n_mean=1e-300)
+def test_any_weight_file_ends_in_a_finite_bound_or_exit_3(tmp_path, weight, n_mean):
+    dim, entries = weight
+    path = tmp_path / "w.txt"
+    path.write_text(f"{dim}\n" + " ".join(map(repr, entries)) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["bounds", "--weight", str(path), f"--n-mean={n_mean!r}", "--json"])
+    assert code in (0, 3) and "Traceback" not in err.getvalue()
+    if code == 0:
+        payload = json.loads(out.getvalue())
+        for key in ("c_r_general", "c_r_closed", "difference"):
+            assert payload[key] is None or math.isfinite(payload[key]), key
 
 
 def test_cli_import_loads_no_scipy():

@@ -609,9 +609,9 @@ class TestCutoffRule:
         assert fock.thermal_tail(1.0, d - 1) >= fock.DEFAULT_TAIL_TOL
 
     @staticmethod
-    def linear_scan(n_mean, amplitude, tol, min_cutoff):
+    def linear_scan(n_mean, amplitude, tol):
         """The rule by definition: step the cutoff up until both tails pass."""
-        d = max(min_cutoff, 2)
+        d = 2
         while (
             fock.thermal_tail(n_mean, d) >= tol
             or fock.poisson_tail_bound(amplitude**2, d) >= tol
@@ -623,10 +623,20 @@ class TestCutoffRule:
         for n_mean in (0.01, 0.5, 1.0, 3.0):
             for amplitude in (0.0, 1e-3, 0.5, 1.0, 1.2247, 2.5, 6.0, 20.0):
                 for tol in (1e-12, 1e-8, 0.5, 0.999):
-                    for min_cutoff in (2, 40):
-                        assert fock.cutoff_for(n_mean, amplitude, tol, min_cutoff) == (
-                            self.linear_scan(n_mean, amplitude, tol, min_cutoff)
-                        ), (n_mean, amplitude, tol, min_cutoff)
+                    assert fock.cutoff_for(n_mean, amplitude, tol) == (
+                        self.linear_scan(n_mean, amplitude, tol)
+                    ), (n_mean, amplitude, tol)
+        # the Poisson search alone, from the least start and from a raised one
+        # (a thermal cutoff above the Poisson one)
+        for amplitude in (0.0, 1e-3, 0.5, 1.0, 1.2247, 2.5, 6.0, 20.0):
+            for tol in (1e-12, 1e-8, 0.5, 0.999):
+                for start in (2, 40):
+                    d = start
+                    while fock.poisson_tail_bound(amplitude**2, d) >= tol:
+                        d += 1
+                    assert fock._least_poisson_cutoff(amplitude**2, tol, start) == d, (
+                        amplitude, tol, start
+                    )
 
     def test_large_amplitude_search_is_minimal(self):
         mu = 1e10

@@ -2,68 +2,7 @@ import numpy as np
 import pytest
 
 from dtslab.errors import DomainError
-from dtslab.linalg import (
-    rank_frobenius_bound,
-    sqrt_psd,
-    trace_distance,
-    trace_norm,
-)
-
-
-def test_sqrt_psd_diagonal():
-    assert np.allclose(sqrt_psd(np.diag([4.0, 1.0])), np.diag([2.0, 1.0]), atol=1e-14)
-
-
-def test_sqrt_psd_identity():
-    assert np.allclose(sqrt_psd(np.eye(3)), np.eye(3), atol=1e-14)
-
-
-def test_sqrt_psd_squares_back():
-    m = np.array([[2.0, 1.0], [1.0, 2.0]])
-    root = sqrt_psd(m)
-    assert np.linalg.norm(root @ root - m) < 1e-10
-    assert np.allclose(root, root.T)
-
-
-def test_sqrt_psd_random_roundtrip():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        a = rng.normal(size=(3, 3))
-        m = a @ a.T
-        root = sqrt_psd(m)
-        assert np.linalg.norm(root @ root - m) < 1e-9 * max(1.0, np.linalg.norm(m))
-
-
-def test_sqrt_psd_rejects_asymmetric():
-    with pytest.raises(DomainError):
-        sqrt_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_sqrt_psd_rejects_indefinite():
-    with pytest.raises(DomainError):
-        sqrt_psd(np.diag([1.0, -0.5]))
-
-
-def test_trace_norm_antisymmetric():
-    assert trace_norm(np.array([[0.0, 0.5], [-0.5, 0.0]])) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_trace_norm_zero():
-    assert trace_norm(np.zeros((3, 3))) == 0.0
-
-
-def test_trace_norm_padded_antisymmetric_against_eigen_oracle():
-    m = np.array([[0.0, 0.5, 0.0], [-0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    # independent oracle: for real antisymmetric m, singular values are the
-    # absolute eigenvalues of the Hermitian matrix i*m
-    oracle = float(np.abs(np.linalg.eigvalsh(1j * m)).sum())
-    assert oracle == pytest.approx(1.0, abs=1e-14)
-    assert trace_norm(m) == pytest.approx(oracle, abs=1e-12)
-
-
-def test_trace_norm_rejects_nonsquare():
-    with pytest.raises(DomainError):
-        trace_norm(np.zeros((2, 3)))
+from dtslab.linalg import rank_frobenius_bound, trace_distance
 
 
 def near_hermitian(n, dtype):
