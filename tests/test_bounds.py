@@ -230,8 +230,8 @@ def reference_c_r_general(m, n_mean):
 
 
 def reference_grid():
-    """Seeded weights: both dimensions, scales 10^-200..10^200, full rank,
-    rank-deficient, block form, indefinite and asymmetric."""
+    """Seeded weights: both dimensions, scales 10^-200..10^300, full rank,
+    rank one, diagonal with a zero, indefinite and slightly asymmetric."""
     rng = np.random.default_rng(41)
     for dim in (2, 3):
         for exponent in (-200, -100, -8, 0, 8, 100, 154, 200, 300):
