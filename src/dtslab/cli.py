@@ -20,14 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 
-import numpy as np
-
-from . import __version__, csvtext, fock, rng, states
+from . import __version__, csvtext, fock, rng
 from .bounds import (
     ThetaPoint,
     WeightMatrix,
@@ -36,8 +33,6 @@ from .bounds import (
     c_r_general,
     load_weight,
     optimal_gaussian_tradeoff,
-    rld_inverse_2param,
-    rld_inverse_3param,
 )
 from .errors import DomainError, NumericalError, PreconditionError
 from .estimator import (
@@ -375,76 +370,11 @@ def _cmd_ratio_table(args, argv) -> int:
 # oracle-check
 # ---------------------------------------------------------------------------
 
-def _run_oracle_checks(args) -> tuple[list[dict], bool]:
-    n_mean = args.n_mean if args.n_mean is not None else 1.0
-    zeta = complex(args.zeta_re if args.zeta_re is not None else 0.5, args.zeta_im or 0.0)
-    theta = ThetaPoint.from_zeta(zeta, n_mean)
-    checks = []
-
-    def record(name, dev, tol, **extra):
-        checks.append({"name": name, "max_dev": dev, "tol": tol, "pass": bool(dev < tol), **extra})
-
-    # before anything is allocated: the concentration checks need the largest cutoff
-    copies = 3 if args.deep else 2
-    fock.require_cutoff_limit(
-        args.cutoff if args.cutoff is not None else fock.concentration_cutoff(zeta, n_mean, copies)
-    )
-
-    # heterodyne outcome law against the explicit matrix construction
-    grid_amp = 3.0 + abs(zeta)
-    cutoff = args.cutoff if args.cutoff is not None else fock.cutoff_for(n_mean, grid_amp)
-    fock.require_tails(n_mean, grid_amp, cutoff)
-    rho = fock.displaced_thermal_density(zeta, n_mean, cutoff)
-    radius = 3.0 / math.sqrt(2.0)
-    axis = np.linspace(-radius, radius, 5)
-    dev = max(
-        abs(
-            states.heterodyne_pdf(theta, complex(re, im))
-            - fock.heterodyne_probability_density(rho, complex(re, im))
-        )
-        for re in axis
-        for im in axis
-    )
-    record("heterodyne-pdf", dev, 1e-6)
-
-    # photon-count law against the thermal diagonal
-    thermal = fock.thermal_density(n_mean, cutoff)
-    dev = max(
-        abs(states.photon_pmf(n_mean, k) - fock.photon_probability(thermal, k))
-        for k in range(cutoff)
-    )
-    record("photon-pmf", dev, 1e-12)
-
-    # concentration identity at n = 2, step 1 of the cascade (which runs on
-    # to n = 3 with --deep, every step at the n = 3 cutoff)
-    reports = fock.verify_concentration_cascade(zeta, n_mean, n_copies=copies, cutoff=args.cutoff)
-    record("concentration-n2", max(reports[0].dist_first, reports[0].dist_second), 1e-6)
-    if args.deep:
-        dev = max(max(r.dist_first, r.dist_second) for r in reports)
-        record("concentration-n3", dev, 1e-6)
-    # product structure of each step's joint output, and with --deep of the
-    # whole cascade's (the sum telescopes; see verify_concentration_cascade)
-    for i, r in enumerate(reports, start=2):
-        record(f"concentration-joint-n{i}", r.joint_bound, 1e-6, kind="rank-frobenius-bound")
-    if args.deep:
-        total = sum(r.joint_bound for r in reports)
-        record("concentration-cascade", total, 1e-6, kind="telescoped-rank-frobenius-bound")
-
-    # RLD Fisher matrix from exact derivatives against the closed-form inverses;
-    # the two-parameter matrix is the leading block of the three-parameter one
-    rld_cutoff = args.cutoff if args.cutoff is not None else fock.cutoff_for(n_mean, abs(zeta))
-    fisher = fock.numeric_rld_fisher(theta, rld_cutoff)
-    for name, block, closed in (
-        ("rld-2param", fisher[:2, :2], rld_inverse_2param(n_mean)),
-        ("rld-3param", fisher, rld_inverse_3param(n_mean)),
-    ):
-        record(name, float(np.max(np.abs(np.linalg.inv(block) - closed))), 1e-3)
-
-    return checks, all(c["pass"] for c in checks)
-
-
 def cmd_oracle_check(args, argv) -> int:
-    checks, ok = _run_oracle_checks(args)
+    zeta = complex(args.zeta_re if args.zeta_re is not None else 0.5, args.zeta_im or 0.0)
+    n_mean = args.n_mean if args.n_mean is not None else 1.0
+    checks = fock.oracle_checks(zeta, n_mean, 3 if args.deep else 2, args.cutoff)
+    ok = all(c["pass"] for c in checks)
     if args.json:
         sys.stdout.write(_dump_json({"checks": checks, "pass": ok, "version": __version__}))
     else:
@@ -527,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--n-mean", type=float)
     p_oracle.add_argument("--zeta-re", type=float)
     p_oracle.add_argument("--zeta-im", type=float)
-    p_oracle.add_argument("--cutoff", type=_cutoff_arg, help="Fock cutoff (default: tail rule)")
+    p_oracle.add_argument("--cutoff", type=_cutoff_arg, help="Fock cutoff of the density and "
+                          "concentration checks (default: tail rule); the RLD check picks its own")
     p_oracle.add_argument("--deep", action="store_true", help="also verify the n=3 cascade")
     p_oracle.add_argument("--json", action="store_true")
     p_oracle.set_defaults(func=cmd_oracle_check)

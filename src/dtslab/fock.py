@@ -2,10 +2,10 @@
 
 This module rebuilds everything the analytic layers assume as explicit
 matrices on the basis |0> ... |cutoff-1>: displaced thermal densities, the
-two-mode beam-splitter blocks, the measurement probabilities, and the RLD
-Fisher matrix from exact derivatives of the truncated family.  It exists to
-certify the closed forms in `bounds` and the sampling laws in `states`, so
-it shares no formulas with them beyond the thermal weights.
+two-mode beam-splitter blocks, the measurement probabilities, and the
+inverse RLD Fisher matrix of the truncated family.  `oracle_checks` certifies
+the closed forms in `bounds` and the sampling laws in `states` against them,
+so this module shares no formulas with those beyond the thermal weights.
 
 Conventions: single-mode operators follow the amplitude, float64 for a real
 one and complex128 otherwise; two-mode operators are float64, because the
@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ThetaPoint
+from . import states
+from .bounds import ThetaPoint, rld_inverse_2param, rld_inverse_3param
 from .errors import DomainError, NumericalError, PreconditionError
 from .linalg import rank_frobenius_bound, trace_distance
 
@@ -50,6 +51,8 @@ _DISTANCE_RULE_TOL = 1e-12  # default-cutoff target for trace-distance certifica
 # that becomes the joint output, about 370 MiB at 70 (measured): N = 2's
 # default cutoff 69 fits, N = 3's 97 does not
 MAX_CUTOFF = 70
+RLD_TOL = 1e-9  # relative deviation of the RLD check; budget in truncated_rld_inverse
+MAX_RLD_CUTOFF = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -147,28 +150,20 @@ def _least_poisson_cutoff(mu: float, tol: float, start: int) -> int:
 # operators and states
 # ---------------------------------------------------------------------------
 
-def annihilation(cutoff: int) -> np.ndarray:
-    """Annihilation operator: <m|a|n> = sqrt(n) delta_{m,n-1}, real (float64)."""
-    if cutoff < 2:
-        raise DomainError(f"cutoff must be at least 2, got {cutoff}")
-    return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), k=1)
-
-
-def thermal_density(n_mean: float, cutoff: int) -> np.ndarray:
-    """Truncated thermal state, diagonal weights built by ratio recurrence.
-
-    The trace deficit equals thermal_tail(n_mean, cutoff).
-    """
+def _thermal_weights(n_mean: float, cutoff: int) -> np.ndarray:
+    """Thermal weights p_k = N^k / (N + 1)^(k + 1), k < cutoff, by ratio recurrence."""
     if not (n_mean > 0):
         raise DomainError(f"n_mean must be positive, got {n_mean}")
     if cutoff < 2:
         raise DomainError(f"cutoff must be at least 2, got {cutoff}")
-    ratio = n_mean / (n_mean + 1.0)
-    weights = np.empty(cutoff)
-    weights[0] = 1.0 / (n_mean + 1.0)
-    for k in range(1, cutoff):
-        weights[k] = weights[k - 1] * ratio
-    return np.diag(weights)
+    factors = np.full(cutoff, n_mean / (n_mean + 1.0))
+    factors[0] = 1.0 / (n_mean + 1.0)
+    return np.cumprod(factors)
+
+
+def thermal_density(n_mean: float, cutoff: int) -> np.ndarray:
+    """Truncated thermal state diag(p_k); its trace deficit is thermal_tail(n_mean, cutoff)."""
+    return np.diag(_thermal_weights(n_mean, cutoff))
 
 
 def coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
@@ -384,7 +379,8 @@ def require_tails(n_mean: float, amplitude: float, cutoff: int) -> None:
     exceed it where two-mode checks may not.
     """
     t_th = thermal_tail(n_mean, cutoff)
-    t_coh = poisson_tail_bound(amplitude**2, cutoff)
+    # a square that overflows reads inf, and then cutoff_for names the amplitude
+    t_coh = poisson_tail_bound(amplitude * amplitude, cutoff)
     if max(t_th, t_coh) >= DEFAULT_TAIL_TOL:
         raise PreconditionError(
             f"cutoff {cutoff} violates the tail rule (thermal tail {t_th:.3g}, "
@@ -504,40 +500,49 @@ def _concentration_step(
     )
 
 
-def numeric_rld_fisher(theta: ThetaPoint, cutoff: int) -> np.ndarray:
-    """RLD Fisher matrix of the truncated family, from exact derivatives.
+def truncated_rld_inverse(n_mean: float) -> np.ndarray:
+    """Inverse RLD Fisher matrix of the truncated family, from two O(cutoff) sums.
 
-    Moving zeta along delta multiplies D by exp(delta a^dagger - conj(delta) a)
-    up to a phase, so the theta1 and theta2 derivatives of D rho_th D^dagger
-    are its commutators with (a^dagger - a)/sqrt(2) and i(a^dagger + a)/sqrt(2),
-    formed on a window one row taller than the cutoff (for the top-edge term)
-    and then truncated; the N derivative is D diag(dp_k/dN) D^dagger.
-    J[i, j] = tr(rho^{-1} d_i rho d_j rho) is ordered as the closed-form
-    inverses in `bounds`; its leading 2x2 block is the matrix at fixed N.
+    It is the same at every zeta.  With rho_zeta = D(zeta) tau D(zeta)^dagger,
+    moving zeta multiplies D by a displacement up to a phase, so
+    d_i rho = D [G_i, tau] D^dagger for G_1 = (a^dagger - a)/sqrt(2) and
+    G_2 = i(a^dagger + a)/sqrt(2), and d_N rho = D (d_N tau) D^dagger; by
+    cyclicity of the trace J_ij = tr(tau^{-1} dt_i dt_j) for these
+    commutators and d_N tau.  On tau = diag(p), p_k = N^k / (N + 1)^(k + 1),
+    the commutators are tridiagonal, bond (k, k + 1) carrying
+    sqrt((k + 1)/2) p_k / (N + 1).  With S = sum_{k <= cutoff - 2} (k + 1) p_k / 2,
+    u = S / (N + 1)^2 and d = S / (N (N + 1)), the amplitude block is
+    [[u + d, i(u - d)], [-i(u - d), u + d]]; with V = sum_k p_k (k - N)^2,
+    J_NN = V / (N (N + 1))^2; the cross terms vanish, since an off-diagonal
+    commutator meets a diagonal d_N tau.  The inverse, ordered as
+    `bounds.rld_inverse_3param`, is [[a, ib], [-ib, a]] (+) (N (N + 1))^2 / V
+    with a = (N + 1)(2N + 1) / (4S) and b = (N + 1) / (4S): closed form, as
+    J's amplitude block has condition number (N + 1) / N.
+
+    Error budget for RLD_TOL: the cutoff starts at `cutoff_for(N)` and
+    doubles until two successive inverses agree to RLD_TOL / 10 of their
+    largest entry; the truncation error falls geometrically with the cutoff.
+    A sum of c positive terms rounds by at most about c 2^-53 of itself,
+    1.2e-10 at the cap MAX_RLD_CUTOFF = 2^20, above which the check is
+    refused before allocating.
     """
-    n_mean = theta.n_mean
-    tall = displacement_operator(theta.zeta, cutoff + 1)[:, :cutoff]
-    weights = np.diagonal(thermal_density(n_mean, cutoff))
-    # dp_k/dN of the thermal weights p_k = N^k / (N + 1)^(k + 1)
-    weights_dn = weights * (np.arange(cutoff) - n_mean) / (n_mean * (n_mean + 1.0))
-    moved = (tall * weights) @ tall.conj().T
-    rho = moved[:cutoff, :cutoff]
-    a = annihilation(cutoff + 1)
-    x = (a.T - a) / math.sqrt(2.0)
-    p = (a.T + a) / math.sqrt(2.0)
-    derivatives = [
-        (x @ moved - moved @ x)[:cutoff, :cutoff],
-        1j * (p @ moved - moved @ p)[:cutoff, :cutoff],
-        (tall[:cutoff] * weights_dn) @ tall[:cutoff].conj().T,
-    ]
-    try:
-        solved = [np.linalg.solve(rho, d) for d in derivatives]
-    except np.linalg.LinAlgError:
-        raise PreconditionError(
-            f"the RLD step cannot invert the truncated density at N = {n_mean:g} "
-            f"(cutoff {cutoff}): it is singular in float64"
-        ) from None
-    return np.array([[np.trace(s @ d) for d in derivatives] for s in solved])
+    cutoff, previous = cutoff_for(n_mean), None
+    x = n_mean * (n_mean + 1.0)
+    while cutoff <= MAX_RLD_CUTOFF:
+        p = _thermal_weights(n_mean, cutoff)
+        k = np.arange(cutoff, dtype=float)
+        s = float(np.sum(k[1:] * p[:-1])) / 2.0
+        v = float(np.sum(p * (k - n_mean) ** 2))
+        a, b = (n_mean + 1.0) * (2.0 * n_mean + 1.0) / (4.0 * s), (n_mean + 1.0) / (4.0 * s)
+        # x (x / V), as x^2 underflows at tiny N
+        inverse = np.array([[a, 1j * b, 0], [-1j * b, a, 0], [0, 0, x * (x / v)]])
+        scale = RLD_TOL / 10.0 * np.max(np.abs(inverse))
+        if previous is not None and np.max(np.abs(inverse - previous)) <= scale:
+            return inverse
+        previous, cutoff = inverse, 2 * cutoff
+    raise PreconditionError(
+        f"the RLD check at N = {n_mean:g} needs cutoff {cutoff}, above its cap {MAX_RLD_CUTOFF}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -559,3 +564,63 @@ def heterodyne_probability_density(rho: np.ndarray, alpha: complex) -> float:
     rho = np.asarray(rho)
     v = coherent_vector(alpha, rho.shape[0])
     return float(np.vdot(v, rho @ v).real / math.pi)
+
+
+# ---------------------------------------------------------------------------
+# the oracle's checks
+# ---------------------------------------------------------------------------
+
+def oracle_checks(
+    zeta: complex, n_mean: float, n_copies: int, cutoff: int | None = None
+) -> list[dict]:
+    """Certify the laws of `states` and the RLD inverses of `bounds` against the oracle.
+
+    One record per check: "name", "max_dev", "tol", "pass" (max_dev < tol)
+    and, for a bound on a trace distance, "kind".  `cutoff` replaces the
+    tail rule of the density and concentration checks; the RLD check picks
+    its own.  The point is validated first, then the two-mode cutoff limit,
+    before any operator is allocated.
+    """
+    theta = ThetaPoint.from_zeta(zeta, n_mean)
+    require_cutoff_limit(
+        cutoff if cutoff is not None else concentration_cutoff(zeta, n_mean, n_copies)
+    )
+    checks = []
+
+    def record(name, dev, tol, **extra):
+        checks.append({"name": name, "max_dev": dev, "tol": tol, "pass": bool(dev < tol), **extra})
+
+    # heterodyne law on a 5 x 5 grid, and photon-count law, against the matrices
+    grid_amp = 3.0 + abs(zeta)
+    grid_cutoff = cutoff if cutoff is not None else cutoff_for(n_mean, grid_amp)
+    require_tails(n_mean, grid_amp, grid_cutoff)
+    rho = displaced_thermal_density(zeta, n_mean, grid_cutoff)
+    axis = np.linspace(-3.0 / math.sqrt(2.0), 3.0 / math.sqrt(2.0), 5)
+    grid = [complex(re, im) for re in axis for im in axis]
+    het = [states.heterodyne_pdf(theta, a) - heterodyne_probability_density(rho, a) for a in grid]
+    record("heterodyne-pdf", max(map(abs, het)), 1e-6)
+    tau = thermal_density(n_mean, grid_cutoff)
+    pmf = [states.photon_pmf(n_mean, k) - photon_probability(tau, k) for k in range(grid_cutoff)]
+    record("photon-pmf", max(map(abs, pmf)), 1e-12)
+
+    # concentration identity at n = 2 (step 1) and up to n_copies, every step
+    # at the n_copies cutoff; then the product structure of each step's joint
+    # output, and of the whole cascade's (the sum telescopes)
+    reports = verify_concentration_cascade(zeta, n_mean, n_copies=n_copies, cutoff=cutoff)
+    record("concentration-n2", max(reports[0].dist_first, reports[0].dist_second), 1e-6)
+    if n_copies > 2:
+        dev = max(max(r.dist_first, r.dist_second) for r in reports)
+        record(f"concentration-n{n_copies}", dev, 1e-6)
+    for i, r in enumerate(reports, start=2):
+        record(f"concentration-joint-n{i}", r.joint_bound, 1e-6, kind="rank-frobenius-bound")
+    if n_copies > 2:
+        total = sum(r.joint_bound for r in reports)
+        record("concentration-cascade", total, 1e-6, kind="telescoped-rank-frobenius-bound")
+
+    # RLD inverses, relative to the largest closed-form entry
+    inverse = truncated_rld_inverse(n_mean)
+    for closed in (rld_inverse_2param(n_mean), rld_inverse_3param(n_mean)):
+        d = len(closed)
+        dev = np.max(np.abs(inverse[:d, :d] - closed)) / np.max(np.abs(closed))
+        record(f"rld-{d}param", float(dev), RLD_TOL)
+    return checks

@@ -58,6 +58,43 @@ def rld_fisher_central_differences(theta: ThetaPoint, cutoff: int, step: float =
     return np.array([[np.trace(s @ d) for d in derivatives] for s in solved])
 
 
+def annihilation(cutoff: int) -> np.ndarray:
+    """Annihilation operator: <m|a|n> = sqrt(n) delta_{m,n-1}, real (float64)."""
+    return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), k=1)
+
+
+def numeric_rld_fisher(theta: ThetaPoint, cutoff: int) -> np.ndarray:
+    """Dense reference RLD Fisher matrix of the truncated family at theta, exact derivatives.
+
+    Moving zeta along delta multiplies D by exp(delta a^dagger - conj(delta) a)
+    up to a phase, so the theta1 and theta2 derivatives of D rho_th D^dagger
+    are its commutators with (a^dagger - a)/sqrt(2) and i(a^dagger + a)/sqrt(2),
+    formed on a window one row taller than the cutoff (for the top-edge term)
+    and then truncated; the N derivative is D diag(dp_k/dN) D^dagger.
+    J[i, j] = tr(rho^{-1} d_i rho d_j rho) is ordered as the closed-form
+    inverses in `bounds`.  It works at the given zeta, with a dense window
+    and a solve, where `fock.truncated_rld_inverse` uses displacement
+    covariance and sums at zeta = 0: the reference for that argument.
+    """
+    n_mean = theta.n_mean
+    tall = fock.displacement_operator(theta.zeta, cutoff + 1)[:, :cutoff]
+    weights = np.diagonal(fock.thermal_density(n_mean, cutoff))
+    # dp_k/dN of the thermal weights p_k = N^k / (N + 1)^(k + 1)
+    weights_dn = weights * (np.arange(cutoff) - n_mean) / (n_mean * (n_mean + 1.0))
+    moved = (tall * weights) @ tall.conj().T
+    rho = moved[:cutoff, :cutoff]
+    a = annihilation(cutoff + 1)
+    x = (a.T - a) / math.sqrt(2.0)
+    p = (a.T + a) / math.sqrt(2.0)
+    derivatives = [
+        (x @ moved - moved @ x)[:cutoff, :cutoff],
+        1j * (p @ moved - moved @ p)[:cutoff, :cutoff],
+        (tall[:cutoff] * weights_dn) @ tall[:cutoff].conj().T,
+    ]
+    solved = [np.linalg.solve(rho, d) for d in derivatives]
+    return np.array([[np.trace(s @ d) for d in derivatives] for s in solved])
+
+
 def number_operator(cutoff: int) -> np.ndarray:
     return np.diag(np.arange(cutoff, dtype=float))
 
@@ -126,26 +163,6 @@ def dense_concentration_cascade(
         reports.append((report, trace_distance(joint, np.zeros_like(joint))))
         carried = target_first
     return reports
-
-
-class TestAnnihilation:
-    def test_matrix_elements_d3(self):
-        expected = np.array([[0, 1, 0], [0, 0, math.sqrt(2)], [0, 0, 0]])
-        assert np.allclose(fock.annihilation(3), expected)
-
-    def test_number_diagonal(self):
-        a = fock.annihilation(6)
-        assert np.allclose(np.diag(a.conj().T @ a).real, np.arange(6))
-
-    def test_commutator_below_edge(self):
-        d = 8
-        a = fock.annihilation(d)
-        comm = a @ a.conj().T - a.conj().T @ a
-        assert np.allclose(comm[: d - 1, : d - 1], np.eye(d - 1), atol=1e-12)
-
-    def test_rejects_small_cutoff(self):
-        with pytest.raises(DomainError):
-            fock.annihilation(1)
 
 
 class TestThermalDensity:
@@ -298,7 +315,7 @@ class TestBeamSplitter:
     @pytest.mark.parametrize("phi", [0.0, math.pi / 4, -0.6, 2.0])
     def test_matches_dense_expm(self, cutoff, phi):
         expm = pytest.importorskip("scipy.linalg").expm
-        a = fock.annihilation(cutoff)
+        a = annihilation(cutoff)
         # scipy's expm of the complex generator agrees with the blocks to a
         # few 1e-14; of the real one, only to a few 1e-13
         generator = (np.kron(a.T, a) - np.kron(a, a.T)).astype(complex)
@@ -312,7 +329,7 @@ class TestBeamSplitter:
         # every block, the truncated ones (total >= cutoff) included, against
         # the exponential of the generator restricted to its rows and columns
         expm = pytest.importorskip("scipy.linalg").expm
-        a = fock.annihilation(cutoff)
+        a = annihilation(cutoff)
         generator = np.kron(a.T, a) - np.kron(a, a.T)
         blocks = fock._beam_splitter_blocks(phi, cutoff)
         assert len(blocks) == 2 * cutoff - 1
@@ -529,6 +546,11 @@ class TestConcentration:
         assert calls[0][0] is carried and calls[0][1] is fresh
         assert [report] == expected
 
+    def test_overflowing_amplitude_at_an_explicit_cutoff_is_refused(self):
+        # sqrt(3) 1e200 squared overflows float64; the tail gate names it
+        with pytest.raises(PreconditionError, match="no finite cutoff .* at amplitude 1.73205e\\+200"):
+            fock.verify_concentration_cascade(1e200, 1.0, cutoff=20)
+
     def test_tail_precondition_names_required_cutoff(self):
         with pytest.raises(PreconditionError, match="use cutoff >="):
             fock.verify_concentration_cascade(0.5, 2.0, n_copies=2, cutoff=5)
@@ -537,24 +559,24 @@ class TestConcentration:
 class TestNumericRld:
     def test_2param_matches_closed_inverse(self):
         theta = ThetaPoint(0.0, 0.0, 1.0)
-        fisher = fock.numeric_rld_fisher(theta, 40)[:2, :2]
+        fisher = numeric_rld_fisher(theta, 40)[:2, :2]
         assert np.max(np.abs(np.linalg.inv(fisher) - rld_inverse_2param(1.0))) < 1e-3
 
     def test_3param_photon_entry(self):
         theta = ThetaPoint(0.0, 0.0, 1.0)
-        fisher = fock.numeric_rld_fisher(theta, fock.cutoff_for(1.0))
+        fisher = numeric_rld_fisher(theta, fock.cutoff_for(1.0))
         inverse = np.linalg.inv(fisher)
         assert inverse[2, 2].real == pytest.approx(2.0, abs=1e-3)
         assert np.max(np.abs(inverse - rld_inverse_3param(1.0))) < 1e-3
 
     def test_hermitian(self):
         theta = ThetaPoint.from_zeta(0.3 + 0.4j, 0.5)
-        fisher = fock.numeric_rld_fisher(theta, fock.cutoff_for(0.5, 0.5))
+        fisher = numeric_rld_fisher(theta, fock.cutoff_for(0.5, 0.5))
         assert np.max(np.abs(fisher - fisher.conj().T)) < 1e-8
 
     def test_displacement_invariance(self):
-        base = fock.numeric_rld_fisher(ThetaPoint(0.0, 0.0, 1.0), 30)[:2, :2]
-        moved = fock.numeric_rld_fisher(ThetaPoint.from_zeta(0.3 + 0.4j, 1.0), 30)[:2, :2]
+        base = numeric_rld_fisher(ThetaPoint(0.0, 0.0, 1.0), 30)[:2, :2]
+        moved = numeric_rld_fisher(ThetaPoint.from_zeta(0.3 + 0.4j, 1.0), 30)[:2, :2]
         assert np.max(np.abs(base - moved)) < 1e-4
 
     @pytest.mark.parametrize(
@@ -562,14 +584,61 @@ class TestNumericRld:
     )
     def test_matches_central_differences(self, zeta, n_mean, cutoff):
         theta = ThetaPoint.from_zeta(zeta, n_mean)
-        exact = fock.numeric_rld_fisher(theta, cutoff)
+        exact = numeric_rld_fisher(theta, cutoff)
         assert np.max(np.abs(exact - rld_fisher_central_differences(theta, cutoff))) < 1e-8
 
     def test_deep_cutoff_is_accurate(self):
         # condition ~ 2^44 at this cutoff; the solve stays accurate, and the
         # truncation error of the family is below 1e-10
-        fisher = fock.numeric_rld_fisher(ThetaPoint(0.0, 0.0, 1.0), 45)
+        fisher = numeric_rld_fisher(ThetaPoint(0.0, 0.0, 1.0), 45)
         assert np.max(np.abs(np.linalg.inv(fisher) - rld_inverse_3param(1.0))) < 1e-9
+
+
+    @pytest.mark.parametrize("n_mean", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("zeta", [0j, 0.3 + 0.4j, 1.2, 2.0])
+    def test_reference_agrees_with_the_sums_at_zeta_0(self, zeta, n_mean):
+        # displacement covariance: the dense matrix at zeta, where it has
+        # converged (twice the tail-rule cutoff), inverts to the zeta = 0 sums;
+        # the worst case is 1.5e-7 at zeta = 2, N = 1
+        cutoff = 2 * fock.cutoff_for(n_mean, abs(zeta))
+        reference = np.linalg.inv(numeric_rld_fisher(ThetaPoint.from_zeta(zeta, n_mean), cutoff))
+        inverse = fock.truncated_rld_inverse(n_mean)
+        assert np.max(np.abs(reference - inverse)) < 1e-6 * np.max(np.abs(inverse))
+
+
+class TestTruncatedRldInverse:
+    @staticmethod
+    def relative_deviations(n_mean):
+        inverse = fock.truncated_rld_inverse(n_mean)
+        return [
+            np.max(np.abs(block - closed)) / np.max(np.abs(closed))
+            for block, closed in (
+                (inverse[:2, :2], rld_inverse_2param(n_mean)),
+                (inverse, rld_inverse_3param(n_mean)),
+            )
+        ]
+
+    def test_matches_the_closed_forms_from_subnormal_to_large_n(self):
+        # within the check's 1e-9 everywhere the sums converge; 1.3e-13 measured
+        grid = list(np.logspace(-14, 3, 341)) + [5e-324, 1e-320, 1e-300, 1e-200]
+        worst = max(max(self.relative_deviations(n)) for n in grid)
+        assert worst < fock.RLD_TOL == 1e-9
+
+    def test_structure(self):
+        inverse = fock.truncated_rld_inverse(0.5)
+        assert inverse.shape == (3, 3) and inverse.dtype == np.complex128
+        assert np.array_equal(inverse, inverse.conj().T)
+        assert np.all(inverse[:2, 2] == 0) and np.all(inverse[2, :2] == 0)
+
+    def test_cap_refuses_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match=f"above its cap {2**20}"):
+                fock.truncated_rld_inverse(1e17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
 
 
 class TestPovmProbabilities:
