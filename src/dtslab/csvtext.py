@@ -377,10 +377,20 @@ class RowWriter:
     def write(self, start: int, columns: Sequence[np.ndarray | None]) -> None:
         """Rows start, start + 1, ...: the index, then one field per column.
 
-        A column of None leaves its field empty.
+        A column of None leaves its field empty.  There must be one column
+        per header field after the index, at least one not None, and those
+        of equal length.
         """
+        fields = self._text.shape[1] - 1
+        if len(columns) != fields:
+            raise ValueError(f"expected {fields} columns, one per field after the index, "
+                             f"got {len(columns)}")
         present = [f for f, column in enumerate(columns, 1) if column is not None]
+        if not present:
+            raise ValueError("at least one column must be present, got only None")
         rows = len(columns[present[0] - 1])
+        if any(len(columns[f - 1]) != rows for f in present):
+            raise ValueError("the columns must have equal lengths")
         if start < 0 or start + rows > 10**_DIGITS:
             raise ValueError(f"row indices must lie in [0, 10^{_DIGITS})")
         self._row[:, 1:] = _BLANK_ROW

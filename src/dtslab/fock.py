@@ -20,15 +20,16 @@ window splits into 2 cutoff - 1 blocks of equal total (`_photon_blocks`),
 each at most cutoff states wide.  The unitary is exponentiated one block at
 a time and never assembled: the concentration checks conjugate by its blocks
 in place, so they form no dense two-mode unitary, matrix product or matrix
-exponential, and a cascade step holds at most two two-mode operators at
-once, the `np.kron` input and the transpose copy that becomes the joint
-output (`_concentration_step`).  Each block's rows are a basic slice of the
-two-mode basis, and each block exponential takes one real tridiagonal
-eigensolve.  The joint output is certified against the product target by
-the rank-Frobenius bound, one norm pass over the difference, not by a
-two-mode eigensolve.  The product target is never formed: its thermal
-factor is diagonal, so it is subtracted through strided views of the joint
-output, and the step's one `np.kron` is its input.
+exponential, and a cascade step holds one two-mode operator: the `np.kron`
+input, which is mixed and transposed in place into the joint output
+(`_concentration_step`).  Each block's rows are a basic slice of the
+two-mode basis, and each block exponential is built from one real
+tridiagonal eigensolve, taken once per cascade for all its angles
+(`_beam_splitter_spectra`).  The joint output is certified against the
+product target by the rank-Frobenius bound, one norm pass over the
+difference, not by a two-mode eigensolve.  The product target is never
+formed: its thermal factor is diagonal, so it is subtracted through strided
+views of the joint output, and the step's one `np.kron` is its input.
 """
 
 from __future__ import annotations
@@ -47,10 +48,11 @@ from .linalg import rank_frobenius_bound, trace_distance
 DEFAULT_TAIL_TOL = 1e-8
 _DISTANCE_RULE_TOL = 1e-12  # default-cutoff target for trace-distance certifications
 # two-mode operators hold cutoff**4 float64 entries, 192 MB at 70; a cascade
-# step keeps two alive at its peak, the np.kron input and the transpose copy
-# that becomes the joint output, about 370 MiB at 70 (measured): N = 2's
-# default cutoff 69 fits, N = 3's 97 does not
+# step keeps one alive, the np.kron input that becomes the joint output in
+# place, and peaks at about 189 MiB at 70 (measured): N = 2's default cutoff
+# 69 fits, N = 3's 97 does not
 MAX_CUTOFF = 70
+_TILE = 128  # tile side of the in-place transpose between the conjugation's passes
 RLD_TOL = 1e-9  # relative deviation of the RLD check; budget in truncated_rld_inverse
 MAX_RLD_CUTOFF = 2**20
 
@@ -254,13 +256,35 @@ def _photon_blocks(cutoff: int) -> list[slice]:
     return blocks
 
 
-def _beam_splitter_blocks(phi: float, cutoff: int) -> list[tuple[slice, np.ndarray]]:
+def _beam_splitter_spectra(cutoff: int) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+    """(rows, w, W) for each `_photon_blocks` entry, with eigh(H) = (w, W).
+
+    H is the real symmetric tridiagonal matrix of block T, with
+    H[k+1, k] = H[k, k+1] = sqrt((m+1)(T-m)) for m the mode-1 count of
+    entry k; `_beam_splitter_blocks` exponentiates it at any angle.  These
+    2 cutoff - 1 eigensolves do not depend on the angle, so a cascade takes
+    them once for all its steps.
+    """
+    if cutoff < 2:
+        raise DomainError(f"cutoff must be at least 2, got {cutoff}")
+    spectra = []
+    for rows in _photon_blocks(cutoff):
+        m, n = np.divmod(np.arange(rows.start, rows.stop, rows.step)[:-1], cutoff)
+        coupling = np.sqrt((m + 1.0) * n)
+        w, v = np.linalg.eigh(np.diag(coupling, -1) + np.diag(coupling, 1))
+        spectra.append((rows, w, v))
+    return spectra
+
+
+def _beam_splitter_blocks(
+    phi: float, spectra: list[tuple[slice, np.ndarray, np.ndarray]]
+) -> list[tuple[slice, np.ndarray]]:
     """Blocks of the two-mode unitary exp(phi (adag x b - a x bdag)) on the truncated space.
 
     The truncated generator maps each total-photon block to itself, so the
     exponential is the direct sum of its block exponentials; this returns
-    (rows, block) for each `_photon_blocks` entry.  Block T is the
-    exponential of the real antisymmetric tridiagonal matrix G with
+    (rows, block) for each entry of `_beam_splitter_spectra`.  Block T is
+    the exponential of the real antisymmetric tridiagonal matrix G with
     G[k+1, k] = sqrt((m+1)(T-m)) for m the mode-1 count of entry k.  With
     S = diag(i^k), S^dagger (i G) S is the real symmetric tridiagonal H with
     the same couplings, so for eigh(H) = (w, W) entry [j, k] of the block
@@ -276,14 +300,10 @@ def _beam_splitter_blocks(phi: float, cutoff: int) -> list[tuple[slice, np.ndarr
     At phi = arctan(1/sqrt(1)) two equal coherent amplitudes merge into
     mode 1.
     """
-    if cutoff < 2:
-        raise DomainError(f"cutoff must be at least 2, got {cutoff}")
+    cutoff = (len(spectra) + 1) // 2
     phase = np.array([1, 1j, -1, -1j])[np.subtract.outer(np.arange(cutoff), np.arange(cutoff)) % 4]
     blocks = []
-    for rows in _photon_blocks(cutoff):
-        m, n = np.divmod(np.arange(rows.start, rows.stop, rows.step)[:-1], cutoff)
-        coupling = np.sqrt((m + 1.0) * n)
-        w, v = np.linalg.eigh(np.diag(coupling, -1) + np.diag(coupling, 1))
+    for rows, w, v in spectra:
         block = (((v * np.exp(-1j * phi * w)) @ v.T) * phase[: len(w), : len(w)]).real
         if not np.all(np.isfinite(block)):
             raise NumericalError(f"matrix exponential failed for phi={phi}, cutoff={cutoff}")
@@ -291,16 +311,38 @@ def _beam_splitter_blocks(phi: float, cutoff: int) -> list[tuple[slice, np.ndarr
     return blocks
 
 
+def _transpose_in_place(x: np.ndarray) -> None:
+    """Transpose the square x in place, through one tile-sized temporary.
+
+    Each pair of tiles mirrored across the diagonal is swapped, each
+    transposed; a tile on the diagonal is its own mirror, copied out and
+    written back transposed.  Every entry is copied, never computed, so the
+    result is exact.  Where x is C-contiguous, each row of a tile is a
+    contiguous run.
+    """
+    side = x.shape[0]
+    temp = np.empty((min(side, _TILE),) * 2, dtype=x.dtype)
+    for i in range(0, side, _TILE):
+        rows = slice(i, i + _TILE)
+        for j in range(i, side, _TILE):
+            upper, lower = x[rows, j : j + _TILE], x[j : j + _TILE, rows]
+            tile = temp[: upper.shape[0], : upper.shape[1]]
+            np.copyto(tile, upper)
+            if j > i:
+                upper[...] = lower.T
+            lower[...] = tile.T
+
+
 def _conjugate_by_blocks(blocks: list[tuple[slice, np.ndarray]], op: np.ndarray) -> np.ndarray:
-    """U op U^T for the real unitary U given by its photon blocks; op is overwritten.
+    """U op U^T for the real unitary U given by its photon blocks, in op's own buffer.
 
     U X U^T = (U (U X)^T)^T: two passes that each mix rows block by block in
     place, costing cutoff^2 times the sum of squared block sizes instead of
-    cutoff^6.  A block's rows are a basic slice, so each product reads them
-    in place.  The contiguous copy of the transpose between the passes is the
-    only full-size allocation, and `op` is dropped as soon as it exists, so a
-    temporary passed in is freed there.  `op` must be C-contiguous, and so is
-    the transpose of the result.
+    cutoff^6, with `_transpose_in_place` between them.  A block's rows are a
+    basic slice, so each product reads them in place.  No full-size buffer
+    is allocated: `op` must be square and is overwritten, and the result is
+    its transpose view, so where `op` is C-contiguous, so is the result's
+    transpose.
     """
 
     def mix_rows(x: np.ndarray) -> None:
@@ -308,7 +350,7 @@ def _conjugate_by_blocks(blocks: list[tuple[slice, np.ndarray]], op: np.ndarray)
             x[rows] = u @ x[rows]
 
     mix_rows(op)
-    op = np.ascontiguousarray(op.T)
+    _transpose_in_place(op)
     mix_rows(op)
     return op.T
 
@@ -356,7 +398,7 @@ def require_cutoff_limit(cutoff: int) -> None:
         raise PreconditionError(
             f"the run needs Fock cutoff {cutoff}, above the limit {MAX_CUTOFF} "
             "(two-mode operators grow as cutoff**4, 192 MB each at the limit, "
-            "and a cascade step holds two)"
+            "and a cascade step holds one)"
         )
 
 
@@ -447,6 +489,7 @@ def verify_concentration_cascade(
         cutoff = concentration_cutoff(zeta, n_mean, n_copies)
     require_cutoff_limit(cutoff)
     require_tails(n_mean, amplitude, cutoff)
+    spectra = _beam_splitter_spectra(cutoff)
     fresh = displaced_thermal_density(modulus, n_mean, cutoff)
     target_second = thermal_density(n_mean, cutoff)
     carried = fresh
@@ -454,7 +497,9 @@ def verify_concentration_cascade(
     for i in range(1, n_copies):
         target_first = displaced_thermal_density(math.sqrt(i + 1.0) * modulus, n_mean, cutoff)
         reports.append(
-            _concentration_step(concentration_angle(i), carried, fresh, target_first, target_second)
+            _concentration_step(
+                concentration_angle(i), spectra, carried, fresh, target_first, target_second
+            )
         )
         carried = target_first
     return reports
@@ -462,28 +507,30 @@ def verify_concentration_cascade(
 
 def _concentration_step(
     phi: float,
+    spectra: list[tuple[slice, np.ndarray, np.ndarray]],
     carried: np.ndarray,
     fresh: np.ndarray,
     target_first: np.ndarray,
     target_second: np.ndarray,
 ) -> ConcentrationReport:
-    """Certificates of one cascade step, with at most two two-mode operators alive.
+    """Certificates of one cascade step, with one two-mode operator alive.
 
-    The conjugation mixes the rows of the `np.kron` input in place, then
-    those of its transpose copy, which becomes the joint output; the input
-    is dropped there, so no other full-size buffer is alive when the
-    certificates are taken.  Both marginal distances are exact.  Then the
-    target product is subtracted from the joint output in place.  The
-    thermal target is diagonal, so kron(target_first, target_second) is
-    nonzero only where the mode-2 counts of row and column agree; its
-    entries there, target_first * weight, are subtracted one mode-2 count at
-    a time through a strided view, and the other entries stay as they are.
+    The beam splitter at phi is built from the cascade's `spectra`.  The
+    conjugation mixes the rows of the `np.kron` input in place, transposes
+    it in place and mixes its rows again: that buffer becomes the joint
+    output, and no other full-size buffer is allocated in the step.  Both
+    marginal distances are exact.  Then the target product is subtracted
+    from the joint output in place.  The thermal target is diagonal, so
+    kron(target_first, target_second) is nonzero only where the mode-2
+    counts of row and column agree; its entries there, target_first *
+    weight, are subtracted one mode-2 count at a time through a strided
+    view, and the other entries stay as they are.
     The difference D, of side cutoff^2, is bounded:
     ||D||_1 <= sqrt(rank D) ||D||_F <= cutoff ||D||_F, so the joint trace
     distance is at most (cutoff / 2) ||D||_F.
     """
     cutoff = fresh.shape[0]
-    joint = _conjugate_by_blocks(_beam_splitter_blocks(phi, cutoff), np.kron(carried, fresh))
+    joint = _conjugate_by_blocks(_beam_splitter_blocks(phi, spectra), np.kron(carried, fresh))
     dist_first = trace_distance(partial_trace(joint, "first"), target_first)
     dist_second = trace_distance(partial_trace(joint, "second"), target_second)
     # joint.T is C-contiguous, so this is a view: entry [p, q, m, n] is

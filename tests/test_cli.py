@@ -630,14 +630,21 @@ class TestOracleCheckCommand:
         assert len(rld) == 2 and all(c["pass"] and c["max_dev"] < 1e-12 for c in rld)
 
     def test_deep_adds_cascade(self, capsys, monkeypatch):
-        calls = []
-        beam_splitter_blocks = fock._beam_splitter_blocks
+        calls, solves = [], []
+        beam_splitter_blocks, beam_splitter_spectra = (
+            fock._beam_splitter_blocks, fock._beam_splitter_spectra
+        )
 
-        def counting(phi, cutoff):
+        def counting(phi, spectra):
             calls.append(phi)
-            return beam_splitter_blocks(phi, cutoff)
+            return beam_splitter_blocks(phi, spectra)
+
+        def counting_spectra(cutoff):
+            solves.append(cutoff)
+            return beam_splitter_spectra(cutoff)
 
         monkeypatch.setattr(fock, "_beam_splitter_blocks", counting)
+        monkeypatch.setattr(fock, "_beam_splitter_spectra", counting_spectra)
         code, out, _ = run_cli(
             capsys, "oracle-check", "--n-mean", "0.5", "--zeta-re", "0.5", "--deep", "--json"
         )
@@ -654,8 +661,10 @@ class TestOracleCheckCommand:
         assert cascade["max_dev"] == (
             checks["concentration-joint-n2"]["max_dev"] + checks["concentration-joint-n3"]["max_dev"]
         )
-        # one cascade serves every check: one set of beam-splitter blocks per step
+        # one cascade serves every check: one set of beam-splitter blocks per
+        # step, from one spectra solve for the whole cascade
         assert calls == [fock.concentration_angle(1), fock.concentration_angle(2)]
+        assert len(solves) == 1
 
     def test_complex_amplitude_certifies_the_cascade_at_its_modulus(self, capsys, monkeypatch):
         # abs(0.3 + 0.4j) == 0.5 in float64, so the concentration entries of

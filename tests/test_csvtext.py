@@ -257,6 +257,24 @@ def test_index_has_at_most_17_digits():
         writer.write(10**17 - 1, [np.ones(2)])
 
 
+@pytest.mark.parametrize(
+    "header,columns,message",
+    [
+        (["i", "x", "y"], [None, None], "at least one column"),
+        (["i", "x"], [np.ones(2), np.ones(2)], "expected 1 columns"),
+        (["i", "x", "y"], [np.ones(1)], "expected 2 columns"),
+        # within one block, so the longer column would lose its last value
+        (["i", "x", "y"], [np.ones(1024), np.ones(1025)], "equal lengths"),
+    ],
+    ids=["all-none", "too-many", "too-few", "unequal-lengths"],
+)
+def test_malformed_columns_are_refused(header, columns, message):
+    out = io.BytesIO()
+    with pytest.raises(ValueError, match=message):
+        csvtext.RowWriter(out, header).write(0, columns)
+    assert out.getvalue() == (",".join(header) + "\r\n").encode()
+
+
 def reference_trial_csv(config: ExperimentConfig) -> bytes:
     """The trial CSV of a run as csv.writer writes it, the numpy encoder's reference."""
     text = io.StringIO()

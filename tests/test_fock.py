@@ -99,10 +99,15 @@ def number_operator(cutoff: int) -> np.ndarray:
     return np.diag(np.arange(cutoff, dtype=float))
 
 
+def beam_splitter_blocks(phi: float, cutoff: int) -> list[tuple[slice, np.ndarray]]:
+    """`fock._beam_splitter_blocks` at phi, from the spectra at cutoff."""
+    return fock._beam_splitter_blocks(phi, fock._beam_splitter_spectra(cutoff))
+
+
 def beam_splitter(phi: float, cutoff: int) -> np.ndarray:
     """The dense two-mode unitary: the direct sum of `fock._beam_splitter_blocks`."""
     unitary = np.zeros((cutoff * cutoff, cutoff * cutoff))
-    for rows, block in fock._beam_splitter_blocks(phi, cutoff):
+    for rows, block in beam_splitter_blocks(phi, cutoff):
         unitary[rows, rows] = block
     return unitary
 
@@ -331,7 +336,7 @@ class TestBeamSplitter:
         expm = pytest.importorskip("scipy.linalg").expm
         a = annihilation(cutoff)
         generator = np.kron(a.T, a) - np.kron(a, a.T)
-        blocks = fock._beam_splitter_blocks(phi, cutoff)
+        blocks = beam_splitter_blocks(phi, cutoff)
         assert len(blocks) == 2 * cutoff - 1
         for (rows, block), idx in zip(blocks, block_indices(cutoff)):
             assert block.dtype == np.float64
@@ -349,7 +354,7 @@ class TestBeamSplitter:
 
     def test_blocks_reject_small_cutoff(self):
         with pytest.raises(DomainError):
-            fock._beam_splitter_blocks(0.5, 1)
+            fock._beam_splitter_spectra(1)
 
     def test_photon_blocks_partition_the_window(self):
         d = 5
@@ -367,7 +372,7 @@ class TestBeamSplitter:
         x = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
         x = x + x.conj().T
         u = beam_splitter(fock.concentration_angle(2), d)
-        blocks = fock._beam_splitter_blocks(fock.concentration_angle(2), d)
+        blocks = beam_splitter_blocks(fock.concentration_angle(2), d)
         assert np.max(np.abs(fock._conjugate_by_blocks(blocks, x.copy()) - u @ x @ u.T)) < 1e-12
 
     def test_block_conjugation_keeps_a_real_operator_real(self):
@@ -376,10 +381,37 @@ class TestBeamSplitter:
         x = x + x.T
         u = beam_splitter(fock.concentration_angle(2), d)
         conjugated = fock._conjugate_by_blocks(
-            fock._beam_splitter_blocks(fock.concentration_angle(2), d), x.copy()
+            beam_splitter_blocks(fock.concentration_angle(2), d), x.copy()
         )
         assert conjugated.dtype == np.float64
         assert np.max(np.abs(conjugated - u @ x @ u.T)) < 1e-12
+
+    def test_block_conjugation_allocates_no_full_size_buffer(self):
+        # the result lives in the operator's own buffer, transposed
+        d = 9
+        x = np.random.default_rng(7).normal(size=(d * d, d * d))
+        blocks = beam_splitter_blocks(fock.concentration_angle(2), d)
+        conjugated = fock._conjugate_by_blocks(blocks, x)
+        assert np.shares_memory(conjugated, x) and conjugated.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("side", [1, 2, 127, 128, 129, 676, 1600])
+    def test_transpose_in_place_is_exact(self, side):
+        x = np.random.default_rng(side).normal(size=(side, side))
+        expected = x.T.copy()
+        fock._transpose_in_place(x)
+        assert x.flags.c_contiguous and np.array_equal(x, expected)
+
+    def test_transpose_in_place_needs_one_tile_of_memory(self):
+        # a 20 MB operator at side 1600, transposed through one 128 KiB tile
+        x = np.arange(1600.0 * 1600).reshape(1600, 1600)
+        tracemalloc.start()
+        try:
+            fock._transpose_in_place(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert x[0, 1] == 1600.0 and x[1, 0] == 1.0
 
 
 class TestPartialTrace:
@@ -476,22 +508,26 @@ class TestConcentration:
         assert all(x.dtype == np.float64 for x in seen)
 
     @staticmethod
-    def cascade_peak_mib(zeta: complex) -> float:
+    def cascade_peak_mib(zeta: complex, n_copies: int = 2) -> float:
         tracemalloc.start()
         try:
-            fock.verify_concentration_cascade(zeta, 1.0, n_copies=2)
+            fock.verify_concentration_cascade(zeta, 1.0, n_copies=n_copies)
             return tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
 
     def test_real_amplitude_memory(self):
-        # float64 operators: 1600-side two-mode operators of 20 MB each; a
-        # step holds the joint output and one other at a time
-        assert self.cascade_peak_mib(0.5) < 64
+        # float64 operators: 1600-side two-mode operators of 19.5 MiB each; a
+        # step holds one, its input, which becomes the joint output in place
+        assert self.cascade_peak_mib(0.5) < 24
 
     def test_complex_amplitude_memory(self):
         # the cascade runs at |zeta|, in the same float64 operators
-        assert self.cascade_peak_mib(0.3 + 0.4j) < 64
+        assert self.cascade_peak_mib(0.3 + 0.4j) < 24
+
+    def test_three_copy_cascade_memory(self):
+        # the second step's input is allocated after the first step's output is freed
+        assert self.cascade_peak_mib(0.5, n_copies=3) < 24
 
     @pytest.mark.parametrize(
         "cutoff,n_mean,zeta",
@@ -540,7 +576,8 @@ class TestConcentration:
 
         monkeypatch.setattr(np, "kron", counting)
         report = fock._concentration_step(
-            fock.concentration_angle(1), carried, fresh, target_first, target_second
+            fock.concentration_angle(1), fock._beam_splitter_spectra(cutoff),
+            carried, fresh, target_first, target_second,
         )
         assert len(calls) == 1
         assert calls[0][0] is carried and calls[0][1] is fresh
