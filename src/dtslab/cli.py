@@ -51,6 +51,8 @@ _ALGORITHMS = {
     "trial_csv": "shortest-repr-ieee-squares",
 }
 
+_CELL_SEED_STEP = 1000003  # cell c of the --ratio-table grid, c < 18, runs at seed + c * step
+
 CSV_COLUMNS = (
     "trial",
     "zeta_hat_re",
@@ -252,8 +254,13 @@ def _summary_payload(config: ExperimentConfig, mse, comparison) -> dict:
 
 def cmd_simulate(args, argv) -> int:
     _merge_config_file(args)
+    # a stream key takes the seed as a 64-bit word, so every run's seed must be one
+    seed = args.seed if args.seed is not None else 0
+    top = 2**64 - 1 - (17 * _CELL_SEED_STEP if args.ratio_table else 0)
+    if not 0 <= seed <= top:
+        raise ValueError(f"--seed must be in [0, {top}], got {seed}")
     if args.ratio_table:
-        return _cmd_ratio_table(args, argv)
+        return _cmd_ratio_table(args, argv, seed)
     if args.protocol is None:
         raise ValueError("--protocol is required (collective | separable | known-n)")
     if args.n_mean is None:
@@ -275,7 +282,7 @@ def cmd_simulate(args, argv) -> int:
         theta=theta,
         n_copies=n_copies,
         trials=trials,
-        seed=args.seed if args.seed is not None else 0,
+        seed=seed,
         weight=weight,
         clip_nonneg=bool(args.clip_nonneg),
     )
@@ -294,7 +301,7 @@ def cmd_simulate(args, argv) -> int:
     return 0
 
 
-def _cmd_ratio_table(args, argv) -> int:
+def _cmd_ratio_table(args, argv, seed: int) -> int:
     """Artifact convenience grid: collective vs separable ratio over (N, n)."""
     for dest in ("protocol", "n_mean", "theta1", "theta2", "zeta_re", "zeta_im",
                  "n_copies", "weight", "clip_nonneg", "trial_csv"):
@@ -303,7 +310,6 @@ def _cmd_ratio_table(args, argv) -> int:
     trials = args.trials if args.trials is not None else 20000
     if trials < 100:
         raise ValueError(f"--trials must be at least 100, got {trials}")
-    seed = args.seed if args.seed is not None else 0
     weight = WeightMatrix.identity(3)
     start_time = time.perf_counter()
     rows = []
@@ -321,7 +327,7 @@ def _cmd_ratio_table(args, argv) -> int:
                     theta=theta,
                     n_copies=n_copies,
                     trials=trials,
-                    seed=seed + 1000003 * cell,
+                    seed=seed + _CELL_SEED_STEP * cell,
                     weight=weight,
                 )
                 cell += 1
@@ -457,8 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--n-mean", type=float)
     p_oracle.add_argument("--zeta-re", type=float)
     p_oracle.add_argument("--zeta-im", type=float)
-    p_oracle.add_argument("--cutoff", type=_cutoff_arg, help="Fock cutoff of the density and "
-                          "concentration checks (default: tail rule); the RLD check picks its own")
+    p_oracle.add_argument("--cutoff", type=_cutoff_arg, help="Fock cutoff of the concentration "
+                          "checks (default: tail rule); the heterodyne grid and the RLD check "
+                          "pick their own")
     p_oracle.add_argument("--deep", action="store_true", help="also verify the n=3 cascade")
     p_oracle.add_argument("--json", action="store_true")
     p_oracle.set_defaults(func=cmd_oracle_check)

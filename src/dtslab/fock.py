@@ -35,7 +35,6 @@ views of the joint output, and the step's one `np.kron` is its input.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,12 +200,6 @@ def displacement_operator(zeta: complex, cutoff: int) -> np.ndarray:
         zeta = zeta.real
     if cutoff < 2:
         raise DomainError(f"cutoff must be at least 2, got {cutoff}")
-    if abs(zeta) ** 2 > cutoff / 4.0:
-        warnings.warn(
-            f"|zeta|^2 = {abs(zeta)**2:.3g} is large for cutoff {cutoff}; "
-            "displacement window will leak",
-            stacklevel=2,
-        )
     d = np.zeros((cutoff, cutoff), dtype=type(zeta))
     row = np.zeros(cutoff, dtype=type(zeta))
     row[0] = 1.0
@@ -392,34 +385,19 @@ class ConcentrationReport:
     joint_bound: float
 
 
-def require_cutoff_limit(cutoff: int) -> None:
-    """Refuse a cutoff above MAX_CUTOFF before any operator is allocated."""
+def require_cutoff(n_mean: float, amplitude: float, cutoff: int) -> None:
+    """Refuse a two-mode cutoff above MAX_CUTOFF, or one that truncates too much.
+
+    The size limit is checked first, so a refused cutoff allocates nothing.
+    Then the thermal tail and the Poisson bound at the largest coherent
+    amplitude the check touches must both fall below DEFAULT_TAIL_TOL.
+    """
     if cutoff > MAX_CUTOFF:
         raise PreconditionError(
             f"the run needs Fock cutoff {cutoff}, above the limit {MAX_CUTOFF} "
             "(two-mode operators grow as cutoff**4, 192 MB each at the limit, "
             "and a cascade step holds one)"
         )
-
-
-def concentration_cutoff(zeta: complex, n_mean: float, n_copies: int) -> int:
-    """Default cutoff of the concentration checks up to n_copies copies.
-
-    It aims at tails below 1e-12, deeper than the DEFAULT_TAIL_TOL rule,
-    because truncation error enters the trace distances amplified by
-    roughly the basis size.
-    """
-    amplitude = math.sqrt(n_copies) * abs(complex(zeta))
-    return cutoff_for(n_mean, amplitude, _DISTANCE_RULE_TOL)
-
-
-def require_tails(n_mean: float, amplitude: float, cutoff: int) -> None:
-    """Refuse a cutoff whose thermal or coherent tail reaches DEFAULT_TAIL_TOL.
-
-    `amplitude` is the largest coherent amplitude the check touches.  The
-    size limit is separate (`require_cutoff_limit`): single-mode checks may
-    exceed it where two-mode checks may not.
-    """
     t_th = thermal_tail(n_mean, cutoff)
     # a square that overflows reads inf, and then cutoff_for names the amplitude
     t_coh = poisson_tail_bound(amplitude * amplitude, cutoff)
@@ -478,17 +456,18 @@ def verify_concentration_cascade(
     conjugated by R.  Partial traces, trace distances and Frobenius norms
     are unchanged by these unitaries.
 
-    The automatic cutoff is `concentration_cutoff`; an explicit one must
-    pass `require_tails` and `require_cutoff_limit`.
+    The default cutoff aims at tails below 1e-12, deeper than the
+    DEFAULT_TAIL_TOL rule, because truncation error enters the trace
+    distances amplified by roughly the basis size.  Either cutoff must pass
+    `require_cutoff` before any operator is allocated.
     """
     if n_copies < 2:
         raise DomainError(f"n_copies must be at least 2, got {n_copies}")
     modulus = abs(complex(zeta))
     amplitude = math.sqrt(n_copies) * modulus
     if cutoff is None:
-        cutoff = concentration_cutoff(zeta, n_mean, n_copies)
-    require_cutoff_limit(cutoff)
-    require_tails(n_mean, amplitude, cutoff)
+        cutoff = cutoff_for(n_mean, amplitude, _DISTANCE_RULE_TOL)
+    require_cutoff(n_mean, amplitude, cutoff)
     spectra = _beam_splitter_spectra(cutoff)
     fresh = displaced_thermal_density(modulus, n_mean, cutoff)
     target_second = thermal_density(n_mean, cutoff)
@@ -596,16 +575,6 @@ def truncated_rld_inverse(n_mean: float) -> np.ndarray:
 # measurement probabilities
 # ---------------------------------------------------------------------------
 
-def photon_probability(rho: np.ndarray, k: int) -> float:
-    """Probability of counting k photons: the k-th diagonal entry."""
-    if k < 0:
-        raise DomainError(f"photon count must be nonnegative, got {k}")
-    rho = np.asarray(rho)
-    if k >= rho.shape[0]:
-        return 0.0
-    return float(rho[k, k].real)
-
-
 def heterodyne_probability_density(rho: np.ndarray, alpha: complex) -> float:
     """Heterodyne outcome density <alpha|rho|alpha> / pi."""
     rho = np.asarray(rho)
@@ -623,37 +592,35 @@ def oracle_checks(
     """Certify the laws of `states` and the RLD inverses of `bounds` against the oracle.
 
     One record per check: "name", "max_dev", "tol", "pass" (max_dev < tol)
-    and, for a bound on a trace distance, "kind".  `cutoff` replaces the
-    tail rule of the density and concentration checks; the RLD check picks
-    its own.  The point is validated first, then the two-mode cutoff limit,
-    before any operator is allocated.
+    and, for a bound on a trace distance, "kind".  `cutoff` is the
+    concentration checks' cutoff, by default `verify_concentration_cascade`'s;
+    the heterodyne grid and the RLD check pick their own.  The point is
+    validated first, then the cascade runs, so its `require_cutoff` gate
+    refuses before any operator is allocated.  The grid needs no gate of its
+    own: at every point and cutoff that gate accepts, the grid's cutoff at
+    amplitude 3 + |zeta| is at most 96 (`tests/test_fock.py`).
     """
     theta = ThetaPoint.from_zeta(zeta, n_mean)
-    require_cutoff_limit(
-        cutoff if cutoff is not None else concentration_cutoff(zeta, n_mean, n_copies)
-    )
+    reports = verify_concentration_cascade(zeta, n_mean, n_copies=n_copies, cutoff=cutoff)
     checks = []
 
     def record(name, dev, tol, **extra):
         checks.append({"name": name, "max_dev": dev, "tol": tol, "pass": bool(dev < tol), **extra})
 
     # heterodyne law on a 5 x 5 grid, and photon-count law, against the matrices
-    grid_amp = 3.0 + abs(zeta)
-    grid_cutoff = cutoff if cutoff is not None else cutoff_for(n_mean, grid_amp)
-    require_tails(n_mean, grid_amp, grid_cutoff)
+    grid_cutoff = cutoff_for(n_mean, 3.0 + abs(zeta))
     rho = displaced_thermal_density(zeta, n_mean, grid_cutoff)
     axis = np.linspace(-3.0 / math.sqrt(2.0), 3.0 / math.sqrt(2.0), 5)
     grid = [complex(re, im) for re in axis for im in axis]
     het = [states.heterodyne_pdf(theta, a) - heterodyne_probability_density(rho, a) for a in grid]
     record("heterodyne-pdf", max(map(abs, het)), 1e-6)
-    tau = thermal_density(n_mean, grid_cutoff)
-    pmf = [states.photon_pmf(n_mean, k) - photon_probability(tau, k) for k in range(grid_cutoff)]
+    weights = _thermal_weights(n_mean, grid_cutoff).tolist()
+    pmf = [states.photon_pmf(n_mean, k) - p for k, p in enumerate(weights)]
     record("photon-pmf", max(map(abs, pmf)), 1e-12)
 
     # concentration identity at n = 2 (step 1) and up to n_copies, every step
     # at the n_copies cutoff; then the product structure of each step's joint
     # output, and of the whole cascade's (the sum telescopes)
-    reports = verify_concentration_cascade(zeta, n_mean, n_copies=n_copies, cutoff=cutoff)
     record("concentration-n2", max(reports[0].dist_first, reports[0].dist_second), 1e-6)
     if n_copies > 2:
         dev = max(max(r.dist_first, r.dist_second) for r in reports)

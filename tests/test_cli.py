@@ -404,6 +404,40 @@ class TestSimulateCommand:
         payload = json.loads(out)
         assert payload["seed"] == 7 and payload["theta"]["zeta_re"] == 0.9
 
+    @pytest.mark.parametrize("seed", [2**64, -(2**64), -1])
+    def test_seed_outside_64_bits_exits_2(self, capsys, seed):
+        # a stream key takes the seed as a 64-bit word, where 2^64 and -2^64
+        # read as seed 0: refused, not run as another seed
+        code, out, err = run_cli(capsys, *SIM_ARGS[:-1], str(seed))
+        assert code == 2 and out == ""
+        assert f"--seed must be in [0, {2**64 - 1}], got {seed}" in err
+
+    def test_config_seed_outside_64_bits_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": 2**64}))
+        code, out, err = run_cli(capsys, *SIM_ARGS[:-2], "--config", str(config))
+        assert code == 2 and out == ""
+        assert f"--seed must be in [0, {2**64 - 1}], got {2**64}" in err
+
+    def test_largest_seed_keeps_its_bits(self, capsys):
+        summaries = {}
+        for seed in (0, 2**64 - 1):
+            code, out, _ = run_cli(capsys, *SIM_ARGS[:-1], str(seed))
+            assert code == 0
+            summaries[seed] = json.loads(out)
+        assert summaries[2**64 - 1]["seed"] == 2**64 - 1
+        assert summaries[2**64 - 1]["n_trace_gv"] != summaries[0]["n_trace_gv"]
+
+    def test_ratio_table_refuses_a_seed_whose_last_cell_leaves_64_bits(self, capsys):
+        # cell c of the 18-cell grid runs at seed + 1000003 c
+        top = 2**64 - 1 - 17 * 1000003
+        argv = ("simulate", "--ratio-table", "--trials", "100", "--json", "--seed")
+        code, out, err = run_cli(capsys, *argv, str(top + 1))
+        assert code == 2 and out == ""
+        assert f"--seed must be in [0, {top}], got {top + 1}" in err
+        code, out, _ = run_cli(capsys, *argv, str(top))
+        assert code == 0 and json.loads(out)["seed"] == top
+
     @pytest.mark.parametrize(
         "key,value",
         [("n_mean", "1"), ("trials", "500"), ("n_copies", 10.5), ("clip_nonneg", 1)],
@@ -547,10 +581,27 @@ class TestOracleCheckCommand:
     def test_small_cutoff_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "oracle-check", "--cutoff", "5", "--n-mean", "2")
         assert code == 2
-        # the heterodyne grid is refused by the shared tail-rule gate
+        # the cascade's gate refuses it, at the step's amplitude sqrt(2) 0.5
         assert "cutoff 5 violates the tail rule (thermal tail" in err
-        needed = fock.cutoff_for(2.0, 3.5)
+        needed = fock.cutoff_for(2.0, math.sqrt(2.0) * 0.5)
         assert f"use cutoff >= {needed}" in err
+
+    @pytest.mark.parametrize("cutoff,code", [("30", 0), ("27", 1)])
+    def test_explicit_cutoff_sets_only_the_concentration_checks(self, capsys, cutoff, code):
+        # the heterodyne grid picks its own cutoff (33 at the defaults), so a
+        # smaller --cutoff runs the cascade: 30 passes, 27 fails the joint bound
+        got, out, _ = run_cli(capsys, "oracle-check", "--cutoff", cutoff, "--json")
+        assert got == code
+        failing = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+        assert failing == ([] if code == 0 else ["concentration-joint-n2"])
+
+    def test_accepted_run_prints_no_warning(self, capsys):
+        # the displacement window once warned of a leak here, against the tail rule
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "oracle-check", "--zeta-re", "3", "--n-mean", "0.1")
+        assert code == 1 and caught == []
+        assert err == "FAILED: concentration-joint-n2\n"
 
     @pytest.mark.parametrize(
         "argv,needed",
@@ -589,7 +640,7 @@ class TestOracleCheckCommand:
         elapsed = time.perf_counter() - start
         assert code == 2
         assert elapsed < 1.0
-        needed = fock.concentration_cutoff(1e5, 1.0, 2)
+        needed = fock.cutoff_for(1.0, math.sqrt(2.0) * 1e5, fock._DISTANCE_RULE_TOL)
         assert needed > 2e10
         assert f"cutoff {needed}," in err and "limit 70" in err
 
@@ -685,9 +736,9 @@ class TestOracleCheckCommand:
             checks = json.loads(out)["checks"]
             entries.append([c for c in checks if c["name"].startswith("concentration")])
         assert len(entries[0]) == 5 and entries[0] == entries[1]
-        # the complex run's densities: the heterodyne one, then the cascade's
-        assert amplitudes[0] == 0.3 + 0.4j
-        assert all(type(z) is float for z in amplitudes[1:])
+        # the complex run's densities: the cascade's, then the heterodyne one
+        assert amplitudes[-1] == 0.3 + 0.4j
+        assert all(type(z) is float for z in amplitudes[:-1])
 
     def test_joint_bound_fails_where_the_marginals_pass(self, capsys):
         # at the default cutoff 20 the marginals pass but the joint output is
@@ -725,7 +776,7 @@ _CONFIG_OPTIONAL = {
     "zeta_re": _finite,
     "zeta_im": _finite,
     "n_copies": st.integers(-1, 50),
-    "seed": st.integers(-(2**70), 2**70),
+    "seed": st.one_of(st.integers(0, 2**64 - 1), st.integers(-(2**70), 2**70)),
     "weight": st.sampled_from(["identity2", "identity3"]),
     "clip_nonneg": st.booleans(),
     "threads": st.integers(-2, 4),
@@ -820,31 +871,55 @@ _EDGE_FLOATS = st.sampled_from(
 )
 
 
+def _gate_bounds(cutoff):
+    """N and |zeta| below which the cascade's gate accepts cutoff at up to 3 copies.
+
+    The thermal tail (N / (N + 1))^cutoff and the Poisson bound at 3 |zeta|^2
+    must both fall below the tail tolerance.  The bound rises with its mean
+    up to the cutoff, so bisection finds the largest mean; 0.99 keeps clear
+    of both edges.
+    """
+    tol = fock.DEFAULT_TAIL_TOL
+    q = tol ** (1.0 / cutoff)
+    low, high = 0.0, float(cutoff)
+    for _ in range(60):
+        mid = (low + high) / 2.0
+        if fock.poisson_tail_bound(mid, cutoff) < tol:
+            low = mid
+        else:
+            high = mid
+    return 0.99 * q / (1.0 - q), 0.99 * math.sqrt(low / 3.0)
+
+
 @st.composite
 def _oracle_argv(draw):
     """oracle-check flags bounded so that no example runs a large cascade.
 
-    With --cutoff (at most 30) the floats are any; without it N <= 0.5 and
-    |zeta| <= 1.  About a quarter of the values are edge values; the ones
-    that would need a large cutoff are refused before any work.
+    In about half of them --cutoff is at most 40, and N and zeta are finite
+    and lie where the cascade's gate accepts that cutoff.  In the rest N <=
+    0.5 and |zeta| <= 1, and about a quarter of the values are edge values;
+    the ones that would need a large cutoff are refused before any work.
     """
     argv = ["oracle-check", "--json"]
-    # every --cutoff below 33 exits 2 (the heterodyne grid needs it), so draw it less
-    if draw(st.integers(0, 3)) == 0:
-        argv.append(f"--cutoff={draw(st.integers(2, 30))}")
-        values = {"n-mean": st.floats(), "zeta-re": st.floats(), "zeta-im": st.floats()}
-        required = []
+    if draw(st.booleans()):
+        cutoff = draw(st.integers(2, 40))
+        n_max, zeta_max = _gate_bounds(cutoff)
+        coordinate = st.floats(-zeta_max / math.sqrt(2.0), zeta_max / math.sqrt(2.0))
+        # N and zeta_re always: the defaults, N = 1 and zeta = 0.5, need cutoff 27
+        argv += [f"--cutoff={cutoff}", f"--n-mean={draw(st.floats(0.0, n_max, exclude_min=True))!r}"]
+        argv.append(f"--zeta-re={draw(coordinate)!r}")
+        if draw(st.booleans()):
+            argv.append(f"--zeta-im={draw(coordinate)!r}")
     else:
         values = {
             "n-mean": st.floats(0.0, 0.5, exclude_min=True),
             "zeta-re": st.floats(-0.7, 0.7),
             "zeta-im": st.floats(-0.7, 0.7),
         }
-        required = ["n-mean"]
-    for flag, finite in values.items():
-        if flag in required or draw(st.booleans()):
-            value = draw(_EDGE_FLOATS if draw(st.integers(0, 3)) == 0 else finite)
-            argv.append(f"--{flag}={value!r}")
+        for flag, finite in values.items():
+            if flag == "n-mean" or draw(st.booleans()):
+                value = draw(_EDGE_FLOATS if draw(st.integers(0, 3)) == 0 else finite)
+                argv.append(f"--{flag}={value!r}")
     if draw(st.booleans()):
         argv.append("--deep")
     return argv
@@ -866,6 +941,8 @@ def _refuse_constant(name):
 @example(argv=["oracle-check", "--json", "--n-mean=1e-300", "--zeta-re=1.5"])
 @example(argv=["oracle-check", "--json", "--n-mean=1e-08"])
 @example(argv=["oracle-check", "--json", "--zeta-re=1e200", "--cutoff=20"])
+@example(argv=["oracle-check", "--json", "--cutoff=30"])  # exits 0
+@example(argv=["oracle-check", "--json", "--cutoff=27"])  # exits 1 on concentration-joint-n2
 def test_any_oracle_flags_end_in_a_finite_result_or_an_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -216,10 +216,6 @@ class TestDisplacement:
         product = d @ d.conj().T
         assert np.max(np.abs(product[:20, :20] - np.eye(20))) < 1e-10
 
-    def test_warns_on_large_displacement(self):
-        with pytest.warns(UserWarning):
-            fock.displacement_operator(3.0, 8)
-
 
 class TestDisplacedThermal:
     def test_zero_displacement_is_thermal(self):
@@ -589,8 +585,9 @@ class TestConcentration:
             fock.verify_concentration_cascade(1e200, 1.0, cutoff=20)
 
     def test_tail_precondition_names_required_cutoff(self):
-        with pytest.raises(PreconditionError, match="use cutoff >="):
+        with pytest.raises(PreconditionError, match="use cutoff >= 46$"):
             fock.verify_concentration_cascade(0.5, 2.0, n_copies=2, cutoff=5)
+        fock.require_cutoff(2.0, math.sqrt(2.0) * 0.5, 46)
 
 
 class TestNumericRld:
@@ -679,13 +676,6 @@ class TestTruncatedRldInverse:
 
 
 class TestPovmProbabilities:
-    def test_photon_on_thermal(self):
-        rho = fock.thermal_density(1.0, 20)
-        assert fock.photon_probability(rho, 0) == pytest.approx(0.5, abs=1e-14)
-        assert fock.photon_probability(rho, 25) == 0.0
-        with pytest.raises(DomainError):
-            fock.photon_probability(rho, -1)
-
     def test_heterodyne_center_value(self):
         rho = fock.thermal_density(1.0, 30)
         assert fock.heterodyne_probability_density(rho, 0j) == pytest.approx(
@@ -697,9 +687,8 @@ class TestPovmProbabilities:
         for alpha in (0j, 0.5 + 0.5j, -1.0j, 2.0 + 0j):
             q = fock.heterodyne_probability_density(rho, alpha)
             assert 0.0 <= q <= 1.0 / math.pi + 1e-12
-        for k in range(10):
-            p = fock.photon_probability(rho, k)
-            assert 0.0 <= p <= 1.0
+        photon = np.diag(rho).real
+        assert np.all((0.0 <= photon) & (photon <= 1.0))
 
 
 class TestCutoffRule:
@@ -762,18 +751,35 @@ class TestCutoffRule:
             fock.cutoff_for(1e308, 0.0, tol=1e-12)
 
     def test_limit_refuses_before_allocating(self):
-        assert fock.concentration_cutoff(0.5, 2.0, 2) == 69 <= fock.MAX_CUTOFF
-        assert fock.concentration_cutoff(0.5, 3.0, 2) == 97
+        # the cascade's default cutoffs at amplitude sqrt(2) 0.5
+        amplitude = math.sqrt(2.0) * 0.5
+        assert fock.cutoff_for(2.0, amplitude, fock._DISTANCE_RULE_TOL) == 69 <= fock.MAX_CUTOFF
+        assert fock.cutoff_for(3.0, amplitude, fock._DISTANCE_RULE_TOL) == 97
         with pytest.raises(PreconditionError, match="cutoff 97, above the limit 70"):
             fock.verify_concentration_cascade(0.5, 3.0, n_copies=2)
-        with pytest.raises(PreconditionError, match="cutoff 71, above the limit 70"):
-            fock.verify_concentration_cascade(0.5, 1.0, cutoff=71)
+        tracemalloc.start()
+        try:
+            # the size limit comes before the tail rule, which cutoff 71 passes
+            with pytest.raises(PreconditionError, match="cutoff 71, above the limit 70"):
+                fock.verify_concentration_cascade(0.5, 1.0, cutoff=71)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
 
-    def test_tail_gate_leaves_the_size_limit_to_two_mode_checks(self):
-        # the heterodyne grid at |zeta| = 2.6 needs a single-mode cutoff above
-        # the two-mode limit, which the tail rule alone accepts
-        cutoff = fock.cutoff_for(1.0, 3.0 + 2.6)
-        assert cutoff > fock.MAX_CUTOFF
-        fock.require_tails(1.0, 3.0 + 2.6, cutoff)
-        with pytest.raises(PreconditionError, match=f"use cutoff >= {cutoff}"):
-            fock.require_tails(1.0, 3.0 + 2.6, cutoff - 1)
+    def test_grid_cutoff_stays_small_wherever_the_cascade_gate_accepts(self):
+        # oracle_checks runs the heterodyne grid, at amplitude 3 + |zeta|, only
+        # after the cascade's gate has accepted (N, zeta, n_copies, cutoff), so
+        # the grid needs no size gate of its own; its worst case here is 96
+        worst = 0
+        for n_mean in (1e-300, 1e-8, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 3.3, 3.4):
+            for modulus in np.linspace(0.0, 5.0, 501):
+                for n_copies in (2, 3):
+                    amplitude = math.sqrt(n_copies) * modulus
+                    for cutoff in (2, 10, 20, 27, 30, 40, 46, 50, 60, 69, 70):
+                        try:
+                            fock.require_cutoff(n_mean, amplitude, cutoff)
+                        except PreconditionError:
+                            continue
+                        worst = max(worst, fock.cutoff_for(n_mean, 3.0 + modulus))
+        assert 90 < worst <= 100
