@@ -12,8 +12,9 @@ and the bound for a weight matrix G is
     C_R(G) = Tr G Re Jinv + Tr | sqrt(G) Im Jinv sqrt(G) |
 
 which evaluates in closed form to 2(N + 1/2) g1 + sqrt(g1^2 - g2^2 - g3^2)
-for G = [[g1+g2, g3], [g3, g1-g2]], plus g0 N(N+1) when a decoupled third
-parameter with weight g0 is present.
+for the upper 2x2 block [[g1+g2, g3], [g3, g1-g2]] of G, plus g0 N(N+1)
+for a 3x3 weight with (3,3) entry g0.  The third parameter decouples in
+Jinv, so the entries G13 and G23 never enter the bound.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import DomainError
 
 PSD_EIGENVALUE_TOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
-_OFF_BLOCK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,9 @@ class ThetaPoint:
     def __post_init__(self):
         if not (self.n_mean > 0):
             raise DomainError(f"n_mean must be positive (state degenerates at 0), got {self.n_mean}")
-        if not all(map(math.isfinite, (self.theta1, self.theta2, self.n_mean))):
+        if self.n_mean == math.inf:
+            raise DomainError("n_mean must be finite, got inf")
+        if not all(map(math.isfinite, (self.theta1, self.theta2))):
             raise DomainError("theta components must be finite")
 
     @property
@@ -54,53 +56,51 @@ class ThetaPoint:
         return cls(_SQRT2 * zeta.real, _SQRT2 * zeta.imag, n_mean)
 
 
+def _require_dim(dim: int) -> None:
+    if dim not in (2, 3):
+        raise DomainError(f"weight matrix dimension must be 2 or 3, got {dim}")
+
+
 class WeightMatrix:
     """Real symmetric positive semidefinite weight, dimension 2 or 3.
 
     For d = 2 any symmetric matrix decomposes exactly as
-    G = [[g1+g2, g3], [g3, g1-g2]].  For d = 3 the closed-form bound needs
-    the block form diag([[g1+g2, g3], [g3, g1-g2]], g0); off-block entries
-    must vanish for :meth:`three_param_gs`.
+    G = [[g1+g2, g3], [g3, g1-g2]]; for d = 3, (g0, g1, g2, g3) are the
+    (3,3) entry and that upper 2x2 block.  The RLD bound reads nothing
+    else: the third parameter decouples in the RLD inverse, so the
+    off-block entries G13 and G23 never enter it.
 
     Strictly positive weights are the textbook setting; semidefinite ones
     (zero eigenvalues, "ignore this direction") are accepted because every
     bound formula stays finite there.  Eigenvalues in [-PSD_EIGENVALUE_TOL
-    * max(1, max |G|), 0) count as round-off: `root`, the read-only
-    symmetric square root of G that the general bound needs, clamps them
-    to zero.
+    * max(1, max |G|), 0) count as round-off.
     """
 
-    __slots__ = ("dim", "entries", "root")
+    __slots__ = ("dim", "entries")
 
     def __init__(self, entries: np.ndarray):
         m = np.asarray(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"weight matrix must be square, got shape {m.shape}")
-        d = m.shape[0]
-        if d not in (2, 3):
-            raise DomainError(f"weight matrix dimension must be 2 or 3, got {d}")
+        _require_dim(m.shape[0])
         if not np.all(np.isfinite(m)):
             raise DomainError("weight matrix entries must be finite")
         scale = max(1.0, float(np.max(np.abs(m))))
         if np.max(np.abs(m / 2 - m.T / 2)) > 0.5e-9 * scale:  # m - m.T can overflow
             raise DomainError("weight matrix must be symmetric")
         m = m / 2 + m.T / 2  # (m + m.T) / 2 overflows near the float64 limit
-        w, v = np.linalg.eigh(m)
-        if w.min() < -PSD_EIGENVALUE_TOL * scale:
+        low = np.linalg.eigvalsh(m)[0]
+        if low < -PSD_EIGENVALUE_TOL * scale:
             raise DomainError(
-                f"weight matrix must be positive semidefinite (min eigenvalue {w.min():.3e})"
+                f"weight matrix must be positive semidefinite (min eigenvalue {low:.3e})"
             )
-        root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-        self.dim = d
+        self.dim = m.shape[0]
         self.entries = m
-        self.root = (root + root.T) / 2
         self.entries.setflags(write=False)
-        self.root.setflags(write=False)
 
     @classmethod
     def identity(cls, dim: int) -> "WeightMatrix":
-        if dim not in (2, 3):
-            raise DomainError(f"weight matrix dimension must be 2 or 3, got {dim}")
+        _require_dim(dim)
         return cls(np.eye(dim))
 
     @classmethod
@@ -121,23 +121,10 @@ class WeightMatrix:
         )
 
     def three_param_gs(self) -> tuple[float, float, float, float]:
-        """(g0, g1, g2, g3) of the block form; requires off-block entries to vanish."""
+        """(g0, g1, g2, g3): the (3,3) entry and the upper 2x2 block."""
         if self.dim != 3:
             raise DomainError("three_param_gs requires a 3x3 weight matrix")
-        m = self.entries
-        if not self.is_block_form():
-            off = max(abs(m[0, 2]), abs(m[1, 2]))
-            raise DomainError(
-                f"weight matrix is not block diagonal (off-block magnitude {off:.3e}); "
-                "the closed form applies only to the block form"
-            )
-        return (float(m[2, 2]), *self.two_param_gs())
-
-    def is_block_form(self) -> bool:
-        if self.dim == 2:
-            return True
-        m = self.entries
-        return max(abs(m[0, 2]), abs(m[1, 2])) <= _OFF_BLOCK_TOL * max(1.0, float(np.max(np.abs(m))))
+        return (float(self.entries[2, 2]), *self.two_param_gs())
 
     def __repr__(self):
         return f"WeightMatrix(dim={self.dim}, entries={self.entries.tolist()})"
@@ -187,14 +174,18 @@ def c_r_general(weight: WeightMatrix, n_mean: float) -> float:
     """Bound from the matrix formula Tr G Re Jinv + Tr |sqrt(G) Im Jinv sqrt(G)|.
 
     Jinv is `rld_inverse_2param` for a 2x2 weight (N known) and
-    `rld_inverse_3param` for a 3x3 one; the trace norm is the sum of
-    singular values.
+    `rld_inverse_3param` for a 3x3 one.  For both, Im Jinv is
+    (e1 e2^T - e2 e1^T) / 2, so sqrt(G) Im Jinv sqrt(G) is
+    (v1 v2^T - v2 v1^T) / 2 with vi = sqrt(G) ei and vi . vj = Gij.  Its two
+    singular values are half the area |v1 ^ v2| each, so the trace norm is
+    sqrt(G11 G22 - G12^2) for every weight; `_radical` evaluates it exactly.
     """
     j_inv = rld_inverse_2param(n_mean) if weight.dim == 2 else rld_inverse_3param(n_mean)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         real_term = float(np.trace(weight.entries @ j_inv.real))
-    imag = weight.root @ j_inv.imag @ weight.root
-    return _finite_bound(real_term + float(np.linalg.svd(imag, compute_uv=False).sum()))
+    m = weight.entries
+    (g11, g22, g12), k = _integers(m[0, 0], m[1, 1], m[0, 1])
+    return _finite_bound(real_term + _radical(g11, g22, g12, k))
 
 
 def _finite_bound(value: float) -> float:
@@ -203,16 +194,37 @@ def _finite_bound(value: float) -> float:
     return value
 
 
+def _integers(*values: float) -> tuple[list[int], int]:
+    """Integers n_i and k with values[i] = n_i / 2**k exactly."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios], den.bit_length() - 1
+
+
+def _radical(a: int, b: int, c: int, k: int) -> float:
+    """sqrt(a b - c^2) / 2**k, rounded once from exact integers; 0 where a b < c^2.
+
+    The integer root carries at least 113 bits, 60 beyond float64's 53, and
+    a sticky last bit marks an inexact root, so the one division (which
+    Python rounds correctly, subnormals included) rounds as the exact value
+    would.
+    """
+    n = max(a * b - c * c, 0)
+    shift = max(0, 113 - n.bit_length() // 2)
+    n <<= 2 * shift
+    root = math.isqrt(n)
+    return (root | (root * root != n)) / (1 << (shift + k))
+
+
 def _closed_radical(g1: float, g2: float, g3: float) -> float:
-    # in units of the power of two at or below max |g|: exact, and no square overflows
-    unit = math.ldexp(1.0, math.frexp(max(abs(g1), abs(g2), abs(g3)))[1] - 1)
-    s1, s2, s3 = g1 / unit, g2 / unit, g3 / unit
-    rad = s1 * s1 - s2 * s2 - s3 * s3
-    if rad < -PSD_EIGENVALUE_TOL * max(1.0 / unit / unit, s1 * s1):
+    # g1^2 - g2^2 - g3^2 in exact integers: no square overflows, nothing cancels
+    (i1, i2, i3), k = _integers(g1, g2, g3)
+    tol_num, tol_den = PSD_EIGENVALUE_TOL.as_integer_ratio()
+    if (i1 * i1 - i2 * i2 - i3 * i3) * tol_den < -tol_num * max(1 << 2 * k, i1 * i1):
         raise DomainError(
             f"(g1, g2, g3) = ({g1}, {g2}, {g3}) violates g1^2 >= g2^2 + g3^2 (weight not PSD)"
         )
-    return unit * math.sqrt(max(rad, 0.0))
+    return _radical(i1 + i2, i1 - i2, i3, k)
 
 
 def c_r_closed_2param(g1: float, g2: float, g3: float, n_mean: float) -> float:
@@ -229,7 +241,7 @@ def c_r_closed_3param(g0: float, g1: float, g2: float, g3: float, n_mean: float)
         raise DomainError(f"g0 must be nonnegative, got {g0}")
     WeightMatrix.from_three_param_gs(g0, g1, g2, g3)  # validates the weight
     return _finite_bound(
-        g0 * n_mean * (n_mean + 1.0)
+        g0 * (n_mean * (n_mean + 1.0))  # N(N+1) first, as in the RLD inverse
         + 2.0 * (n_mean + 0.5) * g1
         + _closed_radical(g1, g2, g3)
     )
@@ -290,6 +302,7 @@ def load_weight(source: str) -> WeightMatrix:
         values = [float(t) for t in tokens[1:]]
     except ValueError as exc:
         raise ValueError(f"weight file {source!r} is malformed: {exc}") from exc
+    _require_dim(dim)
     if len(values) != dim * dim:
         raise ValueError(
             f"weight file {source!r} must contain {dim * dim} entries after the dimension, "

@@ -112,17 +112,14 @@ def cmd_bounds(args, argv) -> int:
     theta = _theta_from_args(args)  # the bound depends only on n_mean; echoed for the record
     n_mean = theta.n_mean
     general = c_r_general(weight, n_mean)
-
-    closed = tradeoff = None
-    if weight.is_block_form():
-        if weight.dim == 2:
-            closed = c_r_closed_2param(*weight.two_param_gs(), n_mean)
-        else:
-            closed = c_r_closed_3param(*weight.three_param_gs(), n_mean)
-        try:
-            tradeoff = optimal_gaussian_tradeoff(*weight.two_param_gs(), n_mean)
-        except DomainError:
-            pass  # g1 = 0 or a rank-one block: no finite squeeze, reported as null
+    if weight.dim == 2:
+        closed = c_r_closed_2param(*weight.two_param_gs(), n_mean)
+    else:
+        closed = c_r_closed_3param(*weight.three_param_gs(), n_mean)
+    try:
+        tradeoff = optimal_gaussian_tradeoff(*weight.two_param_gs(), n_mean)
+    except DomainError:
+        tradeoff = None  # g1 = 0 or a rank-one block: no finite squeeze, reported as null
 
     payload = {
         "theta": _theta_echo(theta),
@@ -130,7 +127,7 @@ def cmd_bounds(args, argv) -> int:
         "weight": weight.entries.tolist(),
         "c_r_general": general,
         "c_r_closed": closed,
-        "difference": None if closed is None else general - closed,
+        "difference": general - closed,
         "squeeze": None
         if tradeoff is None
         else {
@@ -144,11 +141,8 @@ def cmd_bounds(args, argv) -> int:
         sys.stdout.write(_dump_json(payload))
         return 0
     print(f"C_R (general matrix formula) = {general:.12g}")
-    if closed is None:
-        print("C_R (closed form)            = n/a (weight is not block form)")
-    else:
-        print(f"C_R (closed form)            = {closed:.12g}")
-        print(f"difference                   = {general - closed:.3e}")
+    print(f"C_R (closed form)            = {closed:.12g}")
+    print(f"difference                   = {general - closed:.3e}")
     if tradeoff is not None:
         print(
             f"optimal squeezed heterodyne: r = {tradeoff.squeeze_r:.6g}, "

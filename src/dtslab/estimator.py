@@ -260,9 +260,12 @@ def expected_finite_n_trace(config: ExperimentConfig) -> float | None:
 
     Collective: 2(N+1) + n N(N+1)/(n-1).  Separable: 2(N+1) + n (N+1)^2/(n-1).
     Known-N: 2(N+1) for every n.  Returns None for non-identity weights,
-    where no closed expression is recorded.
+    where no closed expression is recorded, and for a separable run with
+    clip_nonneg, whose clipped N estimate has none.  The collective N
+    estimate K/(n-1) is never negative, so clipping leaves its value.
     """
-    if not _identity_weight(config):
+    clipped = config.clip_nonneg and config.protocol is ProtocolKind.SEPARABLE_HETERODYNE
+    if clipped or not _identity_weight(config):
         return None
     n = config.n_copies
     big_n = config.theta.n_mean

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from dtslab.bounds import (
     ThetaPoint,
     WeightMatrix,
+    _integers,
+    _radical,
     c_r_closed_2param,
     c_r_closed_3param,
     c_r_general,
@@ -45,6 +48,12 @@ class TestThetaPoint:
         with pytest.raises(DomainError):
             ThetaPoint(0.0, 0.0, bad)
 
+    def test_infinite_n_is_refused_by_name(self):
+        with pytest.raises(DomainError, match="^n_mean must be finite, got inf$"):
+            ThetaPoint(0.0, 0.0, math.inf)
+        with pytest.raises(DomainError, match="theta components"):
+            ThetaPoint(math.inf, 0.0, 1.0)
+
 
 class TestWeightMatrix:
     def test_two_param_decomposition_roundtrip(self):
@@ -59,13 +68,19 @@ class TestWeightMatrix:
         w = WeightMatrix.from_three_param_gs(0.7, 1.0, 0.2, 0.1)
         assert w.three_param_gs() == pytest.approx((0.7, 1.0, 0.2, 0.1), abs=1e-15)
 
-    def test_rejects_off_block(self):
-        m = np.eye(3)
-        m[0, 2] = m[2, 0] = 0.5
+    def test_off_block_entries_leave_closed_form_equal_to_general(self):
+        # G13 and G23 never enter C_R: the closed form of the block and the
+        # (3,3) entry is the bound of the full weight
+        m = np.array([[1.5, 0.25, 0.5], [0.25, 0.75, -0.375], [0.5, -0.375, 1.25]])
         w = WeightMatrix(m)
-        assert not w.is_block_form()
-        with pytest.raises(DomainError):
-            w.three_param_gs()
+        block = WeightMatrix.from_three_param_gs(1.25, 1.125, 0.375, 0.25)
+        assert w.three_param_gs() == (1.25, 1.125, 0.375, 0.25)
+        for n_mean in (1e-12, 0.5, 1.0, 7.3, 1e150):
+            general = c_r_general(w, n_mean)
+            assert c_r_closed_3param(*w.three_param_gs(), n_mean) == pytest.approx(
+                general, rel=4 * 2.0**-53
+            )
+            assert general == c_r_general(block, n_mean)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(DomainError):
@@ -83,30 +98,6 @@ class TestWeightMatrix:
         m = np.array([[1.0, 0.25 + 1e-14], [0.25, 1.0]])
         w = WeightMatrix(m)
         assert np.allclose(w.entries, w.entries.T)
-
-
-class TestWeightMatrixRoot:
-    def test_diagonal(self):
-        assert np.allclose(WeightMatrix(np.diag([4.0, 1.0])).root, np.diag([2.0, 1.0]), atol=1e-14)
-
-    def test_identity(self):
-        assert np.allclose(WeightMatrix.identity(3).root, np.eye(3), atol=1e-14)
-
-    def test_random_roundtrip(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            a = rng.normal(size=(3, 3))
-            m = a @ a.T
-            root = WeightMatrix(m).root
-            assert np.linalg.norm(root @ root - m) < 1e-9 * max(1.0, np.linalg.norm(m))
-
-    def test_symmetric_and_read_only(self):
-        m = np.array([[2.0, 1.0], [1.0, 2.0]])
-        root = WeightMatrix(m).root
-        assert np.linalg.norm(root @ root - m) < 1e-10
-        assert np.array_equal(root, root.T)
-        with pytest.raises(ValueError, match="read-only"):
-            root[0, 0] = 1.0
 
 
 class TestRldInverse:
@@ -165,9 +156,9 @@ class TestCrGeneral:
         with pytest.raises(DomainError, match="overflows"):
             c_r_closed_2param(1e10, 0.0, 0.0, 1e300)
 
-    # Tr |sqrt(G) Im Jinv sqrt(G)| is a sum of singular values; at the identity
-    # weight it is the trace norm of Im Jinv = [[0, 1/2], [-1/2, 0]] (padded by
-    # a zero row and column for three parameters)
+    # at the identity weight Tr |sqrt(G) Im Jinv sqrt(G)| is the trace norm
+    # of Im Jinv = [[0, 1/2], [-1/2, 0]] (padded by a zero row and column for
+    # three parameters)
     def test_imaginary_term_of_an_antisymmetric_matrix(self):
         assert c_r_general(WeightMatrix.identity(2), 0.5) - 2.0 == pytest.approx(1.0, abs=1e-14)
 
@@ -190,15 +181,37 @@ class TestCrGeneral:
             assert c_r_general(w, 0.7) >= 0.0
 
 
+class TestRadical:
+    # Y = (2^53 + 1) 2^60 lies halfway between the floats 2^113 and
+    # (2^53 + 2) 2^60, so sqrt(Y^2 +- 1) must round away from the tie
+    Y = (2**53 + 1) << 60
+
+    def test_just_above_a_tie_rounds_up(self):
+        assert _radical(self.Y * self.Y + 1, 1, 0, 0) == float((2**53 + 2) << 60)
+
+    def test_just_below_a_tie_rounds_down(self):
+        assert _radical(self.Y * self.Y - 1, 1, 0, 0) == 2.0**113
+
+    def test_subnormal_result_is_rounded_once(self):
+        # sqrt(10) / 2 = 1.58 units of 2^-1074 rounds to 2 units, sqrt(4) / 2 to 1
+        assert _radical(10, 1, 0, 1075) == 2 * 2.0**-1074
+        assert _radical(4, 1, 0, 1075) == 2.0**-1074
+
+    def test_negative_radicand_counts_as_zero(self):
+        assert _radical(1, 1, 2, 0) == 0.0
+
+
 def reference_c_r_general(m, n_mean):
-    """C_R(G) for a raw matrix, with the square root taken afresh from G.
+    """C_R(G) for a raw matrix by the matrix formula, with a square root of G.
 
     The weight is validated (symmetry on m / 2, PSD on `eigvalsh`), Jinv is
-    chosen by dimension, the root comes from a second `eigh` of the
+    chosen by dimension, the root comes from an `eigh` of the
     re-symmetrized entries with its own symmetry and PSD tests, and the
-    imaginary term is an SVD trace norm.  The weight's and the bound's
-    messages are the package's; the root's own tests keep messages of
-    their own, so a grid point where only they fire cannot match.
+    imaginary term is an SVD trace norm: the eigensolve and the SVD that
+    `c_r_general` replaces by the identity Tr |sqrt(G) Im Jinv sqrt(G)| =
+    sqrt(G11 G22 - G12^2).  The weight's and the bound's messages are the
+    package's; the root's own tests keep messages of their own, so a grid
+    point where only they fire cannot match.
     """
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
@@ -246,7 +259,36 @@ def reference_grid():
                 yield scale * (a @ a.T + np.triu(np.full((dim, dim), 1e-6), 1))
 
 
+def exact_c_r(g, n_mean):
+    """(C_R, its radical, the sum of its terms' magnitudes) to 80 digits.
+
+    The terms are (N + 1/2) G11, (N + 1/2) G22, N(N + 1) G33 and
+    sqrt(G11 G22 - G12^2) of the validated entries g; a radicand below 0
+    (a weight indefinite within the PSD tolerance) counts as 0.
+    """
+    with decimal.localcontext(decimal.Context(prec=80)):
+        g = [[decimal.Decimal(float(x)) for x in row] for row in g]
+        n = decimal.Decimal(n_mean)
+        terms = [(n + decimal.Decimal("0.5")) * g[0][0], (n + decimal.Decimal("0.5")) * g[1][1]]
+        if len(g) == 3:
+            terms.append(n * (n + 1) * g[2][2])
+        radical = max(g[0][0] * g[1][1] - g[0][1] ** 2, decimal.Decimal(0)).sqrt()
+        terms.append(radical)
+        return sum(terms), radical, sum(map(abs, terms))
+
+
+# the reference's worst error on `reference_grid` is 6.2e-8, from its eigensolve
+REFERENCE_REL_ERROR = decimal.Decimal("1e-7")
+
+
 class TestCrGeneralMatchesReference:
+    # The radical is bit for bit the 80-digit value rounded once.  The bound
+    # adds three rounded products to it and stays within 4 ulps of the sum
+    # of its terms' magnitudes, which is the bound itself wherever the
+    # diagonal is nonnegative.  The grid's other accepted points are
+    # negative-definite weights below the absolute PSD tolerance: their
+    # terms cancel, and the reference's clamped root drops the radical.
+    # A grid point the reference refuses is refused with the same message.
     @pytest.mark.parametrize("n_mean", [1e-12, 0.5, 1.0, 7.3, 1e150])
     def test_bit_for_bit(self, n_mean):
         outcomes = {"value": 0, "error": 0}
@@ -258,9 +300,17 @@ class TestCrGeneralMatchesReference:
                     c_r_general(WeightMatrix(m), n_mean)
                 assert str(info.value) == str(exc), m
                 outcomes["error"] += 1
-            else:
-                assert c_r_general(WeightMatrix(m), n_mean) == expected, m
-                outcomes["value"] += 1
+                continue
+            weight = WeightMatrix(m)
+            g = weight.entries
+            exact, radical, magnitude = exact_c_r(g, n_mean)
+            (g11, g22, g12), k = _integers(g[0, 0], g[1, 1], g[0, 1])
+            assert _radical(g11, g22, g12, k) == float(radical), m
+            error = abs(decimal.Decimal(c_r_general(weight, n_mean)) - exact)
+            assert error <= decimal.Decimal(4 * 2.0**-53) * magnitude, m
+            if np.diag(g).min() >= 0:
+                assert abs(decimal.Decimal(expected) - exact) <= REFERENCE_REL_ERROR * exact, m
+            outcomes["value"] += 1
         assert min(outcomes.values()) > 0
 
 
@@ -424,6 +474,14 @@ class TestLoadWeight:
         path = tmp_path / "bad.txt"
         path.write_text("2\n1 2 3\n")
         with pytest.raises(ValueError):
+            load_weight(str(path))
+
+    @pytest.mark.parametrize("text", ["-1 5", "-2 1 0 0 1", "0", "1 1", "4" + " 1" * 16])
+    def test_dimension_other_than_2_or_3_is_domain_error(self, tmp_path, text):
+        path = tmp_path / "w.txt"
+        path.write_text(text + "\n")
+        dim = text.split()[0]
+        with pytest.raises(DomainError, match=f"^weight matrix dimension must be 2 or 3, got {dim}$"):
             load_weight(str(path))
 
     def test_non_psd_file_is_domain_error(self, tmp_path):

@@ -10,6 +10,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -141,6 +142,38 @@ class TestBoundsCommand:
         assert code == 0
         squeeze = json.loads(out)["squeeze"]
         assert squeeze["r"] == 0.0 and squeeze["achieved"] == 2e200
+
+    def test_infinite_n_mean_exits_3_naming_n_mean(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--n-mean", "inf", "--json")
+        assert code == 3 and out == ""
+        assert "n_mean must be finite, got inf" in err
+
+    def test_negative_weight_dimension_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("-1 5\n")  # one entry, as many as (-1)^2 asks for
+        code, out, err = run_cli(capsys, "bounds", "--n-mean", "1", "--weight", str(path))
+        assert code == 3 and out == ""
+        assert "weight matrix dimension must be 2 or 3, got -1" in err
+
+    def test_non_block_weight_reports_its_closed_form(self, capsys, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("3\n1 0 0.5\n0 1 0\n0.5 0 1\n")
+        code, out, _ = run_cli(capsys, "bounds", "--n-mean", "1", "--weight", str(path))
+        assert code == 0
+        assert "C_R (closed form)            = 6\n" in out
+        assert "difference                   = 0.000e+00\n" in out
+
+    def test_wide_scale_weight_reads_the_same_both_ways(self, capsys, tmp_path):
+        dim, entries = _WIDE_SCALE_WEIGHT
+        path = tmp_path / "w.txt"
+        path.write_text(f"{dim}\n" + " ".join(map(repr, entries)) + "\n")
+        code, out, _ = run_cli(
+            capsys, "bounds", "--n-mean", "1e-300", "--weight", str(path), "--json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["c_r_general"] == payload["c_r_closed"] == 1.36e142
+        assert payload["difference"] == 0.0
 
     # the last is v v^T for v = (0.51, 0.08), whose smaller eigenvalue rounds to 1.4e-17
     @pytest.mark.parametrize("entries", ["1 0 0 0", "1 1 1 1", "0.2601 0.0408 0.0408 0.0064"])
@@ -825,8 +858,11 @@ def test_any_config_values_end_in_an_exit_code(tmp_path, values):
 
 @st.composite
 def _weight_files(draw):
-    """(dim, row-major entries) of a weight file, symmetric in about half of them."""
-    dim = draw(st.sampled_from([2, 3]))
+    """(dim, row-major entries) of a weight file, symmetric in about half of them.
+
+    The dimension runs over -2..4, so some files have no 2x2 or 3x3 shape.
+    """
+    dim = draw(st.integers(-2, 4))
     entries = draw(st.lists(st.floats(), min_size=dim * dim, max_size=dim * dim))
     if draw(st.booleans()):
         for i in range(dim):
@@ -836,8 +872,8 @@ def _weight_files(draw):
 
 
 # G is indefinite by 3e137, within the PSD tolerance of 1e-12 times its
-# 5.7e200 entry, and its off-block entries count as zero; the general bound
-# reads 6.8e141 and the closed form 1.36e142, so the two are not compared
+# 5.7e200 entry; its off-block entries do not enter the bound, and at
+# N = 1e-300 both forms read 2 * 6.8e141
 _WIDE_SCALE_WEIGHT = (3, [6.8e141, 0.0, 1.9687993803331008e171, 0.0, 6.8e141, 0.0,
                           1.9687993803331008e171, 0.0, 5.7e200])
 
@@ -852,6 +888,8 @@ _WIDE_SCALE_WEIGHT = (3, [6.8e141, 0.0, 1.9687993803331008e171, 0.0, 6.8e141, 0.
 @given(weight=_weight_files(), n_mean=st.floats())
 @example(weight=(2, [1.0, 0.0, 0.0, 1.0]), n_mean=1.0)
 @example(weight=_WIDE_SCALE_WEIGHT, n_mean=1e-300)
+@example(weight=(2, [1.0, 0.0, 0.0, 1e-20]), n_mean=0.5)  # g1 - g2 rounds 1e-20 away
+@example(weight=(-1, [5.0]), n_mean=1.0)
 def test_any_weight_file_ends_in_a_finite_bound_or_exit_3(tmp_path, weight, n_mean):
     dim, entries = weight
     path = tmp_path / "w.txt"
@@ -863,7 +901,36 @@ def test_any_weight_file_ends_in_a_finite_bound_or_exit_3(tmp_path, weight, n_me
     if code == 0:
         payload = json.loads(out.getvalue())
         for key in ("c_r_general", "c_r_closed", "difference"):
-            assert payload[key] is None or math.isfinite(payload[key]), key
+            assert math.isfinite(payload[key]), key
+        general, closed = payload["c_r_general"], payload["c_r_closed"]
+        assert abs(closed - general) <= _closed_form_tolerance(payload["weight"], n_mean)
+
+
+def _closed_form_tolerance(weight, n_mean):
+    """How far `bounds` may report c_r_closed from c_r_general.
+
+    Both sum the same four terms, rounded in another order: 8 ulps of the
+    sum of their magnitudes.  The closed form also reads the 2x2 block
+    through the floats g1 = (G11 + G22)/2, g2 = (G11 - G22)/2 and g3 = G12
+    of `two_param_gs`, whose halved sum and difference round.  Its radicand
+    (g1 + g2)(g1 - g2) - g3^2 then differs from G11 G22 - G12^2 by some
+    exact Delta, which moves the radical by at most sqrt|Delta|; Delta is 0
+    wherever the halving is exact.
+    """
+    (g11, g12, *_), (_, g22, *_) = weight[:2]
+    radicand = Fraction(g11) * Fraction(g22) - Fraction(g12) ** 2
+    g1, g2 = Fraction((g11 + g22) / 2), Fraction((g11 - g22) / 2)
+    delta = (g1 + g2) * (g1 - g2) - Fraction(g12) ** 2 - radicand
+    terms = (n_mean + 0.5) * (abs(g11) + abs(g22)) + _sqrt(abs(radicand))
+    if len(weight) == 3:
+        terms += n_mean * (n_mean + 1.0) * abs(weight[2][2])
+    return 8 * math.ulp(terms) + _sqrt(abs(delta))
+
+
+def _sqrt(x):
+    """sqrt(x) to within an ulp, for a Fraction x >= 0 whose denominator is a power of two."""
+    t = 100 + x.denominator.bit_length() // 2
+    return math.isqrt(x.numerator * 4**t // x.denominator) / 2**t
 
 
 _EDGE_FLOATS = st.sampled_from(

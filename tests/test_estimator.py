@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -470,6 +471,17 @@ class TestMonteCarlo:
         expected = expected_finite_n_trace(config)
         assert expected == pytest.approx(4.0 + 100.0 * 4.0 / 99.0)
         assert abs(mse.n_trace_gv - expected) < 3.0 * mse.se_trace
+
+    def test_clipped_separable_run_has_no_finite_n_target(self):
+        # clipping moves the separable N estimate, which can be negative; the
+        # collective estimate K/(n-1) never is, so its target stands
+        for protocol in ProtocolKind:
+            config = dataclasses.replace(make_config(protocol), clip_nonneg=True)
+            expected = expected_finite_n_trace(make_config(protocol))
+            if protocol is ProtocolKind.SEPARABLE_HETERODYNE:
+                assert expected_finite_n_trace(config) is None
+            else:
+                assert expected_finite_n_trace(config) == expected
 
     def test_known_n_trace_is_constant_in_n(self):
         for n_copies in (2, 10, 100):
