@@ -15,18 +15,24 @@ which evaluates in closed form to 2(N + 1/2) g1 + sqrt(g1^2 - g2^2 - g3^2)
 for the upper 2x2 block [[g1+g2, g3], [g3, g1-g2]] of G, plus g0 N(N+1)
 for a 3x3 weight with (3,3) entry g0.  The third parameter decouples in
 Jinv, so the entries G13 and G23 never enter the bound.
+
+Whether G is a weight at all (symmetric and positive semidefinite) is
+decided once, by `_psd_rank` on the exact integers of its entries.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
-PSD_EIGENVALUE_TOL = 1e-12
+PSD_MINOR_TOL = 1e-12
+_SYMMETRY_TOL = 1e-9
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -39,10 +45,7 @@ class ThetaPoint:
     n_mean: float
 
     def __post_init__(self):
-        if not (self.n_mean > 0):
-            raise DomainError(f"n_mean must be positive (state degenerates at 0), got {self.n_mean}")
-        if self.n_mean == math.inf:
-            raise DomainError("n_mean must be finite, got inf")
+        _require_n_mean(self.n_mean)
         if not all(map(math.isfinite, (self.theta1, self.theta2))):
             raise DomainError("theta components must be finite")
 
@@ -72,8 +75,12 @@ class WeightMatrix:
 
     Strictly positive weights are the textbook setting; semidefinite ones
     (zero eigenvalues, "ignore this direction") are accepted because every
-    bound formula stays finite there.  Eigenvalues in [-PSD_EIGENVALUE_TOL
-    * max(1, max |G|), 0) count as round-off.
+    bound formula stays finite there.  An off-diagonal pair whose entries
+    differ by more than 1e-9 of the larger one, compared exactly, is
+    refused as asymmetric.  A pair within that is replaced by the sum of
+    its halves; every other entry keeps its bits, so a symmetric input is
+    bounded as written.  The halving rounds only where an entry of the pair
+    is subnormal.  The result must pass `_psd_rank`.
     """
 
     __slots__ = ("dim", "entries")
@@ -83,17 +90,13 @@ class WeightMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"weight matrix must be square, got shape {m.shape}")
         _require_dim(m.shape[0])
-        if not np.all(np.isfinite(m)):
-            raise DomainError("weight matrix entries must be finite")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(m / 2 - m.T / 2)) > 0.5e-9 * scale:  # m - m.T can overflow
+        g = _integer_matrix(m)
+        tol_num, tol_den = _SYMMETRY_TOL.as_integer_ratio()
+        if np.any(np.abs(g - g.T) * tol_den > tol_num * np.maximum(np.abs(g), np.abs(g.T))):
             raise DomainError("weight matrix must be symmetric")
-        m = m / 2 + m.T / 2  # (m + m.T) / 2 overflows near the float64 limit
-        low = np.linalg.eigvalsh(m)[0]
-        if low < -PSD_EIGENVALUE_TOL * scale:
-            raise DomainError(
-                f"weight matrix must be positive semidefinite (min eigenvalue {low:.3e})"
-            )
+        m = np.where(m == m.T, m, m / 2 + m.T / 2)  # (m + m.T) / 2 overflows near the float64 limit
+        if _psd_rank(_integer_matrix(m)) == "not PSD":
+            raise DomainError("weight matrix must be positive semidefinite")
         self.dim = m.shape[0]
         self.entries = m
         self.entries.setflags(write=False)
@@ -111,17 +114,20 @@ class WeightMatrix:
     def from_three_param_gs(cls, g0: float, g1: float, g2: float, g3: float) -> "WeightMatrix":
         return cls(np.array([[g1 + g2, g3, 0.0], [g3, g1 - g2, 0.0], [0.0, 0.0, g0]]))
 
-    def two_param_gs(self) -> tuple[float, float, float]:
-        """(g1, g2, g3) of the upper 2x2 block; exact for d = 2."""
-        m = self.entries
-        return (
-            float((m[0, 0] + m[1, 1]) / 2),
-            float((m[0, 0] - m[1, 1]) / 2),
-            float(m[0, 1]),
-        )
+    def two_param_gs(self) -> tuple:
+        """(g1, g2, g3) of the upper 2x2 block as exact `Fraction`s.
 
-    def three_param_gs(self) -> tuple[float, float, float, float]:
-        """(g0, g1, g2, g3): the (3,3) entry and the upper 2x2 block."""
+        The halves (G11 +- G22)/2 are not always floats, so they are kept
+        exact: the closed forms and the trade-off then read the very block
+        of this weight, and decide its domain as `WeightMatrix` did.
+        """
+        from fractions import Fraction  # imports decimal, which only this needs
+
+        g11, g22, g12 = map(Fraction, (self.entries[0, 0], self.entries[1, 1], self.entries[0, 1]))
+        return (g11 + g22) / 2, (g11 - g22) / 2, g12
+
+    def three_param_gs(self) -> tuple:
+        """(g0, g1, g2, g3): the (3,3) entry and the upper 2x2 block, exact."""
         if self.dim != 3:
             raise DomainError("three_param_gs requires a 3x3 weight matrix")
         return (float(self.entries[2, 2]), *self.two_param_gs())
@@ -140,8 +146,10 @@ class _GaussianTradeoff:
 
 
 def _require_n_mean(n_mean: float) -> None:
-    if not (0 < n_mean < math.inf):
-        raise DomainError(f"n_mean must be positive and finite, got {n_mean}")
+    if not (n_mean > 0):
+        raise DomainError(f"n_mean must be positive (state degenerates at 0), got {n_mean}")
+    if n_mean == math.inf:
+        raise DomainError("n_mean must be finite, got inf")
 
 
 def rld_inverse_2param(n_mean: float) -> np.ndarray:
@@ -194,11 +202,51 @@ def _finite_bound(value: float) -> float:
     return value
 
 
-def _integers(*values: float) -> tuple[list[int], int]:
-    """Integers n_i and k with values[i] = n_i / 2**k exactly."""
-    ratios = [float(v).as_integer_ratio() for v in values]
+def _integers(*values) -> tuple[list[int], int]:
+    """Integers n_i and k with values[i] = n_i / 2**k.
+
+    A value is read exactly where it is a float or a rational whose
+    denominator is a power of two, such as the halves that
+    `WeightMatrix.two_param_gs` returns, and as the nearest float otherwise.
+    """
+    if not all(map(math.isfinite, values)):
+        raise DomainError("weight matrix entries must be finite")
+    dyadic = [isinstance(v, numbers.Rational) and not v.denominator & (v.denominator - 1) for v in values]
+    ratios = [(int(v.numerator), int(v.denominator)) if exact else float(v).as_integer_ratio()
+              for v, exact in zip(values, dyadic)]
     den = max(d for _, d in ratios)
     return [n * (den // d) for n, d in ratios], den.bit_length() - 1
+
+
+def _integer_matrix(m: np.ndarray) -> np.ndarray:
+    """The entries of m as exact integers over one power of two (an object array)."""
+    return np.array(_integers(*m.flat)[0], dtype=object).reshape(m.shape)
+
+
+def _psd_rank(g) -> str:
+    """"not PSD", "rank-deficient" or "full rank" for a symmetric integer matrix g.
+
+    Sylvester's criterion: a symmetric matrix is positive semidefinite
+    exactly when every principal minor is >= 0, and such a matrix has full
+    rank exactly when its determinant is > 0.  Each minor is the sum of its
+    Leibniz terms, exact in integers; it counts as negative only below
+    -PSD_MINOR_TOL times the sum of its own terms' magnitudes, and as zero
+    within that.  The tolerance scales with each minor, so the rule is the
+    same at every scale, and a 1x1 minor is its own one term, so a negative
+    diagonal entry is refused however small.  The tolerance keeps decimal
+    files such as [[1, 0.1], [0.1, 0.01]], whose determinant in binary is
+    about -9.0e-19, as rank-deficient weights.
+    """
+    tol_num, tol_den = PSD_MINOR_TOL.as_integer_ratio()
+    for size in range(1, len(g) + 1):
+        for rows in itertools.combinations(range(len(g)), size):
+            terms = [(-1) ** sum(x > y for x, y in itertools.combinations(cols, 2))  # the sign of cols
+                     * math.prod(g[i][j] for i, j in zip(rows, cols)) for cols in itertools.permutations(rows)]
+            minor, slack = sum(terms) * tol_den, tol_num * sum(map(abs, terms))
+            if minor < -slack:
+                return "not PSD"
+    # the last minor is the determinant
+    return "full rank" if minor > slack else "rank-deficient"
 
 
 def _radical(a: int, b: int, c: int, k: int) -> float:
@@ -216,35 +264,40 @@ def _radical(a: int, b: int, c: int, k: int) -> float:
     return (root | (root * root != n)) / (1 << (shift + k))
 
 
-def _closed_radical(g1: float, g2: float, g3: float) -> float:
-    # g1^2 - g2^2 - g3^2 in exact integers: no square overflows, nothing cancels
-    (i1, i2, i3), k = _integers(g1, g2, g3)
-    tol_num, tol_den = PSD_EIGENVALUE_TOL.as_integer_ratio()
-    if (i1 * i1 - i2 * i2 - i3 * i3) * tol_den < -tol_num * max(1 << 2 * k, i1 * i1):
-        raise DomainError(
-            f"(g1, g2, g3) = ({g1}, {g2}, {g3}) violates g1^2 >= g2^2 + g3^2 (weight not PSD)"
-        )
-    return _radical(i1 + i2, i1 - i2, i3, k)
+def _block(g1, g2, g3, g0=None) -> tuple[tuple[int, int, int], int, str]:
+    """The weight of the g's, decided by `_psd_rank`: (a, b, c), k and its rank.
+
+    The block [[g1+g2, g3], [g3, g1-g2]] is [[a, c], [c, b]] / 2**k in
+    exact integers.  The weight is [[g1+g2, g3, 0], [g3, g1-g2, 0],
+    [0, 0, g0]], or the block alone where g0 is None; DomainError is raised
+    unless it is finite and positive semidefinite.
+    """
+    (i1, i2, c, i0), k = _integers(g1, g2, g3, 0.0 if g0 is None else g0)
+    a, b = i1 + i2, i1 - i2
+    rank = _psd_rank([[a, c], [c, b]] if g0 is None else [[a, c, 0], [c, b, 0], [0, 0, i0]])
+    if rank == "not PSD":
+        gs = ", ".join(map(str, (g1, g2, g3) if g0 is None else (g0, g1, g2, g3)))
+        raise DomainError(f"the weight of the g's ({gs}) must be positive semidefinite")
+    return (a, b, c), k, rank
 
 
 def c_r_closed_2param(g1: float, g2: float, g3: float, n_mean: float) -> float:
-    """Closed form 2(N + 1/2) g1 + sqrt(g1^2 - g2^2 - g3^2)."""
+    """Closed form 2(N + 1/2) g1 + sqrt(g1^2 - g2^2 - g3^2).
+
+    The g's are floats or the exact halves of `WeightMatrix.two_param_gs`;
+    the radical is exact either way.
+    """
     _require_n_mean(n_mean)
-    WeightMatrix.from_two_param_gs(g1, g2, g3)  # validates the weight
-    return _finite_bound(2.0 * (n_mean + 0.5) * g1 + _closed_radical(g1, g2, g3))
+    block, k, _ = _block(g1, g2, g3)
+    return _finite_bound(2.0 * (n_mean + 0.5) * g1 + _radical(*block, k))
 
 
 def c_r_closed_3param(g0: float, g1: float, g2: float, g3: float, n_mean: float) -> float:
     """Closed form g0 N(N+1) + 2(N + 1/2) g1 + sqrt(g1^2 - g2^2 - g3^2)."""
     _require_n_mean(n_mean)
-    if g0 < -PSD_EIGENVALUE_TOL:
-        raise DomainError(f"g0 must be nonnegative, got {g0}")
-    WeightMatrix.from_three_param_gs(g0, g1, g2, g3)  # validates the weight
-    return _finite_bound(
-        g0 * (n_mean * (n_mean + 1.0))  # N(N+1) first, as in the RLD inverse
-        + 2.0 * (n_mean + 0.5) * g1
-        + _closed_radical(g1, g2, g3)
-    )
+    block, k, _ = _block(g1, g2, g3, g0)
+    # N(N+1) first, as in the RLD inverse
+    return _finite_bound(g0 * (n_mean * (n_mean + 1.0)) + 2.0 * (n_mean + 0.5) * g1 + _radical(*block, k))
 
 
 def optimal_gaussian_tradeoff(g1: float, g2: float, g3: float, n_mean: float) -> _GaussianTradeoff:
@@ -253,31 +306,30 @@ def optimal_gaussian_tradeoff(g1: float, g2: float, g3: float, n_mean: float) ->
     The outcome covariance is Sigma_rho + Sigma_m with Sigma_rho = (N + 1/2) I
     and Sigma_m = (1/2) R(phi) diag(e^{2r}, e^{-2r}) R(phi)^T, the added noise
     of heterodyning against a squeezed vacuum ancilla.  The rotation phi
-    diagonalizes the traceless part of G into (high, low), and the objective
-    high e^{2r} + low e^{-2r} is least at e^{4r} = low / high.  `achieved` is
-    the model objective at that r; that it reproduces the closed-form bound is
-    how the model is certified.  A rank-one block (low = 0 within the PSD
-    tolerance) has no finite optimum and raises DomainError.  The result's
-    fields are squeeze_r (r), squeeze_angle (phi) and achieved.
+    diagonalizes the traceless part of G into (high, low), half the block's
+    eigenvalues, and the objective high e^{2r} + low e^{-2r} is least at
+    e^{4r} = low / high.  There both terms are sqrt(high low), so `achieved`
+    is 2(N + 1/2) g1 + 2 high e^{2r}; that it reproduces the closed-form
+    bound is how r is certified.  With s = a + b and h = sqrt((a - b)^2 +
+    4c^2) for the block [[a, c], [c, b]], high = (s + h)/4 and low / high =
+    4(ab - c^2) / (s + h)^2, formed from the exact integers with a root
+    carried 64 bits further, so neither cancels nor over- or underflows.  A
+    rank-deficient block (g1 = 0 included) has no finite optimum and raises
+    DomainError.  The result's fields are squeeze_r (r), squeeze_angle (phi)
+    and achieved.
     """
     _require_n_mean(n_mean)
-    if not (g1 > 0):
-        raise DomainError(f"g1 must be positive for the trade-off, got {g1}")
-    _closed_radical(g1, g2, g3)
-
-    anisotropy = math.hypot(g2, g3)
+    (a, b, c), k, rank = _block(g1, g2, g3)
+    if rank != "full rank":
+        raise DomainError(f"(g1, g2, g3) = ({g1}, {g2}, {g3}) is a rank-one (or zero) weight; "
+                          "the squeeze that minimizes its trade-off is infinite")
+    sh = ((a + b) << 64) + math.isqrt(((a - b) ** 2 + 4 * c * c) << 128)  # (s + h) 2**64
+    num, den = (a * b - c * c) << 130, sh * sh
+    shift = max(0, den.bit_length() - num.bit_length())  # low / high = num / den, scaled into [1/2, 2]
+    r_star = 0.25 * (math.log((num << shift) / den) - shift * math.log(2.0))
     phi = 0.5 * math.atan2(g3, g2)
-    # rotated weight diagonal: (g1 + |g2,g3|, g1 - |g2,g3|)
-    high = (g1 + anisotropy) / 2.0
-    low = (g1 - anisotropy) / 2.0
-    if low <= PSD_EIGENVALUE_TOL * high:
-        raise DomainError(
-            f"(g1, g2, g3) = ({g1}, {g2}, {g3}) is a rank-one weight; the squeeze "
-            "that minimizes its trade-off is infinite"
-        )
-    r_star = 0.25 * math.log(low / high)
-    base = 2.0 * (n_mean + 0.5) * g1
-    achieved = base + high * math.exp(2.0 * r_star) + low * math.exp(-2.0 * r_star)
+    term = sh / (1 << (k + 66)) * math.exp(2.0 * r_star)
+    achieved = 2.0 * (n_mean + 0.5) * g1 + term + term
     return _GaussianTradeoff(r_star, phi, achieved)
 
 

@@ -109,8 +109,7 @@ def cmd_bounds(args, argv) -> int:
     weight = load_weight(args.weight or ("identity2" if args.known_n else "identity3"))
     if args.known_n and weight.dim != 2:
         raise ValueError("--known-n requires a 2x2 weight matrix")
-    theta = _theta_from_args(args)  # the bound depends only on n_mean; echoed for the record
-    n_mean = theta.n_mean
+    n_mean = args.n_mean
     general = c_r_general(weight, n_mean)
     if weight.dim == 2:
         closed = c_r_closed_2param(*weight.two_param_gs(), n_mean)
@@ -119,10 +118,9 @@ def cmd_bounds(args, argv) -> int:
     try:
         tradeoff = optimal_gaussian_tradeoff(*weight.two_param_gs(), n_mean)
     except DomainError:
-        tradeoff = None  # g1 = 0 or a rank-one block: no finite squeeze, reported as null
+        tradeoff = None  # a rank-deficient block, g1 = 0 included: no finite squeeze, reported as null
 
     payload = {
-        "theta": _theta_echo(theta),
         "n_mean": n_mean,
         "weight": weight.entries.tolist(),
         "c_r_general": general,
@@ -413,10 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--n-mean", type=float, required=True, help="mean thermal photon number")
     p_bounds.add_argument("--weight", help="weight matrix: identity2, identity3, or a file path")
     p_bounds.add_argument("--known-n", action="store_true", help="two-parameter case (N known)")
-    p_bounds.add_argument("--theta1", type=float)
-    p_bounds.add_argument("--theta2", type=float)
-    p_bounds.add_argument("--zeta-re", type=float)
-    p_bounds.add_argument("--zeta-im", type=float)
     p_bounds.add_argument("--json", action="store_true")
     p_bounds.set_defaults(func=cmd_bounds)
 

@@ -1,5 +1,8 @@
+import collections
 import decimal
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +10,9 @@ import pytest
 from dtslab.bounds import (
     ThetaPoint,
     WeightMatrix,
+    _integer_matrix,
     _integers,
+    _psd_rank,
     _radical,
     c_r_closed_2param,
     c_r_closed_3param,
@@ -98,6 +103,53 @@ class TestWeightMatrix:
         m = np.array([[1.0, 0.25 + 1e-14], [0.25, 1.0]])
         w = WeightMatrix(m)
         assert np.allclose(w.entries, w.entries.T)
+
+    def test_symmetric_input_keeps_its_bits(self):
+        m = np.diag([5e-324, 1.5e-323])  # halving and summing would give 0 and 2e-323
+        assert np.array_equal(WeightMatrix(m).entries, m)
+
+    def test_averages_only_the_pairs_that_differ(self):
+        m = np.array([[1.0, 0.25 + 2**-50, 0.0], [0.25, 1.0, 0.0], [0.0, 0.0, 1.5e-323]])
+        g = WeightMatrix(m).entries
+        assert g[0, 1] == g[1, 0] == 0.25 + 2**-51
+        assert g[2, 2] == 1.5e-323
+
+    @pytest.mark.parametrize("m", [[[1.0, 1e-10], [-1e-10, 1.0]], [[1.0, 5e-324], [0.0, 1.0]],
+                                   [[1e300, 1e300], [-1e300, 1e300]]])
+    def test_symmetry_is_relative_to_each_pair(self, m):
+        with pytest.raises(DomainError, match="^weight matrix must be symmetric$"):
+            WeightMatrix(np.array(m))
+        big = 2e299 * (1 + 2e-10)  # within 1e-9 of the pair, at any scale
+        assert WeightMatrix(np.array([[1e300, 2e299], [big, 1e300]])).entries[0, 1] == 2e299 / 2 + big / 2
+
+
+class TestPsdRank:
+    def test_three_answers(self):
+        assert _psd_rank([[1, 0], [0, 1]]) == "full rank"
+        assert _psd_rank([[1, 1], [1, 1]]) == "rank-deficient"
+        assert _psd_rank([[1, 2], [2, 1]]) == "not PSD"
+        assert _psd_rank([[0, 0, 0], [0, 1, 0], [0, 0, -1]]) == "not PSD"
+
+    def test_small_integer_matrices_against_eigenvalues(self):
+        # every symmetric 2x2 matrix with entries in -2..2 and 3x3 in -1..1;
+        # a nonzero determinant of such a matrix keeps its eigenvalues off 0
+        cases = [[[a, b], [b, d]] for a, b, d in itertools.product(range(-2, 3), repeat=3)]
+        cases += [
+            [[a, b, c], [b, d, e], [c, e, f]]
+            for a, b, c, d, e, f in itertools.product(range(-1, 2), repeat=6)
+        ]
+        for g in cases:
+            low = np.linalg.eigvalsh(np.array(g, dtype=float)).min()
+            expected = "not PSD" if low < -1e-9 else "full rank" if low > 1e-9 else "rank-deficient"
+            assert _psd_rank(g) == expected, g
+            assert _psd_rank([[x << 3000 for x in row] for row in g]) == expected, g
+
+    def test_tolerance_is_relative_to_each_minor(self):
+        # [[1, 0.1], [0.1, 0.01]] has determinant -9.0e-19 in binary, within
+        # 1e-12 of its terms; moving G22 by 1e-10 is not
+        assert _psd_rank(_integer_matrix(np.array([[1.0, 0.1], [0.1, 0.01]]))) == "rank-deficient"
+        assert _psd_rank(_integer_matrix(np.array([[1.0, 0.1], [0.1, 0.01 - 1e-10]]))) == "not PSD"
+        assert _psd_rank(_integer_matrix(np.array([[1.0, 0.1], [0.1, 0.01 + 1e-10]]))) == "full rank"
 
 
 class TestRldInverse:
@@ -201,37 +253,41 @@ class TestRadical:
         assert _radical(1, 1, 2, 0) == 0.0
 
 
-def reference_c_r_general(m, n_mean):
-    """C_R(G) for a raw matrix by the matrix formula, with a square root of G.
+def reference_domain(m):
+    """The refusal of a raw matrix m by an exact rule of its own: a message, or None.
 
-    The weight is validated (symmetry on m / 2, PSD on `eigvalsh`), Jinv is
-    chosen by dimension, the root comes from an `eigh` of the
-    re-symmetrized entries with its own symmetry and PSD tests, and the
-    imaginary term is an SVD trace norm: the eigensolve and the SVD that
-    `c_r_general` replaces by the identity Tr |sqrt(G) Im Jinv sqrt(G)| =
-    sqrt(G11 G22 - G12^2).  The weight's and the bound's messages are the
-    package's; the root's own tests keep messages of their own, so a grid
-    point where only they fire cannot match.
+    Each off-diagonal pair is compared in Fractions, relative to its larger
+    entry.  A pair that differs is replaced by its average rounded to a
+    float, and then every principal minor is written out in Fractions and
+    must be at least -1e-12 times the sum of its terms' magnitudes
+    (Sylvester's criterion for a positive semidefinite matrix).
     """
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise DomainError("weight matrix entries must be finite")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m / 2 - m.T / 2)) > 0.5e-9 * scale:
-        raise DomainError("weight matrix must be symmetric")
-    g = m / 2 + m.T / 2
-    w = np.linalg.eigvalsh(g)
-    if w.min() < -1e-12 * scale:
-        raise DomainError(
-            f"weight matrix must be positive semidefinite (min eigenvalue {w.min():.3e})"
-        )
+    f = [[Fraction(float(x)) for x in row] for row in m]
+    for i, j in itertools.combinations(range(len(f)), 2):
+        if abs(f[i][j] - f[j][i]) > Fraction(1e-9) * max(abs(f[i][j]), abs(f[j][i])):
+            return "weight matrix must be symmetric"
+        f[i][j] = f[j][i] = Fraction(float((f[i][j] + f[j][i]) / 2))
+    minors = [[f[i][i]] for i in range(len(f))]
+    minors += [[f[i][i] * f[j][j], -f[i][j] ** 2] for i, j in itertools.combinations(range(len(f)), 2)]
+    if len(f) == 3:
+        (a, b, c), (_, d, e), (_, _, g) = f
+        minors.append([a * d * g, 2 * b * c * e, -a * e * e, -d * c * c, -g * b * b])
+    if any(sum(terms) < -Fraction(1e-12) * sum(map(abs, terms)) for terms in minors):
+        return "weight matrix must be positive semidefinite"
+    return None
+
+
+def reference_c_r_general(g, n_mean):
+    """C_R(G) for the symmetric entries g of a weight, by the matrix formula.
+
+    Jinv is chosen by dimension, the square root of G comes from an `eigh`
+    (its eigenvalues clipped at 0), and the imaginary term is an SVD trace
+    norm: the eigensolve and the SVD that `c_r_general` replaces by the
+    identity Tr |sqrt(G) Im Jinv sqrt(G)| = sqrt(G11 G22 - G12^2).  A bound
+    that overflows is refused with the package's message.
+    """
     j_inv = rld_inverse_2param(n_mean) if len(g) == 2 else rld_inverse_3param(n_mean)
-    scale = max(1.0, float(np.max(np.abs(g))))
-    if np.max(np.abs(g / 2 - g.T / 2)) > 0.5e-9 * scale:
-        raise DomainError("the root's symmetry test failed")
-    w, v = np.linalg.eigh(g / 2 + g.T / 2)
-    if w.min() < -1e-12 * scale:
-        raise DomainError("the root's PSD test failed")
+    w, v = np.linalg.eigh(g)
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
     root = (root + root.T) / 2
     with np.errstate(over="ignore", invalid="ignore"):
@@ -284,34 +340,40 @@ REFERENCE_REL_ERROR = decimal.Decimal("1e-7")
 class TestCrGeneralMatchesReference:
     # The radical is bit for bit the 80-digit value rounded once.  The bound
     # adds three rounded products to it and stays within 4 ulps of the sum
-    # of its terms' magnitudes, which is the bound itself wherever the
-    # diagonal is nonnegative.  The grid's other accepted points are
-    # negative-definite weights below the absolute PSD tolerance: their
-    # terms cancel, and the reference's clamped root drops the radical.
-    # A grid point the reference refuses is refused with the same message.
+    # of its terms' magnitudes, which is the bound itself: every accepted
+    # weight has a nonnegative diagonal.  A grid point is refused exactly
+    # where `reference_domain` or the reference's overflow refuses it, with
+    # the same message; the grid's indefinite and asymmetric points are
+    # refused at every scale.
     @pytest.mark.parametrize("n_mean", [1e-12, 0.5, 1.0, 7.3, 1e150])
     def test_bit_for_bit(self, n_mean):
-        outcomes = {"value": 0, "error": 0}
+        outcomes = collections.Counter()
         for m in reference_grid():
-            try:
-                expected = reference_c_r_general(m, n_mean)
-            except DomainError as exc:
+            refusal = reference_domain(m)
+            if refusal is None:
+                g = WeightMatrix(m).entries
+                assert np.array_equal(g, m), m  # the accepted grid points are symmetric
+                try:
+                    expected = reference_c_r_general(g, n_mean)
+                except DomainError as exc:
+                    refusal = str(exc)
+            if refusal is not None:
                 with pytest.raises(DomainError) as info:
                     c_r_general(WeightMatrix(m), n_mean)
-                assert str(info.value) == str(exc), m
-                outcomes["error"] += 1
+                assert str(info.value) == refusal, m
+                outcomes[refusal] += 1
                 continue
-            weight = WeightMatrix(m)
-            g = weight.entries
             exact, radical, magnitude = exact_c_r(g, n_mean)
+            assert magnitude == exact, m
             (g11, g22, g12), k = _integers(g[0, 0], g[1, 1], g[0, 1])
             assert _radical(g11, g22, g12, k) == float(radical), m
-            error = abs(decimal.Decimal(c_r_general(weight, n_mean)) - exact)
-            assert error <= decimal.Decimal(4 * 2.0**-53) * magnitude, m
-            if np.diag(g).min() >= 0:
-                assert abs(decimal.Decimal(expected) - exact) <= REFERENCE_REL_ERROR * exact, m
+            error = abs(decimal.Decimal(c_r_general(WeightMatrix(m), n_mean)) - exact)
+            assert error <= decimal.Decimal(4 * 2.0**-53) * exact, m
+            assert abs(decimal.Decimal(expected) - exact) <= REFERENCE_REL_ERROR * exact, m
             outcomes["value"] += 1
-        assert min(outcomes.values()) > 0
+        assert outcomes["value"] > 0
+        assert outcomes["weight matrix must be symmetric"] == 72
+        assert outcomes["weight matrix must be positive semidefinite"] == 72
 
 
 class TestClosedForms:
@@ -337,6 +399,30 @@ class TestClosedForms:
             c_r_closed_2param(1.0, 1.5, 0.0, 1.0)
         with pytest.raises(DomainError):
             c_r_closed_3param(-0.5, 1.0, 0.0, 0.0, 1.0)
+
+    def test_small_negative_weights_are_refused(self):
+        # a negative diagonal entry is refused however small
+        with pytest.raises(DomainError, match="must be positive semidefinite"):
+            c_r_closed_2param(-1e-13, 0.0, 0.0, 1.0)
+        with pytest.raises(DomainError, match="must be positive semidefinite"):
+            c_r_closed_3param(-1e-13, 1.0, 0.0, 0.0, 1.0)
+
+    def test_non_finite_gs_are_refused(self):
+        with pytest.raises(DomainError, match="finite"):
+            c_r_closed_2param(math.nan, 0.0, 0.0, 1.0)
+        with pytest.raises(DomainError, match="finite"):
+            c_r_closed_3param(math.inf, 1.0, 0.0, 0.0, 1.0)
+
+    def test_exact_halves_give_the_general_bound(self):
+        # (1 + 1e-20)/2 is not a float; the exact halves keep G22 = 1e-20
+        w = WeightMatrix(np.diag([1.0, 1e-20]))
+        g1, g2, g3 = w.two_param_gs()
+        assert (g1 + g2, g1 - g2, g3) == (1.0, 1e-20, 0.0)
+        assert c_r_closed_2param(g1, g2, g3, 0.5) == c_r_general(w, 0.5) == 1.0 + 1e-10
+
+    def test_other_rationals_are_read_as_floats(self):
+        # only a power-of-two denominator is exact in the integers over 2**k
+        assert c_r_closed_2param(Fraction(1, 3), 0, 0, 1.0) == c_r_closed_2param(1 / 3, 0.0, 0.0, 1.0)
 
     def test_kinds(self):
         # every bound formula returns a plain float
@@ -438,6 +524,19 @@ class TestGaussianTradeoff:
     def test_rank_one_has_no_finite_squeeze(self, gs):
         with pytest.raises(DomainError, match="rank-one"):
             optimal_gaussian_tradeoff(*gs, 1.0)
+
+    def test_squeeze_of_a_nearly_singular_weight_is_exact(self):
+        w = WeightMatrix(np.diag([1.0, 1e-18]))
+        t = optimal_gaussian_tradeoff(*w.two_param_gs(), 1.0)
+        assert t.squeeze_r == pytest.approx(0.25 * math.log(1e-18), rel=1e-15)
+        assert t.achieved == pytest.approx(c_r_general(w, 1.0), rel=1e-15)
+
+    def test_squeeze_across_the_float64_range(self):
+        # low / high = 5e-324 / 1e308 is far below the smallest float
+        w = WeightMatrix(np.diag([1e308, 5e-324]))
+        t = optimal_gaussian_tradeoff(*w.two_param_gs(), 1e-300)
+        assert t.squeeze_r == pytest.approx(0.25 * (math.log(5e-324) - math.log(1e308)), rel=1e-14)
+        assert t.achieved == c_r_general(w, 1e-300)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):

@@ -163,17 +163,70 @@ class TestBoundsCommand:
         assert "C_R (closed form)            = 6\n" in out
         assert "difference                   = 0.000e+00\n" in out
 
+    def test_indefinite_wide_scale_weight_exits_3(self, capsys, tmp_path):
+        # its (1,3) principal minor is negative by 2.2e-5 of its own terms
+        code, out, err = run_cli(capsys, *_bounds_argv(tmp_path, _WIDE_SCALE_WEIGHT, "1e-300"))
+        assert code == 3 and out == ""
+        assert "weight matrix must be positive semidefinite" in err
+
     def test_wide_scale_weight_reads_the_same_both_ways(self, capsys, tmp_path):
-        dim, entries = _WIDE_SCALE_WEIGHT
-        path = tmp_path / "w.txt"
-        path.write_text(f"{dim}\n" + " ".join(map(repr, entries)) + "\n")
-        code, out, _ = run_cli(
-            capsys, "bounds", "--n-mean", "1e-300", "--weight", str(path), "--json"
-        )
+        code, out, _ = run_cli(capsys, *_bounds_argv(tmp_path, _PSD_WIDE_SCALE_WEIGHT, "1e-300"))
         assert code == 0
         payload = json.loads(out)
         assert payload["c_r_general"] == payload["c_r_closed"] == 1.36e142
         assert payload["difference"] == 0.0
+
+    @pytest.mark.parametrize("weight", [(2, [-1e-13, 0.0, 0.0, -1e-13]),
+                                        (3, [-1e-13, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])])
+    def test_small_indefinite_weight_exits_3(self, capsys, tmp_path, weight):
+        # a negative diagonal entry is refused at every scale
+        code, out, err = run_cli(capsys, *_bounds_argv(tmp_path, weight, "1"))
+        assert code == 3 and out == ""
+        assert "weight matrix must be positive semidefinite" in err
+
+    def test_small_asymmetric_weight_exits_3(self, capsys, tmp_path):
+        # the off-diagonal pair differs by twice its size, however small
+        code, out, err = run_cli(capsys, *_bounds_argv(tmp_path, (2, [1e-12, 1e-10, -1e-10, 1e-12]), "1"))
+        assert code == 3 and out == ""
+        assert "weight matrix must be symmetric" in err
+
+    def test_subnormal_entry_keeps_its_bits(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, *_bounds_argv(tmp_path, (2, [5e-324, 0.0, 0.0, 0.0]), "1e300"), "--known-n"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["weight"] == [[5e-324, 0.0], [0.0, 0.0]]
+        assert payload["c_r_general"] == pytest.approx(4.94e-24, rel=1e-3)
+
+    def test_decimal_rank_one_weight_is_accepted(self, capsys, tmp_path):
+        # its determinant in binary is about -9.0e-19, within the tolerance of its terms
+        code, out, _ = run_cli(capsys, *_bounds_argv(tmp_path, (2, [1.0, 0.1, 0.1, 0.01]), "1"))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["c_r_general"] == 1.515
+        assert payload["c_r_closed"] == pytest.approx(1.515, rel=1e-15)
+        assert payload["squeeze"] is None
+
+    @pytest.mark.parametrize("entries", [[1.0, 0.0, 0.0, 1e-20], [1.0, 1e-9, 1e-9, 1e-17]])
+    def test_nearly_singular_weight_reads_its_exact_block(self, capsys, tmp_path, entries):
+        # (G11 + G22)/2 is not a float here, so g1 - g2 = G22 holds only exactly
+        code, out, _ = run_cli(capsys, *_bounds_argv(tmp_path, (2, entries), "0.5"))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["difference"] == 0.0
+        g11, g12, _, g22 = entries
+        r = 0.25 * math.log((g11 * g22 - g12 * g12) / (g11 + g22) ** 2)  # low / high, to first order
+        assert payload["squeeze"]["r"] == pytest.approx(r, rel=1e-6)
+
+    @pytest.mark.parametrize("flag", ["--theta1", "--theta2", "--zeta-re", "--zeta-im"])
+    def test_parameter_flags_are_refused(self, capsys, flag):
+        # the bound depends only on the weight and N
+        with pytest.raises(SystemExit) as info:
+            cli.main(["bounds", "--n-mean", "1", flag, "1"])
+        assert info.value.code == 2
+        code, out, _ = run_cli(capsys, "bounds", "--n-mean", "1", "--json")
+        assert code == 0 and "theta" not in json.loads(out)
 
     # the last is v v^T for v = (0.51, 0.08), whose smaller eigenvalue rounds to 1.4e-17
     @pytest.mark.parametrize("entries", ["1 0 0 0", "1 1 1 1", "0.2601 0.0408 0.0408 0.0064"])
@@ -871,11 +924,22 @@ def _weight_files(draw):
     return dim, entries
 
 
-# G is indefinite by 3e137, within the PSD tolerance of 1e-12 times its
-# 5.7e200 entry; its off-block entries do not enter the bound, and at
-# N = 1e-300 both forms read 2 * 6.8e141
+# G is indefinite: its (1,3) principal minor is negative by 2.2e-5 of its
+# own terms, and `eigvalsh` gives -3e137
 _WIDE_SCALE_WEIGHT = (3, [6.8e141, 0.0, 1.9687993803331008e171, 0.0, 6.8e141, 0.0,
                           1.9687993803331008e171, 0.0, 5.7e200])
+# the same with the largest (1,3) entry whose minor is >= 0; its off-block
+# entries do not enter the bound, and at N = 1e-300 both forms read 2 * 6.8e141
+_PSD_WIDE_SCALE_WEIGHT = (3, [6.8e141, 0.0, 1.968755952371954e171, 0.0, 6.8e141, 0.0,
+                              1.968755952371954e171, 0.0, 5.7e200])
+
+
+def _bounds_argv(tmp_path, weight, n_mean):
+    """`bounds --json` argv for a weight file holding (dim, row-major entries)."""
+    dim, entries = weight
+    path = tmp_path / "w.txt"
+    path.write_text(f"{dim}\n" + " ".join(map(repr, entries)) + "\n")
+    return "bounds", "--weight", str(path), f"--n-mean={n_mean}", "--json"
 
 
 @settings(
@@ -888,7 +952,14 @@ _WIDE_SCALE_WEIGHT = (3, [6.8e141, 0.0, 1.9687993803331008e171, 0.0, 6.8e141, 0.
 @given(weight=_weight_files(), n_mean=st.floats())
 @example(weight=(2, [1.0, 0.0, 0.0, 1.0]), n_mean=1.0)
 @example(weight=_WIDE_SCALE_WEIGHT, n_mean=1e-300)
-@example(weight=(2, [1.0, 0.0, 0.0, 1e-20]), n_mean=0.5)  # g1 - g2 rounds 1e-20 away
+@example(weight=_PSD_WIDE_SCALE_WEIGHT, n_mean=1e-300)
+@example(weight=(2, [1.0, 0.0, 0.0, 1e-20]), n_mean=0.5)  # (G11 + G22)/2 rounds 1e-20 away
+@example(weight=(2, [1.0, 1e-9, 1e-9, 1e-17]), n_mean=0.5)
+@example(weight=(2, [-1e-13, 0.0, 0.0, -1e-13]), n_mean=1.0)
+@example(weight=(3, [-1e-13, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]), n_mean=1.0)
+@example(weight=(2, [1e-12, 1e-10, -1e-10, 1e-12]), n_mean=1.0)
+@example(weight=(2, [5e-324, 0.0, 0.0, 0.0]), n_mean=1e300)  # the real term's g1 rounds to 0
+@example(weight=(2, [1.0, 0.1, 0.1, 0.01]), n_mean=1.0)
 @example(weight=(-1, [5.0]), n_mean=1.0)
 def test_any_weight_file_ends_in_a_finite_bound_or_exit_3(tmp_path, weight, n_mean):
     dim, entries = weight
@@ -903,6 +974,7 @@ def test_any_weight_file_ends_in_a_finite_bound_or_exit_3(tmp_path, weight, n_me
         for key in ("c_r_general", "c_r_closed", "difference"):
             assert math.isfinite(payload[key]), key
         general, closed = payload["c_r_general"], payload["c_r_closed"]
+        assert general >= 0.0 and closed >= 0.0
         assert abs(closed - general) <= _closed_form_tolerance(payload["weight"], n_mean)
 
 
@@ -910,21 +982,23 @@ def _closed_form_tolerance(weight, n_mean):
     """How far `bounds` may report c_r_closed from c_r_general.
 
     Both sum the same four terms, rounded in another order: 8 ulps of the
-    sum of their magnitudes.  The closed form also reads the 2x2 block
-    through the floats g1 = (G11 + G22)/2, g2 = (G11 - G22)/2 and g3 = G12
-    of `two_param_gs`, whose halved sum and difference round.  Its radicand
-    (g1 + g2)(g1 - g2) - g3^2 then differs from G11 G22 - G12^2 by some
-    exact Delta, which moves the radical by at most sqrt|Delta|; Delta is 0
-    wherever the halving is exact.
+    sum of their magnitudes.  Both radicals are G11 G22 - G12^2 exactly,
+    since `two_param_gs` keeps g1 = (G11 + G22)/2 and g2 = (G11 - G22)/2 as
+    exact halves.  The closed form's real term 2(N + 1/2) g1 reads g1 as a
+    float, fl(g1); the general form's reads G11 and G22 themselves.  That
+    rounding changes the real term by (2N + 1)|fl(g1) - g1| exactly, before
+    the products round.  It stays within the 8 ulps wherever fl(g1) is
+    normal; where a diagonal entry is subnormal it does not: fl(5e-324 / 2)
+    is 0, and at N = 1e300 the term is 4.9e-24 on a bound of 4.9e-24.
     """
     (g11, g12, *_), (_, g22, *_) = weight[:2]
     radicand = Fraction(g11) * Fraction(g22) - Fraction(g12) ** 2
-    g1, g2 = Fraction((g11 + g22) / 2), Fraction((g11 - g22) / 2)
-    delta = (g1 + g2) * (g1 - g2) - Fraction(g12) ** 2 - radicand
+    g1 = (Fraction(g11) + Fraction(g22)) / 2
+    halving = Fraction(2 * n_mean + 1) * abs(Fraction(float(g1)) - g1)
     terms = (n_mean + 0.5) * (abs(g11) + abs(g22)) + _sqrt(abs(radicand))
     if len(weight) == 3:
         terms += n_mean * (n_mean + 1.0) * abs(weight[2][2])
-    return 8 * math.ulp(terms) + _sqrt(abs(delta))
+    return 8 * math.ulp(terms) + float(halving)
 
 
 def _sqrt(x):

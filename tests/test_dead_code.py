@@ -1,10 +1,11 @@
-"""No dead helpers and no unused imports in the package.
+"""No dead helpers, no dead constants and no unused imports in the package.
 
 The package has no linter, so this walks its source with `ast`.  A
 top-level function or class is live when some other code in the package
 names it (as a name or an attribute), or when `dtslab.__all__` exports
-it.  An import is used when its module names what it binds, or exports
-it from `__all__`.
+it.  A module-level constant is live when some code in the package other
+than its own assignment names it.  An import is used when its module names
+what it binds, or exports it from `__all__`.
 """
 
 import ast
@@ -53,6 +54,23 @@ def test_every_top_level_definition_is_referenced_or_exported():
             if node.name not in names_in(elsewhere) and node.name not in dtslab.__all__:
                 unreferenced.add(f"{module}.{node.name}")
     assert unreferenced == ALLOWED_UNREFERENCED
+
+
+def test_every_module_level_constant_is_named():
+    named = {}  # top-level node -> the identifiers it names
+    for module, tree in modules().items():
+        for node in tree.body:
+            named[node] = (module, names_in([node]))
+    unnamed = []
+    for node, (module, _) in named.items():
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if not isinstance(target, ast.Name) or target.id.startswith("__"):
+                continue
+            elsewhere = any(target.id in names for other, (_, names) in named.items() if other is not node)
+            if not elsewhere and target.id not in dtslab.__all__:
+                unnamed.append(f"{module}.{target.id}")
+    assert unnamed == []
 
 
 def test_no_module_imports_a_name_it_never_uses():
