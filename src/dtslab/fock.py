@@ -8,28 +8,32 @@ the closed forms in `bounds` and the sampling laws in `states` against them,
 so this module shares no formulas with those beyond the thermal weights.
 
 Conventions: single-mode operators follow the amplitude, float64 for a real
-one and complex128 otherwise; two-mode operators are float64, because the
-concentration cascade runs at |zeta| (`verify_concentration_cascade`).
-Single-mode operators are (cutoff x cutoff); two-mode operators are
-(cutoff^2 x cutoff^2) with basis index (m, n) -> m * cutoff + n (numpy.kron
-order, mode 1 first).  Densities built here have trace <= 1, with the
-deficit bounded by the tail functions below.
+one and complex128 otherwise; two-mode arrays (beam-splitter blocks and
+slabs of a joint output) are float64, because the concentration cascade
+runs at |zeta| (`verify_concentration_cascade`).  Single-mode operators
+are (cutoff x cutoff); the two-mode basis has cutoff^2 states, with index
+(m, n) -> m * cutoff + n (numpy.kron order, mode 1 first).  Densities
+built here have trace <= 1, with the deficit bounded by the tail functions
+below.
 
 The beam splitter conserves the total photon number m + n, so the two-mode
 window splits into 2 cutoff - 1 blocks of equal total (`_photon_blocks`),
 each at most cutoff states wide.  The unitary is exponentiated one block at
-a time and never assembled: the concentration checks conjugate by its blocks
-in place, so they form no dense two-mode unitary, matrix product or matrix
-exponential, and a cascade step holds one two-mode operator: the `np.kron`
-input, which is mixed and transposed in place into the joint output
-(`_concentration_step`).  Each block's rows are a basic slice of the
-two-mode basis, and each block exponential is built from one real
-tridiagonal eigensolve, taken once per cascade for all its angles
+a time and never assembled: the concentration checks conjugate by its
+blocks, so they form no dense two-mode unitary, matrix product or matrix
+exponential.  No cascade step holds a two-mode operator either: the joint
+output is formed one slab of columns at a time, a run of whole photon
+blocks, in one reused buffer of cutoff^2 rows (`_joint_slabs`), and each
+slab adds its share of both marginals and of the joint bound before the
+next overwrites it (`_concentration_step`).  Each block's rows are a basic
+slice of the two-mode basis, and each block exponential is built from one
+real tridiagonal eigensolve, taken once per cascade for all its angles
 (`_beam_splitter_spectra`).  The joint output is certified against the
 product target by the rank-Frobenius bound, one norm pass over the
 difference, not by a two-mode eigensolve.  The product target is never
-formed: its thermal factor is diagonal, so it is subtracted through strided
-views of the joint output, and the step's one `np.kron` is its input.
+formed: its thermal factor is diagonal, so it is subtracted from the rows
+of each slab whose mode-2 count is the column's, and a step calls no
+`np.kron`.
 """
 
 from __future__ import annotations
@@ -42,16 +46,18 @@ import numpy as np
 from . import states
 from .bounds import ThetaPoint, rld_inverse_2param, rld_inverse_3param
 from .errors import DomainError, NumericalError, PreconditionError
-from .linalg import rank_frobenius_bound, trace_distance
+from .linalg import require_hermitian, trace_distance
 
 DEFAULT_TAIL_TOL = 1e-8
 _DISTANCE_RULE_TOL = 1e-12  # default-cutoff target for trace-distance certifications
-# two-mode operators hold cutoff**4 float64 entries, 192 MB at 70; a cascade
-# step keeps one alive, the np.kron input that becomes the joint output in
-# place, and peaks at about 189 MiB at 70 (measured): N = 2's default cutoff
+# a cascade step costs about cutoff**5 flops (0.33 s at 70, measured) and holds
+# one slab of cutoff**2 rows, not a two-mode operator: N = 2's default cutoff
 # 69 fits, N = 3's 97 does not
 MAX_CUTOFF = 70
-_TILE = 128  # tile side of the in-place transpose between the conjugation's passes
+_SLAB = 256  # least number of columns in a slab of a cascade step's joint output
+# a slab whose Frobenius norm is at or below this skips the Hermiticity gate;
+# the 1% under the gate's 1e-9 floor covers the rounding of the computed norm
+_GATE_FREE_NORM = 0.99e-9
 RLD_TOL = 1e-9  # relative deviation of the RLD check; budget in truncated_rld_inverse
 MAX_RLD_CUTOFF = 2**20
 
@@ -286,10 +292,13 @@ def _beam_splitter_blocks(
     the Hermitian form V diag(exp(-i phi w)) V^dagger with V = S W; the two
     real products W cos(phi w) W^T and W sin(phi w) W^T sum in another order
     and move the last bits of the larger blocks.  The phase, 1, i, -1 or
-    -i, moves no bit.  Every block, the blocks with total >= cutoff that the
-    window truncates included, is the exponential of its truncated generator
-    to rounding (within 3.4e-14 of scipy's `expm`, and orthogonal as
-    closely, at cutoffs 26 to 60), so U is orthogonal on the whole window.
+    -i, moves no bit.  Each block is copied out of the complex product, so
+    it is C-contiguous and every product with it, a one-column one
+    included, goes to BLAS.  Every block, the blocks with total >= cutoff
+    that the window truncates included, is the exponential of its
+    truncated generator to rounding (within 3.4e-14 of scipy's `expm`, and
+    orthogonal as closely, at cutoffs 26 to 60), so U is orthogonal on the
+    whole window.
     At phi = arctan(1/sqrt(1)) two equal coherent amplitudes merge into
     mode 1.
     """
@@ -297,71 +306,56 @@ def _beam_splitter_blocks(
     phase = np.array([1, 1j, -1, -1j])[np.subtract.outer(np.arange(cutoff), np.arange(cutoff)) % 4]
     blocks = []
     for rows, w, v in spectra:
-        block = (((v * np.exp(-1j * phi * w)) @ v.T) * phase[: len(w), : len(w)]).real
+        block = (((v * np.exp(-1j * phi * w)) @ v.T) * phase[: len(w), : len(w)]).real.copy()
         if not np.all(np.isfinite(block)):
             raise NumericalError(f"matrix exponential failed for phi={phi}, cutoff={cutoff}")
         blocks.append((rows, block))
     return blocks
 
 
-def _transpose_in_place(x: np.ndarray) -> None:
-    """Transpose the square x in place, through one tile-sized temporary.
+def _joint_slabs(
+    blocks: list[tuple[slice, np.ndarray]], carried: np.ndarray, fresh: np.ndarray
+):
+    """Yield (columns, slab) for the joint output Y = U (carried (x) fresh) U^T, slab by slab.
 
-    Each pair of tiles mirrored across the diagonal is swapped, each
-    transposed; a tile on the diagonal is its own mirror, copied out and
-    written back transposed.  Every entry is copied, never computed, so the
-    result is exact.  Where x is C-contiguous, each row of a tile is a
-    contiguous run.
+    U is the real unitary given by its photon blocks.  A slab is Y[:, S] for
+    a run S of whole blocks of consecutive totals, at least _SLAB columns
+    wide but the last; `columns` lists S block by block, and the slab's
+    columns follow it.  U is the direct sum of its blocks u_T, so
+    Y[:, S] = U X[:, S] u_S^T, with X = carried (x) fresh and u_S the direct
+    sum of the blocks of S.  Each slab is built in three passes:
+
+    1. the columns X[:, S], written by one broadcast product;
+    2. its rows mixed by every block of U, reading a block's rows in place
+       (a basic slice), at cutoff^2 |S| times the sum of squared block sizes
+       over all slabs, instead of cutoff^6;
+    3. the columns of each block T of S right-multiplied by u_T^T.
+
+    Every slab is a C-ordered view of one buffer of cutoff^2 rows, as wide
+    as the widest slab, which the next slab overwrites; the operands are
+    float64.
     """
-    side = x.shape[0]
-    temp = np.empty((min(side, _TILE),) * 2, dtype=x.dtype)
-    for i in range(0, side, _TILE):
-        rows = slice(i, i + _TILE)
-        for j in range(i, side, _TILE):
-            upper, lower = x[rows, j : j + _TILE], x[j : j + _TILE, rows]
-            tile = temp[: upper.shape[0], : upper.shape[1]]
-            np.copyto(tile, upper)
-            if j > i:
-                upper[...] = lower.T
-            lower[...] = tile.T
-
-
-def _conjugate_by_blocks(blocks: list[tuple[slice, np.ndarray]], op: np.ndarray) -> np.ndarray:
-    """U op U^T for the real unitary U given by its photon blocks, in op's own buffer.
-
-    U X U^T = (U (U X)^T)^T: two passes that each mix rows block by block in
-    place, costing cutoff^2 times the sum of squared block sizes instead of
-    cutoff^6, with `_transpose_in_place` between them.  A block's rows are a
-    basic slice, so each product reads them in place.  No full-size buffer
-    is allocated: `op` must be square and is overwritten, and the result is
-    its transpose view, so where `op` is C-contiguous, so is the result's
-    transpose.
-    """
-
-    def mix_rows(x: np.ndarray) -> None:
+    cutoff = carried.shape[0]
+    runs = [[]]
+    for block in blocks:
+        if sum(len(u) for _, u in runs[-1]) >= _SLAB:
+            runs.append([])
+        runs[-1].append(block)
+    widths = [sum(len(u) for _, u in run) for run in runs]
+    buffer = np.empty(cutoff * cutoff * max(widths))
+    for run, width in zip(runs, widths):
+        columns = np.concatenate([np.arange(rows.start, rows.stop, rows.step) for rows, _ in run])
+        p, q = np.divmod(columns, cutoff)
+        slab = buffer[: cutoff * cutoff * width].reshape(cutoff * cutoff, width)
+        np.multiply(carried[:, None, p], fresh[None, :, q], out=slab.reshape(cutoff, cutoff, width))
         for rows, u in blocks:
-            x[rows] = u @ x[rows]
-
-    mix_rows(op)
-    _transpose_in_place(op)
-    mix_rows(op)
-    return op.T
-
-
-def partial_trace(op: np.ndarray, keep: str) -> np.ndarray:
-    """Trace out one mode of a two-mode operator; keep is "first" or "second"."""
-    op = np.asarray(op)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise DomainError(f"partial_trace expects a square matrix, got shape {op.shape}")
-    cutoff = math.isqrt(op.shape[0])
-    if cutoff * cutoff != op.shape[0]:
-        raise DomainError(f"matrix side {op.shape[0]} is not a perfect square")
-    tensor = op.reshape(cutoff, cutoff, cutoff, cutoff)
-    if keep == "first":
-        return np.einsum("mnpn->mp", tensor)
-    if keep == "second":
-        return np.einsum("mnmq->nq", tensor)
-    raise DomainError(f'keep must be "first" or "second", got {keep!r}')
+            slab[rows] = u @ slab[rows]
+        start = 0
+        for _, u in run:
+            block_columns = slice(start, start + len(u))
+            slab[:, block_columns] = slab[:, block_columns] @ u.T
+            start += len(u)
+        yield columns, slab
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +368,9 @@ class ConcentrationReport:
 
     dist_first and dist_second are the trace distances of the marginals
     from their targets; joint_bound is an upper bound (the rank-Frobenius
-    bound, `linalg.rank_frobenius_bound`) on the trace distance of the
-    joint output from the product of the targets, not that distance.
+    bound, (cutoff / 2) ||D||_F, `_concentration_step`) on the trace
+    distance of the joint output from the product of the targets, not that
+    distance.
     """
 
     cutoff: int
@@ -395,8 +390,7 @@ def require_cutoff(n_mean: float, amplitude: float, cutoff: int) -> None:
     if cutoff > MAX_CUTOFF:
         raise PreconditionError(
             f"the run needs Fock cutoff {cutoff}, above the limit {MAX_CUTOFF} "
-            "(two-mode operators grow as cutoff**4, 192 MB each at the limit, "
-            "and a cascade step holds one)"
+            "(a cascade step's time grows as cutoff**5)"
         )
     t_th = thermal_tail(n_mean, cutoff)
     # a square that overflows reads inf, and then cutoff_for names the amplitude
@@ -492,37 +486,56 @@ def _concentration_step(
     target_first: np.ndarray,
     target_second: np.ndarray,
 ) -> ConcentrationReport:
-    """Certificates of one cascade step, with one two-mode operator alive.
+    """Certificates of one cascade step, with no two-mode operator formed whole.
 
-    The beam splitter at phi is built from the cascade's `spectra`.  The
-    conjugation mixes the rows of the `np.kron` input in place, transposes
-    it in place and mixes its rows again: that buffer becomes the joint
-    output, and no other full-size buffer is allocated in the step.  Both
-    marginal distances are exact.  Then the target product is subtracted
-    from the joint output in place.  The thermal target is diagonal, so
+    The beam splitter at phi is built from the cascade's `spectra`, and the
+    joint output Y arrives one slab of columns at a time (`_joint_slabs`).
+    Each slab adds its share of both partial traces, so both marginal
+    distances are exact.  Then the product target is subtracted from the
+    slab in place.  The thermal target is diagonal, so
     kron(target_first, target_second) is nonzero only where the mode-2
     counts of row and column agree; its entries there, target_first *
-    weight, are subtracted one mode-2 count at a time through a strided
-    view, and the other entries stay as they are.
-    The difference D, of side cutoff^2, is bounded:
-    ||D||_1 <= sqrt(rank D) ||D||_F <= cutoff ||D||_F, so the joint trace
-    distance is at most (cutoff / 2) ||D||_F.
+    weight, are subtracted from those rows, the ones the first marginal
+    reads, and the other entries stay as they are.  Last, the slab adds its
+    squared Frobenius norm.  Every entry of a marginal sums its terms in
+    ascending total photon number, the order in which the slabs arrive.
+
+    The difference D = Y - target_first (x) target_second, of side
+    cutoff^2, is bounded through the norms of its slabs.  For every real
+    square D of that side,
+    1/2 ||(D + D^T) / 2||_1 <= 1/2 ||D||_1 = 1/2 sum_i sigma_i(D) <= (cutoff / 2) ||D||_F,
+    by the triangle inequality and Cauchy-Schwarz on the cutoff^2 singular
+    values; so the joint trace distance, that of D's symmetric part, is at
+    most (cutoff / 2) sqrt(sum of the slabs' squared norms) whether or not
+    D is symmetric, and the bound needs no Hermiticity gate.  The gate (`linalg.require_hermitian`) still runs on
+    what one slab can pair itself, its square D[S, S], to catch a step
+    that breaks the symmetry; it is skipped where the slab's norm is at
+    most _GATE_FREE_NORM, where it cannot fail: the residual is at most
+    max |D[S, S]| <= ||D[:, S]||_F, under the gate's tolerance.
     """
     cutoff = fresh.shape[0]
-    joint = _conjugate_by_blocks(_beam_splitter_blocks(phi, spectra), np.kron(carried, fresh))
-    dist_first = trace_distance(partial_trace(joint, "first"), target_first)
-    dist_second = trace_distance(partial_trace(joint, "second"), target_second)
-    # joint.T is C-contiguous, so this is a view: entry [p, q, m, n] is
-    # joint[m cutoff + n, p cutoff + q]
-    by_mode = joint.T.reshape(cutoff, cutoff, cutoff, cutoff)
-    for n, weight in enumerate(np.diagonal(target_second)):
-        by_mode[:, n, :, n] -= target_first.T * weight
+    weights = np.diagonal(target_second)
+    marginal_first, marginal_second = np.zeros((2, cutoff, cutoff))
+    squared_norm = 0.0
+    for columns, slab in _joint_slabs(_beam_splitter_blocks(phi, spectra), carried, fresh):
+        p, q = np.divmod(columns, cutoff)
+        k = np.arange(len(columns))
+        # entry [m, n, k] is Y[m cutoff + n, columns[k]]
+        by_mode = slab.reshape(cutoff, cutoff, len(columns))
+        np.add.at(marginal_second.T, q, by_mode[p, :, k])
+        same_count = by_mode[:, q, k]  # rows whose mode-2 count is the column's
+        np.add.at(marginal_first.T, p, same_count.T)
+        by_mode[:, q, k] = same_count - target_first[:, p] * weights[q]
+        slab_squared_norm = float(np.vdot(slab, slab))
+        squared_norm += slab_squared_norm
+        if not math.sqrt(slab_squared_norm) <= _GATE_FREE_NORM:
+            require_hermitian(slab[columns], "the concentration step")
     return ConcentrationReport(
         cutoff=cutoff,
         phi=phi,
-        dist_first=dist_first,
-        dist_second=dist_second,
-        joint_bound=rank_frobenius_bound(joint) / 2,
+        dist_first=trace_distance(marginal_first, target_first),
+        dist_second=trace_distance(marginal_second, target_second),
+        joint_bound=cutoff * math.sqrt(squared_norm) / 2,
     )
 
 

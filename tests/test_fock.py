@@ -8,7 +8,8 @@ import pytest
 from dtslab import fock
 from dtslab.bounds import ThetaPoint, rld_inverse_2param, rld_inverse_3param
 from dtslab.errors import DomainError, PreconditionError
-from dtslab.linalg import rank_frobenius_bound, trace_distance
+from dtslab.linalg import trace_distance
+from test_linalg import rank_frobenius_bound
 
 
 def displaced_thermal_density_quadrature(
@@ -117,21 +118,64 @@ def block_indices(cutoff: int) -> list[np.ndarray]:
     return [np.arange(cutoff * cutoff)[rows] for rows in fock._photon_blocks(cutoff)]
 
 
+def partial_trace(op: np.ndarray, keep: str) -> np.ndarray:
+    """Trace out one mode of a two-mode operator; keep is "first" or "second".
+
+    The reference for the marginals of `fock._concentration_step`: the
+    traced photon count is summed in ascending order, one term at a time
+    from zero.  The step adds each marginal entry's terms in ascending
+    total photon number, and with the kept counts fixed that is this order.
+    """
+    op = np.asarray(op)
+    if op.ndim != 2 or op.shape[0] != op.shape[1]:
+        raise DomainError(f"partial_trace expects a square matrix, got shape {op.shape}")
+    cutoff = math.isqrt(op.shape[0])
+    if cutoff * cutoff != op.shape[0]:
+        raise DomainError(f"matrix side {op.shape[0]} is not a perfect square")
+    if keep not in ("first", "second"):
+        raise DomainError(f'keep must be "first" or "second", got {keep!r}')
+    tensor = op.reshape(cutoff, cutoff, cutoff, cutoff)
+    marginal = np.zeros((cutoff, cutoff), dtype=op.dtype)
+    for j in range(cutoff):
+        marginal += tensor[:, j, :, j] if keep == "first" else tensor[j, :, j, :]
+    return marginal
+
+
+def slab_runs(cutoff: int) -> list[list[int]]:
+    """The photon blocks of each slab of `fock._joint_slabs`, by total, rebuilt from `fock._SLAB`.
+
+    Runs of whole blocks of consecutive totals, each at least _SLAB columns
+    wide but the last.
+    """
+    widths = [len(idx) for idx in block_indices(cutoff)]
+    runs = [[]]
+    for total in range(len(widths)):
+        if sum(widths[t] for t in runs[-1]) >= fock._SLAB:
+            runs.append([])
+        runs[-1].append(total)
+    return runs
+
+
 def dense_concentration_cascade(
     zeta: complex, n_mean: float, n_copies: int, cutoff: int
 ) -> list[tuple[fock.ConcentrationReport, float]]:
     """Out-of-place reference of `fock.verify_concentration_cascade`, to compare bit for bit.
 
-    It assembles the dense unitary, conjugates a fresh `np.kron` input out of
-    place by row blocks cut from that unitary, gathered and scattered by
-    index arrays where `fock` takes basic slices, and takes the marginal
-    distances with `trace_distance` and the joint bound with
-    `rank_frobenius_bound` against the `np.kron` targets.  Block products,
-    not a dense U K U^T: BLAS sums a dense product in another order, which
-    moves the distances by a few 1e-20 at cutoff 14.  Each report comes with
-    the exact joint trace distance, from a dense eigensolve.  At a complex
-    zeta it runs in complex128, where `fock` runs at |zeta|: the reference
-    for the phase-covariance argument.
+    It assembles the dense unitary and the dense joint output Y out of
+    place, from a whole `np.kron` input, by blocks cut from that unitary;
+    slab columns are gathered and scattered by index arrays where `fock`
+    writes them in place.  It mirrors the step's order of arithmetic,
+    since BLAS sums a product of another shape in another order (a
+    full-width row product moves entries of Y by up to 1e-22 at cutoff 40):
+    - Y is built slab by slab (`slab_runs`), each slab's rows mixed by
+      every block and each block's columns right-multiplied by its
+      transpose, the products of `fock._joint_slabs`;
+    - the marginals sum in ascending order (`partial_trace`);
+    - the squared Frobenius norm of D = Y - kron(targets) is summed over
+      the same slabs, each a dot product of D[:, S] in C order.
+    Each report comes with the exact joint trace distance, from a dense
+    eigensolve.  At a complex zeta it runs in complex128, where `fock`
+    runs at |zeta|: the reference for the phase-covariance argument.
     """
     fresh = fock.displaced_thermal_density(zeta, n_mean, cutoff)
     target_second = fock.thermal_density(n_mean, cutoff)
@@ -141,29 +185,39 @@ def dense_concentration_cascade(
         phi = fock.concentration_angle(i)
         unitary = beam_splitter(phi, cutoff)
         blocks = [(idx, unitary[np.ix_(idx, idx)]) for idx in block_indices(cutoff)]
-
-        def mix_rows(x):
-            flat = np.ascontiguousarray(x).view(float)
-            out = np.empty_like(flat)
+        kron = np.kron(carried, fresh)
+        joint = np.empty_like(kron)
+        for run in slab_runs(cutoff):
+            columns = np.concatenate([blocks[t][0] for t in run])
+            # numpy picks the product's path by strides, the unused stride
+            # of a one-column slab included, so the slab is laid out, and
+            # its rows are strided, as in fock
+            mixed = np.empty((cutoff * cutoff, len(columns)), dtype=kron.dtype)
+            mixed[...] = kron[:, columns]
+            flat = mixed.view(float)
             for idx, u in blocks:
-                out[idx] = u @ flat[idx]
-            return out.view(x.dtype)
-
-        joint = mix_rows(mix_rows(np.kron(carried, fresh)).T).T
+                rows = slice(idx[0], idx[-1] + 1, cutoff - 1)
+                flat[rows] = u @ flat[rows]
+            start = 0
+            for idx, u in (blocks[t] for t in run):
+                joint[:, idx] = mixed[:, start : start + len(idx)] @ u.T
+                start += len(idx)
         target_first = fock.displaced_thermal_density(
             math.sqrt(i + 1.0) * complex(zeta), n_mean, cutoff
         )
-        dist_first = trace_distance(fock.partial_trace(joint, "first"), target_first)
-        dist_second = trace_distance(fock.partial_trace(joint, "second"), target_second)
-        # in place, so the difference keeps the joint output's memory order,
-        # and with it the order in which the Frobenius norm sums
+        dist_first = trace_distance(partial_trace(joint, "first"), target_first)
+        dist_second = trace_distance(partial_trace(joint, "second"), target_second)
         joint -= np.kron(target_first, target_second)
+        squared_norm = 0.0
+        for run in slab_runs(cutoff):
+            slab = np.ascontiguousarray(joint[:, np.concatenate([blocks[t][0] for t in run])])
+            squared_norm += float(np.vdot(slab, slab).real)
         report = fock.ConcentrationReport(
             cutoff=cutoff,
             phi=phi,
             dist_first=dist_first,
             dist_second=dist_second,
-            joint_bound=rank_frobenius_bound(joint) / 2,
+            joint_bound=cutoff * math.sqrt(squared_norm) / 2,
         )
         reports.append((report, trace_distance(joint, np.zeros_like(joint))))
         carried = target_first
@@ -362,52 +416,44 @@ class TestBeamSplitter:
             m, n = np.divmod(idx, d)
             assert np.all(m + n == total) and np.all(np.diff(m) == 1)
 
-    def test_block_conjugation_matches_dense(self):
+    @staticmethod
+    def joint_slabs(phi: float, a: np.ndarray, b: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Every (columns, slab) of `fock._joint_slabs`, each slab copied as it arrives."""
+        blocks = beam_splitter_blocks(phi, a.shape[0])
+        return [(columns, slab.copy()) for columns, slab in fock._joint_slabs(blocks, a, b)]
+
+    def test_block_conjugation_matches_dense(self, monkeypatch):
+        # slabs of at least 20 columns at cutoff 9: four slabs, the last one
+        # short, which together cover every column once
+        monkeypatch.setattr(fock, "_SLAB", 20)
         d = 9
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-        x = x + x.conj().T
+        a, b = rng.normal(size=(2, d, d))
+        a, b = a + a.T, b + b.T
         u = beam_splitter(fock.concentration_angle(2), d)
-        blocks = beam_splitter_blocks(fock.concentration_angle(2), d)
-        assert np.max(np.abs(fock._conjugate_by_blocks(blocks, x.copy()) - u @ x @ u.T)) < 1e-12
+        slabs = self.joint_slabs(fock.concentration_angle(2), a, b)
+        assert [slab.shape[1] for _, slab in slabs] == [21, 24, 21, 15]
+        columns = np.concatenate([c for c, _ in slabs])
+        assert np.array_equal(np.sort(columns), np.arange(d * d))
+        joint = np.empty((d * d, d * d))
+        for c, slab in slabs:
+            joint[:, c] = slab
+        assert np.max(np.abs(joint - u @ np.kron(a, b) @ u.T)) < 1e-12
 
     def test_block_conjugation_keeps_a_real_operator_real(self):
-        d = 9
-        x = np.random.default_rng(6).normal(size=(d * d, d * d))
-        x = x + x.T
-        u = beam_splitter(fock.concentration_angle(2), d)
-        conjugated = fock._conjugate_by_blocks(
-            beam_splitter_blocks(fock.concentration_angle(2), d), x.copy()
-        )
-        assert conjugated.dtype == np.float64
-        assert np.max(np.abs(conjugated - u @ x @ u.T)) < 1e-12
+        d = 20
+        a = fock.displaced_thermal_density(0.5, 1.0, d)
+        for _, slab in fock._joint_slabs(beam_splitter_blocks(math.pi / 4, d), a, a):
+            assert slab.dtype == np.float64 and slab.flags.c_contiguous
 
     def test_block_conjugation_allocates_no_full_size_buffer(self):
-        # the result lives in the operator's own buffer, transposed
-        d = 9
-        x = np.random.default_rng(7).normal(size=(d * d, d * d))
-        blocks = beam_splitter_blocks(fock.concentration_angle(2), d)
-        conjugated = fock._conjugate_by_blocks(blocks, x)
-        assert np.shares_memory(conjugated, x) and conjugated.T.flags.c_contiguous
-
-    @pytest.mark.parametrize("side", [1, 2, 127, 128, 129, 676, 1600])
-    def test_transpose_in_place_is_exact(self, side):
-        x = np.random.default_rng(side).normal(size=(side, side))
-        expected = x.T.copy()
-        fock._transpose_in_place(x)
-        assert x.flags.c_contiguous and np.array_equal(x, expected)
-
-    def test_transpose_in_place_needs_one_tile_of_memory(self):
-        # a 20 MB operator at side 1600, transposed through one 128 KiB tile
-        x = np.arange(1600.0 * 1600).reshape(1600, 1600)
-        tracemalloc.start()
-        try:
-            fock._transpose_in_place(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-        assert x[0, 1] == 1600.0 and x[1, 0] == 1.0
+        # every slab is a view of one buffer, with fewer columns than the
+        # two-mode side: 400 columns in slabs of 256 or more but the last
+        d = 20
+        a = fock.displaced_thermal_density(0.5, 1.0, d)
+        slabs = list(fock._joint_slabs(beam_splitter_blocks(math.pi / 4, d), a, a))
+        assert [slab.shape for _, slab in slabs] == [(400, 264), (400, 136)]
+        assert all(np.shares_memory(slab, slabs[0][1]) for _, slab in slabs)
 
 
 class TestPartialTrace:
@@ -415,29 +461,29 @@ class TestPartialTrace:
         rho = fock.displaced_thermal_density(0.3, 0.5, 6)
         sigma = fock.thermal_density(1.0, 6)
         joint = np.kron(rho, sigma)
-        assert np.allclose(fock.partial_trace(joint, "first"), rho * np.trace(sigma))
-        assert np.allclose(fock.partial_trace(joint, "second"), sigma * np.trace(rho))
+        assert np.allclose(partial_trace(joint, "first"), rho * np.trace(sigma))
+        assert np.allclose(partial_trace(joint, "second"), sigma * np.trace(rho))
 
     def test_correlated_diagonal_marginals(self):
         # (|00><00| + |11><11|)/2 on two qubits: both marginals are I/2
         joint = np.zeros((4, 4), dtype=complex)
         joint[0, 0] = joint[3, 3] = 0.5
-        assert np.allclose(fock.partial_trace(joint, "first"), np.eye(2) / 2)
-        assert np.allclose(fock.partial_trace(joint, "second"), np.eye(2) / 2)
+        assert np.allclose(partial_trace(joint, "first"), np.eye(2) / 2)
+        assert np.allclose(partial_trace(joint, "second"), np.eye(2) / 2)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
         joint = a @ a.conj().T
-        assert np.trace(fock.partial_trace(joint, "first")) == pytest.approx(
+        assert np.trace(partial_trace(joint, "first")) == pytest.approx(
             np.trace(joint), abs=1e-12
         )
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
-            fock.partial_trace(np.eye(5), "first")
+            partial_trace(np.eye(5), "first")
         with pytest.raises(DomainError):
-            fock.partial_trace(np.eye(4), "both")
+            partial_trace(np.eye(4), "both")
 
 
 class TestConcentration:
@@ -483,53 +529,52 @@ class TestConcentration:
         assert reports == fock.verify_concentration_cascade(0.5, 0.5, n_copies=3)
 
     def test_a_complex_cascade_runs_in_float64(self, monkeypatch):
-        # no complex array reaches the two-mode layer: every np.kron operand
-        # and every block and operator handed to _conjugate_by_blocks
+        # no complex array reaches the two-mode layer: every block and
+        # density handed to _joint_slabs, and every slab it yields
         seen = []
-        kron, conjugate = np.kron, fock._conjugate_by_blocks
+        joint_slabs = fock._joint_slabs
 
-        def recording_kron(a, b):
-            seen.extend([a, b])
-            return kron(a, b)
+        def recording(blocks, carried, fresh):
+            seen.extend([u for _, u in blocks] + [carried, fresh])
+            for columns, slab in joint_slabs(blocks, carried, fresh):
+                seen.append(slab)
+                yield columns, slab
 
-        def recording_conjugate(blocks, op):
-            seen.extend([u for _, u in blocks] + [op])
-            return conjugate(blocks, op)
-
-        monkeypatch.setattr(np, "kron", recording_kron)
-        monkeypatch.setattr(fock, "_conjugate_by_blocks", recording_conjugate)
-        fock.verify_concentration_cascade(0.3 + 0.4j, 0.2, n_copies=3, cutoff=14)
-        # two steps, each with two np.kron operands, 27 blocks and one operator
-        assert len(seen) == 2 * (2 + 27 + 1)
+        monkeypatch.setattr(fock, "_joint_slabs", recording)
+        fock.verify_concentration_cascade(0.3 + 0.4j, 0.2, n_copies=3, cutoff=20)
+        # two steps, each with 39 blocks, two densities and two slabs
+        assert len(seen) == 2 * (39 + 2 + 2)
         assert all(x.dtype == np.float64 for x in seen)
 
     @staticmethod
-    def cascade_peak_mib(zeta: complex, n_copies: int = 2) -> float:
+    def cascade_peak_mib(zeta: complex, n_copies: int = 2, cutoff: int | None = None) -> float:
         tracemalloc.start()
         try:
-            fock.verify_concentration_cascade(zeta, 1.0, n_copies=n_copies)
+            fock.verify_concentration_cascade(zeta, 1.0, n_copies=n_copies, cutoff=cutoff)
             return tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
 
     def test_real_amplitude_memory(self):
-        # float64 operators: 1600-side two-mode operators of 19.5 MiB each; a
-        # step holds one, its input, which becomes the joint output in place
-        assert self.cascade_peak_mib(0.5) < 24
+        # cutoff 40: a step holds one slab buffer of 1600 rows and at most
+        # 295 columns, 3.6 MiB, never a 19.5 MiB two-mode operator
+        assert self.cascade_peak_mib(0.5) < 8
 
     def test_complex_amplitude_memory(self):
-        # the cascade runs at |zeta|, in the same float64 operators
-        assert self.cascade_peak_mib(0.3 + 0.4j) < 24
+        # the cascade runs at |zeta|, in the same float64 slabs
+        assert self.cascade_peak_mib(0.3 + 0.4j) < 8
 
     def test_three_copy_cascade_memory(self):
-        # the second step's input is allocated after the first step's output is freed
-        assert self.cascade_peak_mib(0.5, n_copies=3) < 24
+        # each step allocates its own slab buffer after the last one's is freed
+        assert self.cascade_peak_mib(0.5, n_copies=3) < 8
 
-    @pytest.mark.parametrize(
-        "cutoff,n_mean,zeta",
-        [(8, 0.05, 0.2), (8, 0.05, 0.12 + 0.16j), (14, 0.2, 0.5), (14, 0.2, 0.3 + 0.4j)],
-    )
-    def test_matches_dense_reference_bit_for_bit(self, cutoff, n_mean, zeta):
+    def test_memory_at_the_cutoff_limit(self):
+        # a two-mode operator at cutoff 70 holds 183 MiB; a slab of 4900 rows
+        # and at most 325 columns, 12.2 MiB
+        assert self.cascade_peak_mib(0.5, cutoff=fock.MAX_CUTOFF) < 24
+
+    @staticmethod
+    def assert_matches_dense_reference(zeta: complex, n_mean: float, cutoff: int) -> None:
         # bit for bit against the reference at |zeta|, where the cascade runs,
         # and within rounding of the complex reference at zeta itself
         reports = fock.verify_concentration_cascade(zeta, n_mean, n_copies=3, cutoff=cutoff)
@@ -538,6 +583,50 @@ class TestConcentration:
             assert (report.cutoff, report.phi) == (ref.cutoff, ref.phi)
             for name in ("dist_first", "dist_second", "joint_bound"):
                 assert abs(getattr(report, name) - getattr(ref, name)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "cutoff,n_mean,zeta",
+        [(8, 0.05, 0.2), (8, 0.05, 0.12 + 0.16j), (14, 0.2, 0.5), (14, 0.2, 0.3 + 0.4j)],
+    )
+    def test_matches_dense_reference_bit_for_bit(self, cutoff, n_mean, zeta):
+        # one slab each: 64 and 196 columns
+        self.assert_matches_dense_reference(zeta, n_mean, cutoff)
+
+    @pytest.mark.parametrize(
+        "cutoff,n_mean,zeta,slab",
+        [
+            (2, 1e-5, 1e-3, 256),  # one slab of the whole window
+            (3, 1e-3, 0.006 + 0.008j, 256),
+            (3, 1e-3, 0.01, 1),  # a slab per block, one column wide at the ends
+            (8, 0.05, 0.12 + 0.16j, 5),  # blocks wider than a slab
+            (14, 0.2, 0.3 + 0.4j, 40),  # a short last slab
+            (26, 0.5, 0.5, 256),  # 676 columns: 276, 264 and a last 136
+        ],
+    )
+    def test_matches_dense_reference_at_the_slab_edges(self, monkeypatch, cutoff, n_mean, zeta, slab):
+        monkeypatch.setattr(fock, "_SLAB", slab)
+        self.assert_matches_dense_reference(zeta, n_mean, cutoff)
+
+    @pytest.mark.parametrize("cutoff,n_mean", [(14, 0.2), (26, 0.5)])
+    def test_joint_bound_is_the_rank_frobenius_bound_of_the_whole_difference(
+        self, monkeypatch, cutoff, n_mean
+    ):
+        # each slab, once the step has subtracted the target from it, is
+        # stitched into the whole difference D
+        diff = np.full((cutoff * cutoff,) * 2, np.nan)
+        joint_slabs = fock._joint_slabs
+
+        def stitching(blocks, carried, fresh):
+            for columns, slab in joint_slabs(blocks, carried, fresh):
+                yield columns, slab
+                diff[:, columns] = slab
+
+        monkeypatch.setattr(fock, "_joint_slabs", stitching)
+        report = fock.verify_concentration_cascade(0.5, n_mean, n_copies=2, cutoff=cutoff)[0]
+        # the same c^4 squares summed in two orders, each sum within
+        # (c^4 - 1) 2^-53 of the exact one; the square root halves that
+        whole = rank_frobenius_bound(diff) / 2
+        assert abs(report.joint_bound - whole) <= cutoff**4 * 2.0**-53 * whole
 
     @pytest.mark.parametrize(
         "zeta,n_mean,cutoff",
@@ -551,15 +640,11 @@ class TestConcentration:
         for report, exact in dense_concentration_cascade(zeta, n_mean, 3, cutoff):
             assert exact <= report.joint_bound <= cutoff * exact
 
-    def test_a_step_calls_kron_once_for_its_input(self, monkeypatch):
-        # the product target is subtracted through strided views of the
-        # joint output, never formed: the one np.kron is the step's input
+    def test_a_step_forms_no_kron(self, monkeypatch):
+        # the input is written slab by slab and the product target is
+        # subtracted through the thermal weights: no np.kron in a step
         cutoff, n_mean = 14, 0.2
         expected = fock.verify_concentration_cascade(0.5, n_mean, n_copies=2, cutoff=cutoff)
-        carried = fock.displaced_thermal_density(0.5, n_mean, cutoff)
-        fresh = carried.copy()
-        target_first = fock.displaced_thermal_density(math.sqrt(2.0) * 0.5, n_mean, cutoff)
-        target_second = fock.thermal_density(n_mean, cutoff)
         calls = []
         kron = np.kron
 
@@ -568,13 +653,47 @@ class TestConcentration:
             return kron(a, b)
 
         monkeypatch.setattr(np, "kron", counting)
-        report = fock._concentration_step(
-            fock.concentration_angle(1), fock._beam_splitter_spectra(cutoff),
-            carried, fresh, target_first, target_second,
-        )
-        assert len(calls) == 1
-        assert calls[0][0] is carried and calls[0][1] is fresh
-        assert [report] == expected
+        assert fock.verify_concentration_cascade(0.5, n_mean, n_copies=2, cutoff=cutoff) == expected
+        assert calls == []
+
+    def test_an_asymmetric_block_in_the_right_multiplication_is_refused(self, monkeypatch):
+        # right-multiplying by u where u^T is due breaks the joint output's
+        # symmetry; the gate sees it in the first slab's square
+        class SameTranspose(np.ndarray):
+            @property
+            def T(self):
+                return self
+
+        blocks = fock._beam_splitter_blocks
+
+        def untransposed(phi, spectra):
+            return [(rows, u.view(SameTranspose)) for rows, u in blocks(phi, spectra)]
+
+        monkeypatch.setattr(fock, "_beam_splitter_blocks", untransposed)
+        with pytest.raises(DomainError, match="the concentration step expects Hermitian operators"):
+            fock.verify_concentration_cascade(0.5, 1.0, n_copies=2, cutoff=40)
+
+    def test_the_gate_reads_each_slab_square_above_the_gate_free_norm(self, monkeypatch):
+        # the gate reads the square D[S, S] of each slab whose norm is above
+        # the gate-free norm, once the step has subtracted the target, and
+        # no other slab: at cutoff 14 in slabs of 40 columns or more, the
+        # last slab, far in the tail, is skipped
+        monkeypatch.setattr(fock, "_SLAB", 40)
+        gated, expected = [], []
+        monkeypatch.setattr(fock, "require_hermitian", lambda d, caller: gated.append(d.copy()))
+        joint_slabs = fock._joint_slabs
+
+        def recording(blocks, carried, fresh):
+            for columns, slab in joint_slabs(blocks, carried, fresh):
+                yield columns, slab
+                if np.linalg.norm(slab) > fock._GATE_FREE_NORM:
+                    expected.append(slab[columns])
+
+        monkeypatch.setattr(fock, "_joint_slabs", recording)
+        fock.verify_concentration_cascade(0.5, 0.2, n_copies=2, cutoff=14)
+        assert 0 < len(expected) < len(slab_runs(14))
+        assert len(gated) == len(expected)
+        assert all(np.array_equal(g, x) for g, x in zip(gated, expected))
 
     def test_overflowing_amplitude_at_an_explicit_cutoff_is_refused(self):
         # sqrt(3) 1e200 squared overflows float64; the tail gate names it

