@@ -8,32 +8,35 @@ the closed forms in `bounds` and the sampling laws in `states` against them,
 so this module shares no formulas with those beyond the thermal weights.
 
 Conventions: single-mode operators follow the amplitude, float64 for a real
-one and complex128 otherwise; two-mode arrays (beam-splitter blocks and
-slabs of a joint output) are float64, because the concentration cascade
-runs at |zeta| (`verify_concentration_cascade`).  Single-mode operators
-are (cutoff x cutoff); the two-mode basis has cutoff^2 states, with index
-(m, n) -> m * cutoff + n (numpy.kron order, mode 1 first).  Densities
-built here have trace <= 1, with the deficit bounded by the tail functions
-below.
+one and complex128 otherwise; a real amplitude's density is exactly
+symmetric.  Two-mode arrays (beam-splitter blocks and slabs of a joint
+output) are float64, because the concentration cascade runs at |zeta|
+(`verify_concentration_cascade`).  Single-mode operators are
+(cutoff x cutoff); the two-mode basis has cutoff^2 states (m, n), with
+index m * cutoff + n (numpy.kron order, mode 1 first) where a two-mode
+operator is written whole, as in the tests.  Densities built here have
+trace <= 1, with the deficit bounded by the tail functions below.
 
 The beam splitter conserves the total photon number m + n, so the two-mode
 window splits into 2 cutoff - 1 blocks of equal total (`_photon_blocks`),
 each at most cutoff states wide.  The unitary is exponentiated one block at
 a time and never assembled: the concentration checks conjugate by its
 blocks, so they form no dense two-mode unitary, matrix product or matrix
-exponential.  No cascade step holds a two-mode operator either: the joint
-output is formed one slab of columns at a time, a run of whole photon
-blocks, in one reused buffer of cutoff^2 rows (`_joint_slabs`), and each
-slab adds its share of both marginals and of the joint bound before the
-next overwrites it (`_concentration_step`).  Each block's rows are a basic
-slice of the two-mode basis, and each block exponential is built from one
-real tridiagonal eigensolve, taken once per cascade for all its angles
-(`_beam_splitter_spectra`).  The joint output is certified against the
-product target by the rank-Frobenius bound, one norm pass over the
-difference, not by a two-mode eigensolve.  The product target is never
-formed: its thermal factor is diagonal, so it is subtracted from the rows
-of each slab whose mode-2 count is the column's, and a step calls no
-`np.kron`.
+exponential.  No cascade step holds a two-mode operator either.  A step's
+joint output is symmetric, so the step forms only its block-lower triangle,
+in block order (each block's states in one contiguous run of rows), one
+slab of columns at a time: a run of whole photon blocks with the rows of
+every block from its own on, about _SLAB cutoff^2 entries in one reused
+buffer (`_joint_slabs`).  Each slab adds its share of both marginals and
+of the joint bound, counting each entry below its square for its mirror
+too, before the next overwrites it (`_concentration_step`).  Each block
+exponential is built from one real tridiagonal eigensolve, taken once per
+cascade for all its angles (`_beam_splitter_spectra`).  The joint output
+is certified against the product target by the rank-Frobenius bound, one
+norm pass over the difference, not by a two-mode eigensolve.  The product
+target is never formed: its thermal factor is diagonal, so it is
+subtracted from the entries of each slab whose mode-2 counts agree, and a
+step calls no `np.kron`.
 """
 
 from __future__ import annotations
@@ -50,12 +53,12 @@ from .linalg import require_hermitian, trace_distance
 
 DEFAULT_TAIL_TOL = 1e-8
 _DISTANCE_RULE_TOL = 1e-12  # default-cutoff target for trace-distance certifications
-# a cascade step costs about cutoff**5 flops (0.33 s at 70, measured) and holds
-# one slab of cutoff**2 rows, not a two-mode operator: N = 2's default cutoff
-# 69 fits, N = 3's 97 does not
+# a cascade step costs about cutoff**5 / 2 flops (0.23 s at 70, measured) and holds
+# one slab of about _SLAB cutoff**2 entries, not a two-mode operator: N = 2's
+# default cutoff 69 fits, N = 3's 97 does not
 MAX_CUTOFF = 70
-_SLAB = 256  # least number of columns in a slab of a cascade step's joint output
-# a slab whose Frobenius norm is at or below this skips the Hermiticity gate;
+_SLAB = 96  # most entries of a slab of a step's joint output, in units of cutoff**2
+# a slab's square whose Frobenius norm is at or below this skips the Hermiticity gate;
 # the 1% under the gate's 1e-9 floor covers the rounding of the computed norm
 _GATE_FREE_NORM = 0.99e-9
 RLD_TOL = 1e-9  # relative deviation of the RLD check; budget in truncated_rld_inverse
@@ -221,15 +224,20 @@ def displacement_operator(zeta: complex, cutoff: int) -> np.ndarray:
 
 
 def displaced_thermal_density(zeta: complex, n_mean: float, cutoff: int) -> np.ndarray:
-    """Displaced thermal state via operator conjugation D(zeta) rho_th D(zeta)^dagger.
+    """Displaced thermal state D(zeta) rho_th D(zeta)^dagger, formed as G G^dagger.
 
-    The trace deficit is at most thermal_tail(n_mean, cutoff) plus
+    G = D(zeta) sqrt(p) for the thermal weights p.  For a real zeta, G G^T
+    is a product of one array with its own transpose, which numpy forms as
+    a symmetric rank-k update and mirrors, so the density is exactly
+    symmetric, as the concentration cascade needs; its entries are within
+    rounding (2.2e-16) of the conjugation D diag(p) D^T.  The trace deficit
+    is at most thermal_tail(n_mean, cutoff) plus
     displaced_thermal_tail_bound(n_mean, |zeta|, cutoff): the first term is
     the dropped thermal weight, the second bounds what the displacement
     window pushes past the cutoff.
     """
-    dop = displacement_operator(zeta, cutoff)
-    return dop @ thermal_density(n_mean, cutoff) @ dop.conj().T
+    root = displacement_operator(zeta, cutoff) * np.sqrt(_thermal_weights(n_mean, cutoff))
+    return root @ root.conj().T
 
 
 def concentration_angle(i: int) -> float:
@@ -239,24 +247,20 @@ def concentration_angle(i: int) -> float:
     return math.atan(1.0 / math.sqrt(i))
 
 
-def _photon_blocks(cutoff: int) -> list[slice]:
-    """Two-mode rows of each total T = 0 .. 2 cutoff - 2, mode-1 count ascending.
+def _photon_blocks(cutoff: int) -> list[range]:
+    """Mode-1 counts of each photon block T = 0 .. 2 cutoff - 2, ascending.
 
-    Block T holds the window states (m, T - m), at rows
-    m cutoff + T - m = m (cutoff - 1) + T: an arithmetic progression, so each
-    block is a basic slice and selects a view, not a copy.  The beam splitter
-    couples only neighbours (m, T - m) and (m + 1, T - m - 1) inside one block.
+    Block T holds the window states (m, T - m) for m in its range.  The
+    beam splitter couples only neighbours (m, T - m) and (m + 1, T - m - 1)
+    inside one block.  In the block order of the two-mode basis, block T
+    is one contiguous run of rows, (m, T - m) with m ascending, after the
+    blocks of smaller totals.
     """
-    step = cutoff - 1
-    blocks = []
-    for total in range(2 * cutoff - 1):
-        first, last = max(0, total - step), min(total, step)
-        blocks.append(slice(first * step + total, last * step + total + 1, step))
-    return blocks
+    return [range(max(0, t - cutoff + 1), min(t, cutoff - 1) + 1) for t in range(2 * cutoff - 1)]
 
 
-def _beam_splitter_spectra(cutoff: int) -> list[tuple[slice, np.ndarray, np.ndarray]]:
-    """(rows, w, W) for each `_photon_blocks` entry, with eigh(H) = (w, W).
+def _beam_splitter_spectra(cutoff: int) -> list[tuple[range, np.ndarray, np.ndarray]]:
+    """(counts, w, W) for each `_photon_blocks` entry, with eigh(H) = (w, W).
 
     H is the real symmetric tridiagonal matrix of block T, with
     H[k+1, k] = H[k, k+1] = sqrt((m+1)(T-m)) for m the mode-1 count of
@@ -267,22 +271,22 @@ def _beam_splitter_spectra(cutoff: int) -> list[tuple[slice, np.ndarray, np.ndar
     if cutoff < 2:
         raise DomainError(f"cutoff must be at least 2, got {cutoff}")
     spectra = []
-    for rows in _photon_blocks(cutoff):
-        m, n = np.divmod(np.arange(rows.start, rows.stop, rows.step)[:-1], cutoff)
-        coupling = np.sqrt((m + 1.0) * n)
+    for total, counts in enumerate(_photon_blocks(cutoff)):
+        m = np.arange(counts.start, counts.stop - 1, dtype=float)
+        coupling = np.sqrt((m + 1.0) * (total - m))
         w, v = np.linalg.eigh(np.diag(coupling, -1) + np.diag(coupling, 1))
-        spectra.append((rows, w, v))
+        spectra.append((counts, w, v))
     return spectra
 
 
 def _beam_splitter_blocks(
-    phi: float, spectra: list[tuple[slice, np.ndarray, np.ndarray]]
-) -> list[tuple[slice, np.ndarray]]:
+    phi: float, spectra: list[tuple[range, np.ndarray, np.ndarray]]
+) -> list[tuple[range, np.ndarray]]:
     """Blocks of the two-mode unitary exp(phi (adag x b - a x bdag)) on the truncated space.
 
     The truncated generator maps each total-photon block to itself, so the
     exponential is the direct sum of its block exponentials; this returns
-    (rows, block) for each entry of `_beam_splitter_spectra`.  Block T is
+    (counts, block) for each entry of `_beam_splitter_spectra`.  Block T is
     the exponential of the real antisymmetric tridiagonal matrix G with
     G[k+1, k] = sqrt((m+1)(T-m)) for m the mode-1 count of entry k.  With
     S = diag(i^k), S^dagger (i G) S is the real symmetric tridiagonal H with
@@ -305,57 +309,78 @@ def _beam_splitter_blocks(
     cutoff = (len(spectra) + 1) // 2
     phase = np.array([1, 1j, -1, -1j])[np.subtract.outer(np.arange(cutoff), np.arange(cutoff)) % 4]
     blocks = []
-    for rows, w, v in spectra:
+    for counts, w, v in spectra:
         block = (((v * np.exp(-1j * phi * w)) @ v.T) * phase[: len(w), : len(w)]).real.copy()
         if not np.all(np.isfinite(block)):
             raise NumericalError(f"matrix exponential failed for phi={phi}, cutoff={cutoff}")
-        blocks.append((rows, block))
+        blocks.append((counts, block))
     return blocks
 
 
-def _joint_slabs(
-    blocks: list[tuple[slice, np.ndarray]], carried: np.ndarray, fresh: np.ndarray
-):
-    """Yield (columns, slab) for the joint output Y = U (carried (x) fresh) U^T, slab by slab.
+def _block_order(blocks: list[tuple[range, np.ndarray]]) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The block order of the two-mode basis: each block's first row, and each row's counts.
 
-    U is the real unitary given by its photon blocks.  A slab is Y[:, S] for
-    a run S of whole blocks of consecutive totals, at least _SLAB columns
-    wide but the last; `columns` lists S block by block, and the slab's
-    columns follow it.  U is the direct sum of its blocks u_T, so
-    Y[:, S] = U X[:, S] u_S^T, with X = carried (x) fresh and u_S the direct
-    sum of the blocks of S.  Each slab is built in three passes:
+    Block T takes the rows from starts[T] to starts[T + 1]; row r is the
+    state (mode1[r], mode2[r]).
+    """
+    starts = np.cumsum([0] + [len(counts) for counts, _ in blocks]).tolist()
+    mode1 = np.concatenate([np.arange(counts.start, counts.stop) for counts, _ in blocks])
+    return starts, mode1, np.repeat(np.arange(len(blocks)), np.diff(starts)) - mode1
 
-    1. the columns X[:, S], written by one broadcast product;
-    2. its rows mixed by every block of U, reading a block's rows in place
-       (a basic slice), at cutoff^2 |S| times the sum of squared block sizes
-       over all slabs, instead of cutoff^6;
-    3. the columns of each block T of S right-multiplied by u_T^T.
 
-    Every slab is a C-ordered view of one buffer of cutoff^2 rows, as wide
-    as the widest slab, which the next slab overwrites; the operands are
-    float64.
+def _joint_slabs(blocks: list[tuple[range, np.ndarray]], carried: np.ndarray, fresh: np.ndarray):
+    """Yield (start, p, q, slab) for the block-lower triangle of Y = U (carried (x) fresh) U^T.
+
+    U is the real unitary given by its photon blocks u_T, and the two-mode
+    basis is in block order (`_photon_blocks`).  A slab is Y[R, S] for a
+    run S of whole blocks of consecutive totals, from t0, and R the rows of
+    every block T >= t0: one contiguous range of rows from `start`, the
+    first state of S, so the slab's first rows are its square Y[S, S].  The
+    rest of Y[:, S] is the mirror of rows that earlier slabs hold.  Column k
+    of the slab is the state (p[k], q[k]).  A run takes blocks while its
+    slab holds at most _SLAB cutoff^2 entries, and at least one block.
+    With X = carried (x) fresh, Y[R, S] = u_R X[R, S] u_S^T, built in two
+    passes:
+
+    1. for each row block T, X[T, S], entries carried[m, p] fresh[T - m, q],
+       is written to a scratch buffer and left-multiplied by u_T into the
+       slab;
+    2. the columns of each block of S are right-multiplied by its u^T.
+
+    Over all slabs that is about half the flops of the whole Y.  Every slab
+    is a C-ordered view of one buffer, as large as the largest slab, which
+    the next slab overwrites; the operands are float64.
     """
     cutoff = carried.shape[0]
-    runs = [[]]
-    for block in blocks:
-        if sum(len(u) for _, u in runs[-1]) >= _SLAB:
-            runs.append([])
-        runs[-1].append(block)
-    widths = [sum(len(u) for _, u in run) for run in runs]
-    buffer = np.empty(cutoff * cutoff * max(widths))
-    for run, width in zip(runs, widths):
-        columns = np.concatenate([np.arange(rows.start, rows.stop, rows.step) for rows, _ in run])
-        p, q = np.divmod(columns, cutoff)
-        slab = buffer[: cutoff * cutoff * width].reshape(cutoff * cutoff, width)
-        np.multiply(carried[:, None, p], fresh[None, :, q], out=slab.reshape(cutoff, cutoff, width))
-        for rows, u in blocks:
-            slab[rows] = u @ slab[rows]
-        start = 0
-        for _, u in run:
-            block_columns = slice(start, start + len(u))
-            slab[:, block_columns] = slab[:, block_columns] @ u.T
-            start += len(u)
-        yield columns, slab
+    side = cutoff * cutoff
+    starts, mode1, mode2 = _block_order(blocks)
+    runs = [range(0, 1)]
+    for total in range(1, len(blocks)):
+        first = starts[runs[-1].start]
+        if (side - first) * (starts[total + 1] - first) <= _SLAB * side:
+            runs[-1] = range(runs[-1].start, total + 1)
+        else:
+            runs.append(range(total, total + 1))
+    extents = [(starts[run.start], starts[run.stop]) for run in runs]
+    buffer = np.empty(max((side - start) * (stop - start) for start, stop in extents))
+    scratch = np.empty(cutoff * max(stop - start for start, stop in extents))
+    for run, (start, stop) in zip(runs, extents):
+        width = stop - start
+        slab = buffer[: (side - start) * width].reshape(side - start, width)
+        p, q = mode1[start:stop], mode2[start:stop]
+        left, right = carried[:, p], fresh[:, q]
+        for total in range(run.start, len(blocks)):
+            counts, u = blocks[total]
+            x = scratch[: len(counts) * width].reshape(len(counts), width)
+            # the mode-2 counts total - m descend as m ascends
+            descending = right[total - counts.stop + 1 : total - counts.start + 1][::-1]
+            np.multiply(left[counts.start : counts.stop], descending, out=x)
+            np.matmul(u, x, out=slab[starts[total] - start : starts[total + 1] - start])
+        del left, right  # freed before the column pass, whose products allocate
+        for total in run:
+            columns = slice(starts[total] - start, starts[total + 1] - start)
+            slab[:, columns] = slab[:, columns] @ blocks[total][1].T
+        yield start, p, q, slab
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +395,8 @@ class ConcentrationReport:
     from their targets; joint_bound is an upper bound (the rank-Frobenius
     bound, (cutoff / 2) ||D||_F, `_concentration_step`) on the trace
     distance of the joint output from the product of the targets, not that
-    distance.
+    distance.  thermal_tail and coherent_tail are the two tails that the
+    cutoff gate (`require_cutoff`) read at `cutoff`.
     """
 
     cutoff: int
@@ -378,14 +404,17 @@ class ConcentrationReport:
     dist_first: float
     dist_second: float
     joint_bound: float
+    thermal_tail: float
+    coherent_tail: float
 
 
-def require_cutoff(n_mean: float, amplitude: float, cutoff: int) -> None:
+def require_cutoff(n_mean: float, amplitude: float, cutoff: int) -> tuple[float, float]:
     """Refuse a two-mode cutoff above MAX_CUTOFF, or one that truncates too much.
 
     The size limit is checked first, so a refused cutoff allocates nothing.
     Then the thermal tail and the Poisson bound at the largest coherent
-    amplitude the check touches must both fall below DEFAULT_TAIL_TOL.
+    amplitude the check touches must both fall below DEFAULT_TAIL_TOL; an
+    accepted cutoff returns those two tails.
     """
     if cutoff > MAX_CUTOFF:
         raise PreconditionError(
@@ -401,6 +430,7 @@ def require_cutoff(n_mean: float, amplitude: float, cutoff: int) -> None:
             f"coherent bound {t_coh:.3g}, tol {DEFAULT_TAIL_TOL:.1g}); "
             f"use cutoff >= {cutoff_for(n_mean, amplitude)}"
         )
+    return t_th, t_coh
 
 
 def verify_concentration_cascade(
@@ -461,7 +491,7 @@ def verify_concentration_cascade(
     amplitude = math.sqrt(n_copies) * modulus
     if cutoff is None:
         cutoff = cutoff_for(n_mean, amplitude, _DISTANCE_RULE_TOL)
-    require_cutoff(n_mean, amplitude, cutoff)
+    tails = require_cutoff(n_mean, amplitude, cutoff)
     spectra = _beam_splitter_spectra(cutoff)
     fresh = displaced_thermal_density(modulus, n_mean, cutoff)
     target_second = thermal_density(n_mean, cutoff)
@@ -471,7 +501,7 @@ def verify_concentration_cascade(
         target_first = displaced_thermal_density(math.sqrt(i + 1.0) * modulus, n_mean, cutoff)
         reports.append(
             _concentration_step(
-                concentration_angle(i), spectra, carried, fresh, target_first, target_second
+                concentration_angle(i), spectra, carried, fresh, target_first, target_second, tails
             )
         )
         carried = target_first
@@ -480,25 +510,33 @@ def verify_concentration_cascade(
 
 def _concentration_step(
     phi: float,
-    spectra: list[tuple[slice, np.ndarray, np.ndarray]],
+    spectra: list[tuple[range, np.ndarray, np.ndarray]],
     carried: np.ndarray,
     fresh: np.ndarray,
     target_first: np.ndarray,
     target_second: np.ndarray,
+    tails: tuple[float, float],
 ) -> ConcentrationReport:
-    """Certificates of one cascade step, with no two-mode operator formed whole.
+    """Certificates of one cascade step, from one triangle of its joint output.
 
-    The beam splitter at phi is built from the cascade's `spectra`, and the
-    joint output Y arrives one slab of columns at a time (`_joint_slabs`).
-    Each slab adds its share of both partial traces, so both marginal
-    distances are exact.  Then the product target is subtracted from the
-    slab in place.  The thermal target is diagonal, so
+    carried (x) fresh is symmetric when both densities are exactly
+    symmetric, and so are U (carried (x) fresh) U^T and the product target;
+    a density that is not is refused.  So the step forms only the
+    block-lower triangle of the joint output Y, one slab at a time
+    (`_joint_slabs`), and reads every entry above it as its mirror.  The
+    slab Y[R, S] holds the square Y[S, S] whole, and below it rows that
+    stand also for their mirrors: the square's entries count once, and
+    each entry below it counts for itself and its mirror.  A slab adds its
+    share of both partial traces, an entry below the square adding to [a, b]
+    and [b, a]; a marginal's terms are gathered from the slab and summed
+    into it by one product with a 0/1 matrix, so the marginals are the
+    partial traces of the triangle and its mirror, up to the order of their
+    sums.  Then the product target is subtracted in place.  The thermal target is diagonal, so
     kron(target_first, target_second) is nonzero only where the mode-2
     counts of row and column agree; its entries there, target_first *
     weight, are subtracted from those rows, the ones the first marginal
     reads, and the other entries stay as they are.  Last, the slab adds its
-    squared Frobenius norm.  Every entry of a marginal sums its terms in
-    ascending total photon number, the order in which the slabs arrive.
+    squared Frobenius norm: the square's, plus twice that of the rows below.
 
     The difference D = Y - target_first (x) target_second, of side
     cutoff^2, is bounded through the norms of its slabs.  For every real
@@ -506,36 +544,56 @@ def _concentration_step(
     1/2 ||(D + D^T) / 2||_1 <= 1/2 ||D||_1 = 1/2 sum_i sigma_i(D) <= (cutoff / 2) ||D||_F,
     by the triangle inequality and Cauchy-Schwarz on the cutoff^2 singular
     values; so the joint trace distance, that of D's symmetric part, is at
-    most (cutoff / 2) sqrt(sum of the slabs' squared norms) whether or not
-    D is symmetric, and the bound needs no Hermiticity gate.  The gate (`linalg.require_hermitian`) still runs on
-    what one slab can pair itself, its square D[S, S], to catch a step
-    that breaks the symmetry; it is skipped where the slab's norm is at
-    most _GATE_FREE_NORM, where it cannot fail: the residual is at most
-    max |D[S, S]| <= ||D[:, S]||_F, under the gate's tolerance.
+    most (cutoff / 2) sqrt(sum of the slabs' squared norms), where D is the
+    computed triangle with its mirror, and the bound needs no Hermiticity
+    gate.  The gate (`linalg.require_hermitian`) still runs on what one slab
+    can pair itself, its square D[S, S], the slab's first rows, to catch a
+    step that breaks the symmetry; it is skipped where the square's norm is
+    at most _GATE_FREE_NORM, where it cannot fail: the residual is at most
+    max |D[S, S]| <= ||D[S, S]||_F, under the gate's tolerance.  `tails`,
+    the cutoff gate's two tails, go into the report as they are.
     """
+    if not (np.array_equal(carried, carried.T) and np.array_equal(fresh, fresh.T)):
+        raise DomainError("the concentration step needs exactly symmetric densities")
     cutoff = fresh.shape[0]
     weights = np.diagonal(target_second)
+    blocks = _beam_splitter_blocks(phi, spectra)
+    _, mode1, mode2 = _block_order(blocks)
+    position = np.empty((cutoff, cutoff), dtype=np.intp)  # the row of each state (m, n)
+    position[mode1, mode2] = np.arange(cutoff * cutoff)
     marginal_first, marginal_second = np.zeros((2, cutoff, cutoff))
     squared_norm = 0.0
-    for columns, slab in _joint_slabs(_beam_splitter_blocks(phi, spectra), carried, fresh):
-        p, q = np.divmod(columns, cutoff)
-        k = np.arange(len(columns))
-        # entry [m, n, k] is Y[m cutoff + n, columns[k]]
-        by_mode = slab.reshape(cutoff, cutoff, len(columns))
-        np.add.at(marginal_second.T, q, by_mode[p, :, k])
-        same_count = by_mode[:, q, k]  # rows whose mode-2 count is the column's
-        np.add.at(marginal_first.T, p, same_count.T)
-        by_mode[:, q, k] = same_count - target_first[:, p] * weights[q]
-        slab_squared_norm = float(np.vdot(slab, slab))
-        squared_norm += slab_squared_norm
-        if not math.sqrt(slab_squared_norm) <= _GATE_FREE_NORM:
-            require_hermitian(slab[columns], "the concentration step")
+    for start, p, q, slab in _joint_slabs(blocks, carried, fresh):
+        width = slab.shape[1]
+        # the flat slab index of each marginal's terms in column k: rows
+        # (m, q_k) add to marginal_first[m, p_k], rows (p_k, n) to
+        # marginal_second[n, q_k]; negative above the slab
+        k = np.arange(width)
+        first = (position[:, q] - start) * width + k
+        second = (position[p].T - start) * width + k
+        for at, marginal, kept in ((first, marginal_first, p), (second, marginal_second, q)):
+            y = np.where(at >= 0, slab.take(at, mode="clip"), 0.0)
+            # one product with a 0/1 matrix sums the columns of equal kept count
+            select = np.equal.outer(kept, np.arange(cutoff)).astype(float)
+            marginal += y @ select
+            y[at < width * width] = 0.0  # an entry below the square adds to its mirror too
+            marginal += (y @ select).T
+        # the product target is nonzero only where the first marginal reads
+        inside = first >= 0
+        slab.reshape(-1)[first[inside]] -= (target_first[:, p] * weights[q])[inside]
+        square, below = slab[:width], slab[width:]
+        square_norm = float(np.vdot(square, square))
+        squared_norm += square_norm + 2.0 * float(np.vdot(below, below))
+        if not math.sqrt(square_norm) <= _GATE_FREE_NORM:
+            require_hermitian(square, "the concentration step")
     return ConcentrationReport(
         cutoff=cutoff,
         phi=phi,
         dist_first=trace_distance(marginal_first, target_first),
         dist_second=trace_distance(marginal_second, target_second),
         joint_bound=cutoff * math.sqrt(squared_norm) / 2,
+        thermal_tail=tails[0],
+        coherent_tail=tails[1],
     )
 
 
@@ -605,7 +663,10 @@ def oracle_checks(
     """Certify the laws of `states` and the RLD inverses of `bounds` against the oracle.
 
     One record per check: "name", "max_dev", "tol", "pass" (max_dev < tol)
-    and, for a bound on a trace distance, "kind".  `cutoff` is the
+    and, for a bound on a trace distance, "kind".  Every concentration
+    record also holds the numbers behind its verdict: the cascade's
+    "cutoff", and the "thermal_tail" and "coherent_tail" that
+    `require_cutoff` read there.  `cutoff` is the
     concentration checks' cutoff, by default `verify_concentration_cascade`'s;
     the heterodyne grid and the RLD check pick their own.  The point is
     validated first, then the cascade runs, so its `require_cutoff` gate
@@ -634,15 +695,17 @@ def oracle_checks(
     # concentration identity at n = 2 (step 1) and up to n_copies, every step
     # at the n_copies cutoff; then the product structure of each step's joint
     # output, and of the whole cascade's (the sum telescopes)
-    record("concentration-n2", max(reports[0].dist_first, reports[0].dist_second), 1e-6)
+    first = reports[0]
+    gate = {"cutoff": first.cutoff, "thermal_tail": first.thermal_tail, "coherent_tail": first.coherent_tail}
+    record("concentration-n2", max(first.dist_first, first.dist_second), 1e-6, **gate)
     if n_copies > 2:
         dev = max(max(r.dist_first, r.dist_second) for r in reports)
-        record(f"concentration-n{n_copies}", dev, 1e-6)
+        record(f"concentration-n{n_copies}", dev, 1e-6, **gate)
     for i, r in enumerate(reports, start=2):
-        record(f"concentration-joint-n{i}", r.joint_bound, 1e-6, kind="rank-frobenius-bound")
+        record(f"concentration-joint-n{i}", r.joint_bound, 1e-6, kind="rank-frobenius-bound", **gate)
     if n_copies > 2:
         total = sum(r.joint_bound for r in reports)
-        record("concentration-cascade", total, 1e-6, kind="telescoped-rank-frobenius-bound")
+        record("concentration-cascade", total, 1e-6, kind="telescoped-rank-frobenius-bound", **gate)
 
     # RLD inverses, relative to the largest closed-form entry
     inverse = truncated_rld_inverse(n_mean)

@@ -826,6 +826,27 @@ class TestOracleCheckCommand:
         assert amplitudes[-1] == 0.3 + 0.4j
         assert all(type(z) is float for z in amplitudes[:-1])
 
+    @pytest.mark.parametrize("argv,cutoff", [(("--deep",), 40), (("--cutoff", "30"), 30)])
+    def test_concentration_records_hold_the_numbers_behind_their_verdict(self, capsys, argv, cutoff):
+        # every concentration record holds the cascade's cutoff and the two
+        # tails that require_cutoff read there; the other records do not, and
+        # the text lines stay as they were
+        code, out, _ = run_cli(capsys, "oracle-check", *argv, "--json")
+        assert code == 0
+        n_copies = 3 if "--deep" in argv else 2
+        thermal, coherent = fock.require_cutoff(1.0, math.sqrt(n_copies) * 0.5, cutoff)
+        gate = {"cutoff": cutoff, "thermal_tail": thermal, "coherent_tail": coherent}
+        checks = json.loads(out)["checks"]
+        names = [c["name"] for c in checks if c["name"].startswith("concentration")]
+        assert len(names) == (5 if n_copies == 3 else 2)
+        for c in checks:
+            held = {key: c[key] for key in gate if key in c}
+            assert held == (gate if c["name"].startswith("concentration") else {})
+        code, text, _ = run_cli(capsys, "oracle-check", *argv)
+        assert code == 0
+        assert [line.split()[1] for line in text.splitlines()] == [c["name"] for c in checks]
+        assert "tail" not in text and "cutoff" not in text
+
     def test_joint_bound_fails_where_the_marginals_pass(self, capsys):
         # at the default cutoff 20 the marginals pass but the joint output is
         # 3.0e-6 from the product target (bound 3.0e-5); cutoff 46 certifies it
@@ -1108,6 +1129,43 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_builds_no_large_array():
+    # import time stays free of numerical work: after `import dtslab.cli` no
+    # dtslab module holds a numpy array above 64 KiB, directly or in a
+    # top-level list, tuple or dict, so tables such as the cascade's are
+    # built per call
+    code = """
+import sys
+import numpy as np
+import dtslab.cli
+
+def arrays(value):
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [v for v in value if isinstance(v, np.ndarray)]
+    return []
+
+modules = [m for name, m in sorted(sys.modules.items()) if name.split(".")[0] == "dtslab"]
+print(len(modules))
+for module in modules:
+    for attr, value in vars(module).items():
+        size = sum(a.nbytes for a in arrays(value))
+        if size > 64 * 1024:
+            print(module.__name__, attr, size)
+"""
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    count, *large = result.stdout.splitlines()
+    assert int(count) >= 9 and large == []
 
 
 def test_version_flag(capsys):

@@ -106,16 +106,34 @@ def beam_splitter_blocks(phi: float, cutoff: int) -> list[tuple[slice, np.ndarra
 
 
 def beam_splitter(phi: float, cutoff: int) -> np.ndarray:
-    """The dense two-mode unitary: the direct sum of `fock._beam_splitter_blocks`."""
+    """The dense two-mode unitary in numpy.kron order: the direct sum of `fock._beam_splitter_blocks`."""
     unitary = np.zeros((cutoff * cutoff, cutoff * cutoff))
-    for rows, block in beam_splitter_blocks(phi, cutoff):
-        unitary[rows, rows] = block
+    for idx, (_, block) in zip(block_indices(cutoff), beam_splitter_blocks(phi, cutoff)):
+        unitary[np.ix_(idx, idx)] = block
     return unitary
 
 
 def block_indices(cutoff: int) -> list[np.ndarray]:
-    """`fock._photon_blocks` as index arrays."""
-    return [np.arange(cutoff * cutoff)[rows] for rows in fock._photon_blocks(cutoff)]
+    """`fock._photon_blocks` as index arrays into the numpy.kron order, m cutoff + n."""
+    return [
+        np.array([m * cutoff + total - m for m in counts])
+        for total, counts in enumerate(fock._photon_blocks(cutoff))
+    ]
+
+
+def stitched_joint(slabs: list[tuple], cutoff: int) -> np.ndarray:
+    """The whole matrix in block order from the (start, p, q, slab) of `fock._joint_slabs`.
+
+    Each slab fills its columns from its first row down, and the mirror of
+    its rows below its square fills the rows of its square to the right of
+    it; an entry that no slab covers stays NaN.
+    """
+    whole = np.full((cutoff * cutoff,) * 2, np.nan)
+    for start, _, _, slab in slabs:
+        width = slab.shape[1]
+        whole[start:, start : start + width] = slab
+        whole[start : start + width, start + width :] = slab[width:].T
+    return whole
 
 
 def partial_trace(op: np.ndarray, keep: str) -> np.ndarray:
@@ -141,87 +159,82 @@ def partial_trace(op: np.ndarray, keep: str) -> np.ndarray:
     return marginal
 
 
-def slab_runs(cutoff: int) -> list[list[int]]:
-    """The photon blocks of each slab of `fock._joint_slabs`, by total, rebuilt from `fock._SLAB`.
-
-    Runs of whole blocks of consecutive totals, each at least _SLAB columns
-    wide but the last.
-    """
-    widths = [len(idx) for idx in block_indices(cutoff)]
-    runs = [[]]
-    for total in range(len(widths)):
-        if sum(widths[t] for t in runs[-1]) >= fock._SLAB:
-            runs.append([])
-        runs[-1].append(total)
-    return runs
-
-
 def dense_concentration_cascade(
     zeta: complex, n_mean: float, n_copies: int, cutoff: int
 ) -> list[tuple[fock.ConcentrationReport, float]]:
-    """Out-of-place reference of `fock.verify_concentration_cascade`, to compare bit for bit.
+    """Dense reference of `fock.verify_concentration_cascade`, out of place and in numpy.kron order.
 
-    It assembles the dense unitary and the dense joint output Y out of
-    place, from a whole `np.kron` input, by blocks cut from that unitary;
-    slab columns are gathered and scattered by index arrays where `fock`
-    writes them in place.  It mirrors the step's order of arithmetic,
-    since BLAS sums a product of another shape in another order (a
-    full-width row product moves entries of Y by up to 1e-22 at cutoff 40):
-    - Y is built slab by slab (`slab_runs`), each slab's rows mixed by
-      every block and each block's columns right-multiplied by its
-      transpose, the products of `fock._joint_slabs`;
-    - the marginals sum in ascending order (`partial_trace`);
-    - the squared Frobenius norm of D = Y - kron(targets) is summed over
-      the same slabs, each a dot product of D[:, S] in C order.
-    Each report comes with the exact joint trace distance, from a dense
-    eigensolve.  At a complex zeta it runs in complex128, where `fock`
-    runs at |zeta|: the reference for the phase-covariance argument.
+    It forms each step's whole input np.kron(carried, fresh), the dense
+    unitary U and Y = U input U^T, both triangles of it; its marginals are
+    `partial_trace`s, and the joint bound is (cutoff / 2) ||D||_F for the
+    whole D = Y - kron(targets).  Each report comes with the exact joint
+    trace distance, from a dense eigensolve.  At a complex zeta it runs in
+    complex128, where `fock` runs at |zeta|: the reference for the
+    phase-covariance argument.
+
+    It sums in other orders than `fock`, so the two agree within a rounding
+    budget (`within_rounding_budget`), not bit for bit.
     """
     fresh = fock.displaced_thermal_density(zeta, n_mean, cutoff)
     target_second = fock.thermal_density(n_mean, cutoff)
+    tails = fock.require_cutoff(n_mean, math.sqrt(n_copies) * abs(zeta), cutoff)
     carried = fresh
     reports = []
     for i in range(1, n_copies):
         phi = fock.concentration_angle(i)
         unitary = beam_splitter(phi, cutoff)
-        blocks = [(idx, unitary[np.ix_(idx, idx)]) for idx in block_indices(cutoff)]
-        kron = np.kron(carried, fresh)
-        joint = np.empty_like(kron)
-        for run in slab_runs(cutoff):
-            columns = np.concatenate([blocks[t][0] for t in run])
-            # numpy picks the product's path by strides, the unused stride
-            # of a one-column slab included, so the slab is laid out, and
-            # its rows are strided, as in fock
-            mixed = np.empty((cutoff * cutoff, len(columns)), dtype=kron.dtype)
-            mixed[...] = kron[:, columns]
-            flat = mixed.view(float)
-            for idx, u in blocks:
-                rows = slice(idx[0], idx[-1] + 1, cutoff - 1)
-                flat[rows] = u @ flat[rows]
-            start = 0
-            for idx, u in (blocks[t] for t in run):
-                joint[:, idx] = mixed[:, start : start + len(idx)] @ u.T
-                start += len(idx)
+        joint = unitary @ np.kron(carried, fresh) @ unitary.T
         target_first = fock.displaced_thermal_density(
             math.sqrt(i + 1.0) * complex(zeta), n_mean, cutoff
         )
-        dist_first = trace_distance(partial_trace(joint, "first"), target_first)
-        dist_second = trace_distance(partial_trace(joint, "second"), target_second)
-        joint -= np.kron(target_first, target_second)
-        squared_norm = 0.0
-        for run in slab_runs(cutoff):
-            slab = np.ascontiguousarray(joint[:, np.concatenate([blocks[t][0] for t in run])])
-            squared_norm += float(np.vdot(slab, slab).real)
+        diff = joint - np.kron(target_first, target_second)
         report = fock.ConcentrationReport(
             cutoff=cutoff,
             phi=phi,
-            dist_first=dist_first,
-            dist_second=dist_second,
-            joint_bound=cutoff * math.sqrt(squared_norm) / 2,
+            dist_first=trace_distance(partial_trace(joint, "first"), target_first),
+            dist_second=trace_distance(partial_trace(joint, "second"), target_second),
+            joint_bound=cutoff * float(np.linalg.norm(diff)) / 2,
+            thermal_tail=tails[0],
+            coherent_tail=tails[1],
         )
-        reports.append((report, trace_distance(joint, np.zeros_like(joint))))
+        reports.append((report, trace_distance(diff, np.zeros_like(diff))))
         carried = target_first
     return reports
+
+
+def within_rounding_budget(report: fock.ConcentrationReport, reference: fock.ConcentrationReport) -> bool:
+    """Whether two computations of one step's certificates agree up to their rounding.
+
+    Write c for the cutoff and u = 2^-53.  Both compute the same entries of
+    Y = U X U^T, X = carried (x) fresh, as sums of the same products in other
+    orders, and `fock` reads the entries above its triangle as their
+    mirrors, equal in exact arithmetic.  A product whose inner dimension is
+    at most c is within gamma_c = c u / (1 - c u) of exact, entry by entry,
+    relative to the product of the operands' absolute values; U's blocks are
+    at most c wide, so each computed Y is within about 2 c u |U| |X| |U|^T of
+    the exact one.  |U|'s blocks have Frobenius norm at most sqrt(c), so
+    || |U| |X| |U|^T ||_F <= c ||X||_F <= c, as the densities have trace at
+    most 1, and the two Y differ by at most 4 c^2 u in Frobenius norm.
+    - A marginal sums c blocks of Y, so the two marginals differ by at most
+      sqrt(c) 4 c^2 u, plus the rounding of the sums, 2 c u sqrt(c); a trace
+      distance moves by at most half the trace norm of that, at most
+      sqrt(c) / 2 times its Frobenius norm: 3 c^3 u with room to spare.
+    - The joint bound (c / 2) ||D||_F moves by at most (c / 2) 4 c^2 u =
+      2 c^3 u through D, and by c^4 u of itself through the c^4 squares summed.
+    A complex product rounds at most about sqrt(2) times as much as a real
+    one, so against a complex reference every term at most doubles: the
+    budget is 8 c^3 u on each distance (twice 3 c^3 u, rounded up), and
+    4 c^3 u + 2 c^4 u joint_bound on the joint bound.
+    """
+    c, u = report.cutoff, 2.0**-53
+    if (report.cutoff, report.phi, report.thermal_tail, report.coherent_tail) != (
+        reference.cutoff, reference.phi, reference.thermal_tail, reference.coherent_tail
+    ):
+        return False
+    distances = (report.dist_first - reference.dist_first, report.dist_second - reference.dist_second)
+    joint = abs(report.joint_bound - reference.joint_bound)
+    joint_budget = (4 * c**3 + 2 * c**4 * reference.joint_bound) * u
+    return max(map(abs, distances)) <= 8 * c**3 * u and joint <= joint_budget
 
 
 class TestThermalDensity:
@@ -311,6 +324,19 @@ class TestDisplacedThermal:
 
     def test_tail_bound_reduces_to_thermal_at_zero_amplitude(self):
         assert fock.displaced_thermal_tail_bound(1.0, 0.0, 30) == fock.thermal_tail(1.0, 30)
+
+    def test_a_real_amplitude_gives_an_exactly_symmetric_density(self):
+        # the cascade reads one triangle of each step and refuses a density
+        # that is not symmetric to the bit; G G^T of G = D(zeta) sqrt(p) is,
+        # and stays within rounding of the conjugation D(zeta) diag(p) D(zeta)^T
+        for cutoff in (2, 3, 5, 8, 13, 20, 26, 33, 40, 55, 70):
+            for zeta in (0.0, 1e-3, 0.1, -0.5, 0.707, 1.0, 2.0, 3.5):
+                for n_mean in (1e-14, 0.05, 0.5, 1.0, 2.0):
+                    rho = fock.displaced_thermal_density(zeta, n_mean, cutoff)
+                    assert np.array_equal(rho, rho.T)
+                    dop = fock.displacement_operator(zeta, cutoff)
+                    conjugated = dop @ fock.thermal_density(n_mean, cutoff) @ dop.T
+                    assert np.max(np.abs(rho - conjugated)) <= 1e-15
 
     @pytest.mark.parametrize(
         "zeta,dtype",
@@ -417,43 +443,49 @@ class TestBeamSplitter:
             assert np.all(m + n == total) and np.all(np.diff(m) == 1)
 
     @staticmethod
-    def joint_slabs(phi: float, a: np.ndarray, b: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Every (columns, slab) of `fock._joint_slabs`, each slab copied as it arrives."""
+    def joint_slabs(phi: float, a: np.ndarray, b: np.ndarray) -> list[tuple]:
+        """Every (start, p, q, slab) of `fock._joint_slabs`, each slab copied as it arrives."""
         blocks = beam_splitter_blocks(phi, a.shape[0])
-        return [(columns, slab.copy()) for columns, slab in fock._joint_slabs(blocks, a, b)]
+        return [(start, p, q, slab.copy()) for start, p, q, slab in fock._joint_slabs(blocks, a, b)]
 
     def test_block_conjugation_matches_dense(self, monkeypatch):
-        # slabs of at least 20 columns at cutoff 9: four slabs, the last one
-        # short, which together cover every column once
-        monkeypatch.setattr(fock, "_SLAB", 20)
+        # slabs of at most 2 cutoff^2 = 162 entries at cutoff 9: a slab per
+        # block up to total 11, from total 2 on each alone above the budget,
+        # then totals 12 and 13, then a last, short slab of totals 14 to 16;
+        # their triangles and mirrors cover the whole joint output of two
+        # symmetric operators, in block order
+        monkeypatch.setattr(fock, "_SLAB", 2)
         d = 9
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=(2, d, d))
         a, b = a + a.T, b + b.T
         u = beam_splitter(fock.concentration_angle(2), d)
         slabs = self.joint_slabs(fock.concentration_angle(2), a, b)
-        assert [slab.shape[1] for _, slab in slabs] == [21, 24, 21, 15]
-        columns = np.concatenate([c for c, _ in slabs])
-        assert np.array_equal(np.sort(columns), np.arange(d * d))
-        joint = np.empty((d * d, d * d))
-        for c, slab in slabs:
-            joint[:, c] = slab
-        assert np.max(np.abs(joint - u @ np.kron(a, b) @ u.T)) < 1e-12
+        assert [slab.shape[1] for *_, slab in slabs] == list(range(1, 10)) + [8, 7, 6, 9, 6]
+        order = np.concatenate(block_indices(d))
+        for start, p, q, slab in slabs:
+            assert np.array_equal(p * d + q, order[start : start + slab.shape[1]])
+        dense = (u @ np.kron(a, b) @ u.T)[np.ix_(order, order)]
+        assert np.max(np.abs(stitched_joint(slabs, d) - dense)) < 1e-12
 
     def test_block_conjugation_keeps_a_real_operator_real(self):
         d = 20
         a = fock.displaced_thermal_density(0.5, 1.0, d)
-        for _, slab in fock._joint_slabs(beam_splitter_blocks(math.pi / 4, d), a, a):
+        for *_, slab in fock._joint_slabs(beam_splitter_blocks(math.pi / 4, d), a, a):
             assert slab.dtype == np.float64 and slab.flags.c_contiguous
 
     def test_block_conjugation_allocates_no_full_size_buffer(self):
-        # every slab is a view of one buffer, with fewer columns than the
-        # two-mode side: 400 columns in slabs of 256 or more but the last
+        # every slab is a view of one buffer of at most _SLAB cutoff^2
+        # entries, a quarter of the 160 000 of a two-mode operator, and holds
+        # only the rows from its own first column on
         d = 20
         a = fock.displaced_thermal_density(0.5, 1.0, d)
         slabs = list(fock._joint_slabs(beam_splitter_blocks(math.pi / 4, d), a, a))
-        assert [slab.shape for _, slab in slabs] == [(400, 264), (400, 136)]
-        assert all(np.shares_memory(slab, slabs[0][1]) for _, slab in slabs)
+        assert [(start, slab.shape) for start, *_, slab in slabs] == [
+            (0, (400, 91)), (91, (309, 119)), (210, (190, 190))
+        ]
+        assert all(slab.size <= fock._SLAB * d * d for *_, slab in slabs)
+        assert all(np.shares_memory(slab, slabs[0][-1]) for *_, slab in slabs)
 
 
 class TestPartialTrace:
@@ -536,14 +568,14 @@ class TestConcentration:
 
         def recording(blocks, carried, fresh):
             seen.extend([u for _, u in blocks] + [carried, fresh])
-            for columns, slab in joint_slabs(blocks, carried, fresh):
+            for start, p, q, slab in joint_slabs(blocks, carried, fresh):
                 seen.append(slab)
-                yield columns, slab
+                yield start, p, q, slab
 
         monkeypatch.setattr(fock, "_joint_slabs", recording)
         fock.verify_concentration_cascade(0.3 + 0.4j, 0.2, n_copies=3, cutoff=20)
-        # two steps, each with 39 blocks, two densities and two slabs
-        assert len(seen) == 2 * (39 + 2 + 2)
+        # two steps, each with 39 blocks, two densities and three slabs
+        assert len(seen) == 2 * (39 + 2 + 3)
         assert all(x.dtype == np.float64 for x in seen)
 
     @staticmethod
@@ -556,40 +588,40 @@ class TestConcentration:
             tracemalloc.stop()
 
     def test_real_amplitude_memory(self):
-        # cutoff 40: a step holds one slab buffer of 1600 rows and at most
-        # 295 columns, 3.6 MiB, never a 19.5 MiB two-mode operator
-        assert self.cascade_peak_mib(0.5) < 8
+        # cutoff 40: a step holds one slab buffer of at most 96 cutoff^2
+        # entries, 1.2 MiB, never a 19.5 MiB two-mode operator
+        assert self.cascade_peak_mib(0.5) < 3.5
 
     def test_complex_amplitude_memory(self):
         # the cascade runs at |zeta|, in the same float64 slabs
-        assert self.cascade_peak_mib(0.3 + 0.4j) < 8
+        assert self.cascade_peak_mib(0.3 + 0.4j) < 3.5
 
     def test_three_copy_cascade_memory(self):
         # each step allocates its own slab buffer after the last one's is freed
-        assert self.cascade_peak_mib(0.5, n_copies=3) < 8
+        assert self.cascade_peak_mib(0.5, n_copies=3) < 3.5
 
     def test_memory_at_the_cutoff_limit(self):
-        # a two-mode operator at cutoff 70 holds 183 MiB; a slab of 4900 rows
-        # and at most 325 columns, 12.2 MiB
-        assert self.cascade_peak_mib(0.5, cutoff=fock.MAX_CUTOFF) < 24
+        # a two-mode operator at cutoff 70 holds 183 MiB; a slab at most
+        # 96 cutoff^2 entries, 3.6 MiB, beside 3.5 MiB of beam-splitter
+        # blocks and spectra
+        assert self.cascade_peak_mib(0.5, cutoff=fock.MAX_CUTOFF) < 11
 
     @staticmethod
     def assert_matches_dense_reference(zeta: complex, n_mean: float, cutoff: int) -> None:
-        # bit for bit against the reference at |zeta|, where the cascade runs,
-        # and within rounding of the complex reference at zeta itself
+        # within the rounding budget of the reference at |zeta|, where the
+        # cascade runs, and of the complex reference at zeta itself
         reports = fock.verify_concentration_cascade(zeta, n_mean, n_copies=3, cutoff=cutoff)
-        assert reports == [r for r, _ in dense_concentration_cascade(abs(zeta), n_mean, 3, cutoff)]
-        for report, (ref, _) in zip(reports, dense_concentration_cascade(zeta, n_mean, 3, cutoff)):
-            assert (report.cutoff, report.phi) == (ref.cutoff, ref.phi)
-            for name in ("dist_first", "dist_second", "joint_bound"):
-                assert abs(getattr(report, name) - getattr(ref, name)) <= 1e-15
+        for z in (abs(zeta), zeta):
+            references = [r for r, _ in dense_concentration_cascade(z, n_mean, 3, cutoff)]
+            assert len(reports) == len(references) == 2
+            assert all(map(within_rounding_budget, reports, references))
 
     @pytest.mark.parametrize(
         "cutoff,n_mean,zeta",
         [(8, 0.05, 0.2), (8, 0.05, 0.12 + 0.16j), (14, 0.2, 0.5), (14, 0.2, 0.3 + 0.4j)],
     )
-    def test_matches_dense_reference_bit_for_bit(self, cutoff, n_mean, zeta):
-        # one slab each: 64 and 196 columns
+    def test_matches_dense_reference_within_the_rounding_budget(self, cutoff, n_mean, zeta):
+        # at the default budget: 64 columns in one slab, and 196 in two
         self.assert_matches_dense_reference(zeta, n_mean, cutoff)
 
     @pytest.mark.parametrize(
@@ -597,10 +629,10 @@ class TestConcentration:
         [
             (2, 1e-5, 1e-3, 256),  # one slab of the whole window
             (3, 1e-3, 0.006 + 0.008j, 256),
-            (3, 1e-3, 0.01, 1),  # a slab per block, one column wide at the ends
-            (8, 0.05, 0.12 + 0.16j, 5),  # blocks wider than a slab
-            (14, 0.2, 0.3 + 0.4j, 40),  # a short last slab
-            (26, 0.5, 0.5, 256),  # 676 columns: 276, 264 and a last 136
+            (3, 1e-3, 0.01, 1),  # columns of totals 1 and 2 wider than the budget, one slab each
+            (8, 0.05, 0.12 + 0.16j, 5),  # ten slabs, the last short
+            (14, 0.2, 0.3 + 0.4j, 40),  # four slabs, the last square
+            (26, 0.5, 0.5, 256),  # 676 columns: 253, 408 and a last 15
         ],
     )
     def test_matches_dense_reference_at_the_slab_edges(self, monkeypatch, cutoff, n_mean, zeta, slab):
@@ -612,17 +644,19 @@ class TestConcentration:
         self, monkeypatch, cutoff, n_mean
     ):
         # each slab, once the step has subtracted the target from it, is
-        # stitched into the whole difference D
-        diff = np.full((cutoff * cutoff,) * 2, np.nan)
+        # stitched with its mirror into the whole difference D
+        slabs = []
         joint_slabs = fock._joint_slabs
 
         def stitching(blocks, carried, fresh):
-            for columns, slab in joint_slabs(blocks, carried, fresh):
-                yield columns, slab
-                diff[:, columns] = slab
+            for start, p, q, slab in joint_slabs(blocks, carried, fresh):
+                yield start, p, q, slab
+                slabs.append((start, p, q, slab.copy()))
 
         monkeypatch.setattr(fock, "_joint_slabs", stitching)
         report = fock.verify_concentration_cascade(0.5, n_mean, n_copies=2, cutoff=cutoff)[0]
+        diff = stitched_joint(slabs, cutoff)
+        assert not np.any(np.isnan(diff))
         # the same c^4 squares summed in two orders, each sum within
         # (c^4 - 1) 2^-53 of the exact one; the square root halves that
         whole = rank_frobenius_bound(diff) / 2
@@ -637,11 +671,12 @@ class TestConcentration:
         # ||D||_F <= ||D||_1 <= cutoff ||D||_F for D of side cutoff^2, so the
         # bound is at least the exact distance and at most cutoff times it;
         # the ratio itself is not bounded (10 to 16 was measured)
-        for report, exact in dense_concentration_cascade(zeta, n_mean, 3, cutoff):
+        reports = fock.verify_concentration_cascade(zeta, n_mean, n_copies=3, cutoff=cutoff)
+        for report, (_, exact) in zip(reports, dense_concentration_cascade(zeta, n_mean, 3, cutoff)):
             assert exact <= report.joint_bound <= cutoff * exact
 
     def test_a_step_forms_no_kron(self, monkeypatch):
-        # the input is written slab by slab and the product target is
+        # the input is written block by block and the product target is
         # subtracted through the thermal weights: no np.kron in a step
         cutoff, n_mean = 14, 0.2
         expected = fock.verify_concentration_cascade(0.5, n_mean, n_copies=2, cutoff=cutoff)
@@ -656,44 +691,80 @@ class TestConcentration:
         assert fock.verify_concentration_cascade(0.5, n_mean, n_copies=2, cutoff=cutoff) == expected
         assert calls == []
 
-    def test_an_asymmetric_block_in_the_right_multiplication_is_refused(self, monkeypatch):
-        # right-multiplying by u where u^T is due breaks the joint output's
-        # symmetry; the gate sees it in the first slab's square
-        class SameTranspose(np.ndarray):
+    @staticmethod
+    def refuse_with_transposes(monkeypatch, transposed) -> None:
+        # the column pass right-multiplies by each block's `.T`; `transposed`
+        # replaces what that attribute returns
+        class Transposed(np.ndarray):
             @property
             def T(self):
-                return self
+                return transposed(self.view(np.ndarray), self.total)
 
         blocks = fock._beam_splitter_blocks
 
-        def untransposed(phi, spectra):
-            return [(rows, u.view(SameTranspose)) for rows, u in blocks(phi, spectra)]
+        def patched(phi, spectra):
+            out = []
+            for total, (counts, u) in enumerate(blocks(phi, spectra)):
+                u = u.view(Transposed)
+                u.total = total
+                out.append((counts, u))
+            return out
 
-        monkeypatch.setattr(fock, "_beam_splitter_blocks", untransposed)
+        monkeypatch.setattr(fock, "_beam_splitter_blocks", patched)
         with pytest.raises(DomainError, match="the concentration step expects Hermitian operators"):
             fock.verify_concentration_cascade(0.5, 1.0, n_copies=2, cutoff=40)
 
+    def test_an_asymmetric_block_in_the_right_multiplication_is_refused(self, monkeypatch):
+        # right-multiplying by u where u^T is due, the exponential at -phi,
+        # breaks the joint output's symmetry; the gate sees it in the first
+        # slab's square
+        self.refuse_with_transposes(monkeypatch, lambda u, total: u)
+
+    def test_a_wrong_sign_block_fails_the_square_gate(self, monkeypatch):
+        # one block of the column pass with the wrong sign, total 1: the
+        # square's entries between totals 0 and 1 change sign on one side
+        self.refuse_with_transposes(monkeypatch, lambda u, total: -u.T if total == 1 else u.T)
+
     def test_the_gate_reads_each_slab_square_above_the_gate_free_norm(self, monkeypatch):
-        # the gate reads the square D[S, S] of each slab whose norm is above
-        # the gate-free norm, once the step has subtracted the target, and
-        # no other slab: at cutoff 14 in slabs of 40 columns or more, the
-        # last slab, far in the tail, is skipped
+        # the gate reads the square D[S, S] of each slab, its first rows, once
+        # the step has subtracted the target, where the square's norm is above
+        # the gate-free norm, and no other: at cutoff 14 in slabs of at most
+        # 40 cutoff^2 entries, the last square, far in the tail, is skipped
         monkeypatch.setattr(fock, "_SLAB", 40)
         gated, expected = [], []
         monkeypatch.setattr(fock, "require_hermitian", lambda d, caller: gated.append(d.copy()))
         joint_slabs = fock._joint_slabs
+        count = 0
 
         def recording(blocks, carried, fresh):
-            for columns, slab in joint_slabs(blocks, carried, fresh):
-                yield columns, slab
-                if np.linalg.norm(slab) > fock._GATE_FREE_NORM:
-                    expected.append(slab[columns])
+            nonlocal count
+            for start, p, q, slab in joint_slabs(blocks, carried, fresh):
+                yield start, p, q, slab
+                count += 1
+                square = slab[: slab.shape[1]]
+                if np.linalg.norm(square) > fock._GATE_FREE_NORM:
+                    expected.append(square.copy())
 
         monkeypatch.setattr(fock, "_joint_slabs", recording)
         fock.verify_concentration_cascade(0.5, 0.2, n_copies=2, cutoff=14)
-        assert 0 < len(expected) < len(slab_runs(14))
+        assert 0 < len(expected) < count == 4
         assert len(gated) == len(expected)
         assert all(np.array_equal(g, x) for g, x in zip(gated, expected))
+
+    @pytest.mark.parametrize("which", ["carried", "fresh"])
+    def test_a_density_that_is_not_exactly_symmetric_is_refused(self, which):
+        # the step reads one triangle, so it needs both inputs symmetric to
+        # the bit: one ulp off in one off-diagonal entry is refused
+        cutoff, n_mean = 14, 0.2
+        fresh = fock.displaced_thermal_density(0.5, n_mean, cutoff)
+        densities = {"carried": fresh.copy(), "fresh": fresh.copy()}
+        densities[which][3, 2] = np.nextafter(densities[which][3, 2], 1.0)
+        target_first = fock.displaced_thermal_density(math.sqrt(2) * 0.5, n_mean, cutoff)
+        with pytest.raises(DomainError, match="exactly symmetric densities"):
+            fock._concentration_step(
+                math.pi / 4, fock._beam_splitter_spectra(cutoff), densities["carried"],
+                densities["fresh"], target_first, fock.thermal_density(n_mean, cutoff), (0.0, 0.0),
+            )
 
     def test_overflowing_amplitude_at_an_explicit_cutoff_is_refused(self):
         # sqrt(3) 1e200 squared overflows float64; the tail gate names it
