@@ -11,7 +11,7 @@ Modules:
     rng       -- counter-based random streams: every draw a function of (seed, stream, counter)
     states    -- analytic outcome laws and block samplers (heterodyne, photon counting)
     fock      -- truncated Fock-space oracle that certifies the analytic laws
-    linalg    -- the oracle's trace norms: exact trace distance and rank-Frobenius bound
+    linalg    -- the oracle's trace norms: exact trace distance and the Hermiticity gate
     estimator -- outcome-level protocol simulation and empirical MSE matrices
     csvtext   -- the per-trial CSV, encoded in numpy with csv.writer's bytes
     cli       -- batch front-end (bounds | simulate | oracle-check)

@@ -371,7 +371,7 @@ def _cmd_ratio_table(args, argv, seed: int) -> int:
 def cmd_oracle_check(args, argv) -> int:
     zeta = complex(args.zeta_re if args.zeta_re is not None else 0.5, args.zeta_im or 0.0)
     n_mean = args.n_mean if args.n_mean is not None else 1.0
-    checks = fock.oracle_checks(zeta, n_mean, 3 if args.deep else 2, args.cutoff)
+    checks = fock.oracle_checks(zeta, n_mean, 3 if args.deep else 2)
     ok = all(c["pass"] for c in checks)
     if args.json:
         sys.stdout.write(_dump_json({"checks": checks, "pass": ok, "version": __version__}))
@@ -388,16 +388,6 @@ def cmd_oracle_check(args, argv) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-def _cutoff_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 2, got {text!r}")
-    return value
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -451,9 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--n-mean", type=float)
     p_oracle.add_argument("--zeta-re", type=float)
     p_oracle.add_argument("--zeta-im", type=float)
-    p_oracle.add_argument("--cutoff", type=_cutoff_arg, help="Fock cutoff of the concentration "
-                          "checks (default: tail rule); the heterodyne grid and the RLD check "
-                          "pick their own")
     p_oracle.add_argument("--deep", action="store_true", help="also verify the n=3 cascade")
     p_oracle.add_argument("--json", action="store_true")
     p_oracle.set_defaults(func=cmd_oracle_check)

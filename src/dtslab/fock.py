@@ -15,7 +15,8 @@ output) are float64, because the concentration cascade runs at |zeta|
 (cutoff x cutoff); the two-mode basis has cutoff^2 states (m, n), with
 index m * cutoff + n (numpy.kron order, mode 1 first) where a two-mode
 operator is written whole, as in the tests.  Densities built here have
-trace <= 1, with the deficit bounded by the tail functions below.
+trace <= 1, with the deficit bounded through `tail`, the one Chernoff bound
+on the photon count, from which `cutoff_for` picks every cutoff.
 
 The beam splitter conserves the total photon number m + n, so the two-mode
 window splits into 2 cutoff - 1 blocks of equal total (`_photon_blocks`),
@@ -32,9 +33,9 @@ of the joint bound, counting each entry below its square for its mirror
 too, before the next overwrites it (`_concentration_step`).  Each block
 exponential is built from one real tridiagonal eigensolve, taken once per
 cascade for all its angles (`_beam_splitter_spectra`).  The joint output
-is certified against the product target by the rank-Frobenius bound, one
-norm pass over the difference, not by a two-mode eigensolve.  The product
-target is never formed: its thermal factor is diagonal, so it is
+is certified against the product target by the row-norm bound, from the
+squared norms of the difference's rows, not by a two-mode eigensolve.  The
+product target is never formed: its thermal factor is diagonal, so it is
 subtracted from the entries of each slab whose mode-2 counts agree, and a
 step calls no `np.kron`.
 """
@@ -51,11 +52,11 @@ from .bounds import ThetaPoint, rld_inverse_2param, rld_inverse_3param
 from .errors import DomainError, NumericalError, PreconditionError
 from .linalg import require_hermitian, trace_distance
 
-DEFAULT_TAIL_TOL = 1e-8
-_DISTANCE_RULE_TOL = 1e-12  # default-cutoff target for trace-distance certifications
+# the tolerance of every concentration check, from which `cutoff_for` budgets the truncation
+CONCENTRATION_TOL = 1e-6
 # a cascade step costs about cutoff**5 / 2 flops (0.23 s at 70, measured) and holds
 # one slab of about _SLAB cutoff**2 entries, not a two-mode operator: N = 2's
-# default cutoff 69 fits, N = 3's 97 does not
+# budgeted cutoff 62 at zeta 0.5 fits, N = 3's 85 does not
 MAX_CUTOFF = 70
 _SLAB = 96  # most entries of a slab of a step's joint output, in units of cutoff**2
 # a slab's square whose Frobenius norm is at or below this skips the Hermiticity gate;
@@ -69,87 +70,79 @@ MAX_RLD_CUTOFF = 2**20
 # cutoff selection
 # ---------------------------------------------------------------------------
 
-def thermal_tail(n_mean: float, cutoff: int) -> float:
-    """Probability weight of a thermal state above the cutoff: (N/(N+1))^cutoff."""
-    if not (n_mean > 0):
-        raise DomainError(f"n_mean must be positive, got {n_mean}")
-    return (n_mean / (n_mean + 1.0)) ** cutoff
+def tail(n_mean: float, mu: float, cutoff: int) -> float:
+    """Chernoff bound on P(X >= cutoff) for the photon count X of a displaced thermal state.
 
-
-def poisson_tail_bound(mean: float, cutoff: int) -> float:
-    """Chernoff bound on P(X >= cutoff) for X ~ Poisson(mean)."""
-    if mean < 0:
-        raise DomainError(f"mean must be nonnegative, got {mean}")
-    if mean == 0.0:
-        return 0.0
-    if cutoff <= mean:
-        return 1.0
-    return math.exp(-mean + cutoff * (1.0 + math.log(mean / cutoff)))
-
-
-def displaced_thermal_tail_bound(n_mean: float, amplitude: float, cutoff: int) -> float:
-    """Chernoff bound on the photon-count tail of a displaced thermal state.
-
-    The count X of the state with amplitude `amplitude` and thermal number N
-    has E[s^X] = exp(mu (s-1) / (1 - N(s-1))) / (1 - N(s-1)) for
-    1 < s < 1 + 1/N, with mu = amplitude^2; Markov's inequality then bounds
-    P(X >= cutoff) by min_s E[s^X] / s^cutoff.  Reduces to the exact thermal
-    tail at zero amplitude.
+    X, of the state with thermal number N and squared amplitude mu, has
+    E[s^X] = exp(mu (s-1) / d) / d with d = 1 - N(s-1), for 1 <= s < 1 + 1/N,
+    so P(X >= cutoff) <= min_s E[s^X] / s^cutoff by Markov's inequality.  The
+    log of the ratio is convex in u = log s (a cumulant generating function
+    less a line), so its minimum is where its slope changes sign, found by
+    bisection on (0, min(log1p(1/N), log(cutoff/mu))): the slope is
+    mu + N - cutoff at 0, where the bound is 1 unless that is negative, and
+    at least s mu - cutoff, so it is not negative at s = cutoff/mu.  Any u
+    gives a bound, so the bisection's precision decides only how tight it
+    is.  The ends are exact: at mu = 0 the thermal tail (N/(N+1))^cutoff, and
+    at N = 0 the Poisson bound, whose minimiser is s = cutoff/mu.
     """
-    if not (n_mean > 0):
-        raise DomainError(f"n_mean must be positive, got {n_mean}")
-    mu = float(amplitude) ** 2
     if mu == 0.0:
-        return thermal_tail(n_mean, cutoff)
-    best = 0.0
-    for t in np.linspace(1e-4, 1.0 - 1e-4, 400):
-        s = 1.0 + t / n_mean
-        log_bound = mu * (s - 1.0) / (1.0 - t) - math.log1p(-t) - cutoff * math.log(s)
-        best = min(best, log_bound)
-    return math.exp(best) if best < 0.0 else 1.0
+        return math.exp(-cutoff * math.log1p(1.0 / n_mean)) if n_mean > 0 else 0.0
+    if cutoff <= mu + n_mean:
+        return 1.0
+    if n_mean == 0.0:
+        return math.exp(cutoff - mu + cutoff * math.log(mu / cutoff))
+    low, high = 0.0, min(math.log(cutoff / mu), math.log1p(1.0 / n_mean))
+    for _ in range(60):
+        u = (low + high) / 2.0
+        t = math.expm1(u)
+        d = 1.0 - n_mean * t
+        # the slope s (mu / d^2 + N / d) - cutoff is negative, written without a division
+        if d > 0.0 and (t + 1.0) * (mu + n_mean * d) < cutoff * d * d:
+            low = u
+        else:
+            high = u
+    t = math.expm1(low)
+    return math.exp(mu * t / (1.0 - n_mean * t) - math.log1p(-n_mean * t) - cutoff * low)
 
 
-def cutoff_for(n_mean: float, amplitude: float = 0.0, tol: float = DEFAULT_TAIL_TOL) -> int:
-    """Smallest cutoff whose thermal and coherent tails both fall below tol.
+def cutoff_for(n_mean: float, amplitude: float = 0.0) -> int:
+    """Least cutoff that meets the truncation budget at the largest amplitude a computation touches.
 
-    `amplitude` is the largest coherent amplitude the computation touches;
-    its photon distribution tail is bounded by the Poisson Chernoff bound at
-    mean |amplitude|^2.
+    With tol = CONCENTRATION_TOL and mu = amplitude^2 the budget has two
+    parts.  The tail, tail(N, mu, cutoff), is at most tol / 100.  The
+    vacuum component's loss, 2 sqrt(tail(0, mu, cutoff)) / (N + 1), is at
+    most tol / 10: the thermal mixture gives weight 1/(N+1) to the coherent
+    state at the amplitude, and cutting a state of tail eps moves it by up
+    to 2 sqrt(eps) in trace norm, not eps (the gentle-measurement lemma;
+    Winter, IEEE TIT 45, 1999), which binds only near N = 0.  Both parts
+    fall as the cutoff grows.  No cutoff below the thermal tail's, or at
+    most mu + N, meets the first, so the search starts above both, gallops
+    and bisects.
     """
-    if not (0 < tol < 1):
-        raise DomainError(f"tol must be in (0, 1), got {tol}")
     if not (0 < n_mean < math.inf):
         raise DomainError(f"n_mean must be positive and finite, got {n_mean}")
+    mu = float(amplitude) * float(amplitude)
+    budget = CONCENTRATION_TOL / 100.0
     # log(N/(N+1)) written with log1p stays nonzero where N/(N+1) rounds to 1
-    d_thermal = math.log(tol) / -math.log1p(1.0 / n_mean)
-    if not math.isfinite(d_thermal):
-        raise PreconditionError(f"no finite cutoff reaches tail {tol:g} at n_mean {n_mean:g}")
-    d = max(2, math.ceil(d_thermal))
-    try:
-        return _least_poisson_cutoff(float(abs(amplitude)) ** 2, tol, d)
-    except (OverflowError, ValueError):
-        raise PreconditionError(
-            f"no finite cutoff reaches tail {tol:g} at amplitude {amplitude:g}"
-        ) from None
+    thermal = math.log(budget) / -math.log1p(1.0 / n_mean)
+    if not math.isfinite(thermal):
+        raise PreconditionError(f"no finite cutoff meets the truncation budget at n_mean {n_mean:g}")
+    if not math.isfinite(mu):
+        raise PreconditionError(f"no finite cutoff meets the truncation budget at amplitude {amplitude:g}")
 
+    def meets(cutoff):
+        vacuum_loss = 2.0 * math.sqrt(tail(0.0, mu, cutoff)) / (n_mean + 1.0)
+        return tail(n_mean, mu, cutoff) <= budget and vacuum_loss <= CONCENTRATION_TOL / 10.0
 
-def _least_poisson_cutoff(mu: float, tol: float, start: int) -> int:
-    """Least cutoff >= start with poisson_tail_bound(mu, cutoff) < tol.
-
-    The bound is 1 up to mu and strictly decreasing above it, so the search
-    gallops up from the first integer above mu and then bisects.
-    """
-    if mu == 0.0:
-        return start
-    start = max(start, math.floor(mu) + 1)
-    if poisson_tail_bound(mu, start) < tol:
+    start = max(2, math.ceil(thermal), math.floor(mu + n_mean) + 1)
+    if meets(start):
         return start
     failing, passing = start, start + 1
-    while poisson_tail_bound(mu, passing) >= tol:
+    while not meets(passing):
         failing, passing = passing, passing + 2 * (passing - failing)
     while passing - failing > 1:
         mid = (failing + passing) // 2
-        if poisson_tail_bound(mu, mid) < tol:
+        if meets(mid):
             passing = mid
         else:
             failing = mid
@@ -172,7 +165,7 @@ def _thermal_weights(n_mean: float, cutoff: int) -> np.ndarray:
 
 
 def thermal_density(n_mean: float, cutoff: int) -> np.ndarray:
-    """Truncated thermal state diag(p_k); its trace deficit is thermal_tail(n_mean, cutoff)."""
+    """Truncated thermal state diag(p_k); its trace deficit is tail(n_mean, 0, cutoff)."""
     return np.diag(_thermal_weights(n_mean, cutoff))
 
 
@@ -231,10 +224,9 @@ def displaced_thermal_density(zeta: complex, n_mean: float, cutoff: int) -> np.n
     a symmetric rank-k update and mirrors, so the density is exactly
     symmetric, as the concentration cascade needs; its entries are within
     rounding (2.2e-16) of the conjugation D diag(p) D^T.  The trace deficit
-    is at most thermal_tail(n_mean, cutoff) plus
-    displaced_thermal_tail_bound(n_mean, |zeta|, cutoff): the first term is
-    the dropped thermal weight, the second bounds what the displacement
-    window pushes past the cutoff.
+    is at most tail(n_mean, |zeta|^2, cutoff) + tail(n_mean, 0, cutoff): the
+    second term is the dropped thermal weight, the first bounds what the
+    displacement window pushes past the cutoff.
     """
     root = displacement_operator(zeta, cutoff) * np.sqrt(_thermal_weights(n_mean, cutoff))
     return root @ root.conj().T
@@ -392,11 +384,11 @@ class ConcentrationReport:
     """Certificates of one concentration step.
 
     dist_first and dist_second are the trace distances of the marginals
-    from their targets; joint_bound is an upper bound (the rank-Frobenius
-    bound, (cutoff / 2) ||D||_F, `_concentration_step`) on the trace
-    distance of the joint output from the product of the targets, not that
-    distance.  thermal_tail and coherent_tail are the two tails that the
-    cutoff gate (`require_cutoff`) read at `cutoff`.
+    from their targets; joint_bound is an upper bound (the row-norm bound,
+    1/2 sum_r ||D[r, :]||_2, `_concentration_step`) on the trace distance of
+    the joint output from the product of the targets, not that distance.
+    tail is `tail(N, mu, cutoff)` at the cascade's largest squared
+    amplitude mu, the first part of the truncation budget (`cutoff_for`).
     """
 
     cutoff: int
@@ -404,33 +396,7 @@ class ConcentrationReport:
     dist_first: float
     dist_second: float
     joint_bound: float
-    thermal_tail: float
-    coherent_tail: float
-
-
-def require_cutoff(n_mean: float, amplitude: float, cutoff: int) -> tuple[float, float]:
-    """Refuse a two-mode cutoff above MAX_CUTOFF, or one that truncates too much.
-
-    The size limit is checked first, so a refused cutoff allocates nothing.
-    Then the thermal tail and the Poisson bound at the largest coherent
-    amplitude the check touches must both fall below DEFAULT_TAIL_TOL; an
-    accepted cutoff returns those two tails.
-    """
-    if cutoff > MAX_CUTOFF:
-        raise PreconditionError(
-            f"the run needs Fock cutoff {cutoff}, above the limit {MAX_CUTOFF} "
-            "(a cascade step's time grows as cutoff**5)"
-        )
-    t_th = thermal_tail(n_mean, cutoff)
-    # a square that overflows reads inf, and then cutoff_for names the amplitude
-    t_coh = poisson_tail_bound(amplitude * amplitude, cutoff)
-    if max(t_th, t_coh) >= DEFAULT_TAIL_TOL:
-        raise PreconditionError(
-            f"cutoff {cutoff} violates the tail rule (thermal tail {t_th:.3g}, "
-            f"coherent bound {t_coh:.3g}, tol {DEFAULT_TAIL_TOL:.1g}); "
-            f"use cutoff >= {cutoff_for(n_mean, amplitude)}"
-        )
-    return t_th, t_coh
+    tail: float
 
 
 def verify_concentration_cascade(
@@ -477,31 +443,40 @@ def verify_concentration_cascade(
     so it commutes with every block of the beam splitter.  Each step's
     input, joint output and product target at zeta are therefore those at r
     conjugated by R (x) R, and its marginals and their targets those at r
-    conjugated by R.  Partial traces, trace distances and Frobenius norms
-    are unchanged by these unitaries.
+    conjugated by R.  Partial traces, trace distances and row norms are
+    unchanged by these unitaries.
 
-    The default cutoff aims at tails below 1e-12, deeper than the
-    DEFAULT_TAIL_TOL rule, because truncation error enters the trace
-    distances amplified by roughly the basis size.  Either cutoff must pass
-    `require_cutoff` before any operator is allocated.
+    The cutoff, by default the least that meets the truncation budget at
+    the largest amplitude sqrt(n_copies) |zeta| (`cutoff_for`), must be at
+    least that and at most MAX_CUTOFF: one comparison, made before any
+    operator is allocated.
     """
     if n_copies < 2:
         raise DomainError(f"n_copies must be at least 2, got {n_copies}")
+    needed = cutoff_for(n_mean, math.sqrt(n_copies) * abs(complex(zeta)))
+    cutoff = needed if cutoff is None else cutoff
+    if not needed <= cutoff <= MAX_CUTOFF:
+        raise PreconditionError(
+            f"the cascade needs a Fock cutoff of at least {needed} (its truncation budget) and "
+            f"at most {MAX_CUTOFF} (a step's time grows as cutoff**5), got {cutoff}"
+        )
+    return _cascade(zeta, n_mean, n_copies, cutoff)
+
+
+def _cascade(zeta: complex, n_mean: float, n_copies: int, cutoff: int) -> list[ConcentrationReport]:
+    """The steps of `verify_concentration_cascade`, at |zeta|, at any cutoff of at least 2, ungated."""
     modulus = abs(complex(zeta))
-    amplitude = math.sqrt(n_copies) * modulus
-    if cutoff is None:
-        cutoff = cutoff_for(n_mean, amplitude, _DISTANCE_RULE_TOL)
-    tails = require_cutoff(n_mean, amplitude, cutoff)
     spectra = _beam_splitter_spectra(cutoff)
     fresh = displaced_thermal_density(modulus, n_mean, cutoff)
     target_second = thermal_density(n_mean, cutoff)
+    tail_bound = tail(n_mean, n_copies * modulus * modulus, cutoff)
     carried = fresh
     reports = []
     for i in range(1, n_copies):
         target_first = displaced_thermal_density(math.sqrt(i + 1.0) * modulus, n_mean, cutoff)
         reports.append(
             _concentration_step(
-                concentration_angle(i), spectra, carried, fresh, target_first, target_second, tails
+                concentration_angle(i), spectra, carried, fresh, target_first, target_second, tail_bound
             )
         )
         carried = target_first
@@ -515,7 +490,7 @@ def _concentration_step(
     fresh: np.ndarray,
     target_first: np.ndarray,
     target_second: np.ndarray,
-    tails: tuple[float, float],
+    tail_bound: float,
 ) -> ConcentrationReport:
     """Certificates of one cascade step, from one triangle of its joint output.
 
@@ -535,23 +510,25 @@ def _concentration_step(
     kron(target_first, target_second) is nonzero only where the mode-2
     counts of row and column agree; its entries there, target_first *
     weight, are subtracted from those rows, the ones the first marginal
-    reads, and the other entries stay as they are.  Last, the slab adds its
-    squared Frobenius norm: the square's, plus twice that of the rows below.
+    reads, and the other entries stay as they are.  Last, the slab adds
+    the squared norms of its rows to `rows`, one entry per row of the
+    difference, and each row of its square also the squared norm of its
+    column below the square, the mirror of that row's entries to the right.
 
     The difference D = Y - target_first (x) target_second, of side
-    cutoff^2, is bounded through the norms of its slabs.  For every real
-    square D of that side,
-    1/2 ||(D + D^T) / 2||_1 <= 1/2 ||D||_1 = 1/2 sum_i sigma_i(D) <= (cutoff / 2) ||D||_F,
-    by the triangle inequality and Cauchy-Schwarz on the cutoff^2 singular
-    values; so the joint trace distance, that of D's symmetric part, is at
-    most (cutoff / 2) sqrt(sum of the slabs' squared norms), where D is the
-    computed triangle with its mirror, and the bound needs no Hermiticity
-    gate.  The gate (`linalg.require_hermitian`) still runs on what one slab
-    can pair itself, its square D[S, S], the slab's first rows, to catch a
-    step that breaks the symmetry; it is skipped where the square's norm is
-    at most _GATE_FREE_NORM, where it cannot fail: the residual is at most
-    max |D[S, S]| <= ||D[S, S]||_F, under the gate's tolerance.  `tails`,
-    the cutoff gate's two tails, go into the report as they are.
+    cutoff^2, is the computed triangle with its mirror, and it is bounded
+    through its rows.  D is the sum of its rows e_r e_r^T D, each of rank
+    one with trace norm ||D[r, :]||_2, so by the triangle inequality the
+    joint trace distance 1/2 ||D||_1 is at most 1/2 sum_r ||D[r, :]||_2,
+    1/2 sum sqrt(rows).  By Cauchy-Schwarz over the cutoff^2 rows, that sum
+    is never above (cutoff / 2) ||D||_F.  The bound holds for every square
+    D, so it needs no Hermiticity gate.  The gate
+    (`linalg.require_hermitian`) still runs on what one slab can pair
+    itself, its square D[S, S], the slab's first rows, to catch a step that
+    breaks the symmetry; it is skipped where the square's norm is at most
+    _GATE_FREE_NORM, where it cannot fail: the residual is at most
+    max |D[S, S]| <= ||D[S, S]||_F, under the gate's tolerance.
+    `tail_bound`, the cascade's tail, goes into the report as it is.
     """
     if not (np.array_equal(carried, carried.T) and np.array_equal(fresh, fresh.T)):
         raise DomainError("the concentration step needs exactly symmetric densities")
@@ -562,7 +539,7 @@ def _concentration_step(
     position = np.empty((cutoff, cutoff), dtype=np.intp)  # the row of each state (m, n)
     position[mode1, mode2] = np.arange(cutoff * cutoff)
     marginal_first, marginal_second = np.zeros((2, cutoff, cutoff))
-    squared_norm = 0.0
+    rows = np.zeros(cutoff * cutoff)
     for start, p, q, slab in _joint_slabs(blocks, carried, fresh):
         width = slab.shape[1]
         # the flat slab index of each marginal's terms in column k: rows
@@ -581,19 +558,18 @@ def _concentration_step(
         # the product target is nonzero only where the first marginal reads
         inside = first >= 0
         slab.reshape(-1)[first[inside]] -= (target_first[:, p] * weights[q])[inside]
-        square, below = slab[:width], slab[width:]
-        square_norm = float(np.vdot(square, square))
-        squared_norm += square_norm + 2.0 * float(np.vdot(below, below))
-        if not math.sqrt(square_norm) <= _GATE_FREE_NORM:
-            require_hermitian(square, "the concentration step")
+        norms = np.einsum("ij,ij->i", slab, slab)
+        rows[start:] += norms
+        rows[start : start + width] += np.einsum("ij,ij->j", slab[width:], slab[width:])
+        if not math.sqrt(norms[:width].sum()) <= _GATE_FREE_NORM:
+            require_hermitian(slab[:width], "the concentration step")
     return ConcentrationReport(
         cutoff=cutoff,
         phi=phi,
         dist_first=trace_distance(marginal_first, target_first),
         dist_second=trace_distance(marginal_second, target_second),
-        joint_bound=cutoff * math.sqrt(squared_norm) / 2,
-        thermal_tail=tails[0],
-        coherent_tail=tails[1],
+        joint_bound=float(np.sqrt(rows).sum()) / 2,
+        tail=tail_bound,
     )
 
 
@@ -657,32 +633,30 @@ def heterodyne_probability_density(rho: np.ndarray, alpha: complex) -> float:
 # the oracle's checks
 # ---------------------------------------------------------------------------
 
-def oracle_checks(
-    zeta: complex, n_mean: float, n_copies: int, cutoff: int | None = None
-) -> list[dict]:
+def oracle_checks(zeta: complex, n_mean: float, n_copies: int) -> list[dict]:
     """Certify the laws of `states` and the RLD inverses of `bounds` against the oracle.
 
     One record per check: "name", "max_dev", "tol", "pass" (max_dev < tol)
     and, for a bound on a trace distance, "kind".  Every concentration
     record also holds the numbers behind its verdict: the cascade's
-    "cutoff", and the "thermal_tail" and "coherent_tail" that
-    `require_cutoff` read there.  `cutoff` is the
-    concentration checks' cutoff, by default `verify_concentration_cascade`'s;
-    the heterodyne grid and the RLD check pick their own.  The point is
-    validated first, then the cascade runs, so its `require_cutoff` gate
-    refuses before any operator is allocated.  The grid needs no gate of its
-    own: at every point and cutoff that gate accepts, the grid's cutoff at
-    amplitude 3 + |zeta| is at most 96 (`tests/test_fock.py`).
+    "cutoff" and its "tail" there.  The point is validated first, then the
+    cascade runs, so its gate refuses before any operator is allocated.
+    The heterodyne grid and the RLD check pick their own cutoffs.  The grid
+    budgets at |zeta|: `coherent_vector` returns the truncated P alpha
+    exactly, so the check reads <alpha|P rho P|alpha> and only rho's own
+    tail enters.  |zeta| is at most the cascade's amplitude and the budget
+    grows with the amplitude, so the grid's cutoff is at most the cascade's,
+    which the gate has accepted, and the grid needs no gate of its own.
     """
     theta = ThetaPoint.from_zeta(zeta, n_mean)
-    reports = verify_concentration_cascade(zeta, n_mean, n_copies=n_copies, cutoff=cutoff)
+    reports = verify_concentration_cascade(zeta, n_mean, n_copies=n_copies)
     checks = []
 
     def record(name, dev, tol, **extra):
         checks.append({"name": name, "max_dev": dev, "tol": tol, "pass": bool(dev < tol), **extra})
 
     # heterodyne law on a 5 x 5 grid, and photon-count law, against the matrices
-    grid_cutoff = cutoff_for(n_mean, 3.0 + abs(zeta))
+    grid_cutoff = cutoff_for(n_mean, abs(zeta))
     rho = displaced_thermal_density(zeta, n_mean, grid_cutoff)
     axis = np.linspace(-3.0 / math.sqrt(2.0), 3.0 / math.sqrt(2.0), 5)
     grid = [complex(re, im) for re in axis for im in axis]
@@ -695,17 +669,17 @@ def oracle_checks(
     # concentration identity at n = 2 (step 1) and up to n_copies, every step
     # at the n_copies cutoff; then the product structure of each step's joint
     # output, and of the whole cascade's (the sum telescopes)
-    first = reports[0]
-    gate = {"cutoff": first.cutoff, "thermal_tail": first.thermal_tail, "coherent_tail": first.coherent_tail}
-    record("concentration-n2", max(first.dist_first, first.dist_second), 1e-6, **gate)
+    first, tol = reports[0], CONCENTRATION_TOL
+    gate = {"cutoff": first.cutoff, "tail": first.tail}
+    record("concentration-n2", max(first.dist_first, first.dist_second), tol, **gate)
     if n_copies > 2:
         dev = max(max(r.dist_first, r.dist_second) for r in reports)
-        record(f"concentration-n{n_copies}", dev, 1e-6, **gate)
+        record(f"concentration-n{n_copies}", dev, tol, **gate)
     for i, r in enumerate(reports, start=2):
-        record(f"concentration-joint-n{i}", r.joint_bound, 1e-6, kind="rank-frobenius-bound", **gate)
+        record(f"concentration-joint-n{i}", r.joint_bound, tol, kind="row-norm-bound", **gate)
     if n_copies > 2:
         total = sum(r.joint_bound for r in reports)
-        record("concentration-cascade", total, 1e-6, kind="telescoped-rank-frobenius-bound", **gate)
+        record("concentration-cascade", total, tol, kind="telescoped-row-norm-bound", **gate)
 
     # RLD inverses, relative to the largest closed-form entry
     inverse = truncated_rld_inverse(n_mean)

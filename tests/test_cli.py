@@ -664,54 +664,35 @@ class TestOracleCheckCommand:
         assert code == 0
         assert all(c["pass"] for c in json.loads(out)["checks"])
 
-    def test_small_cutoff_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "oracle-check", "--cutoff", "5", "--n-mean", "2")
-        assert code == 2
-        # the cascade's gate refuses it, at the step's amplitude sqrt(2) 0.5
-        assert "cutoff 5 violates the tail rule (thermal tail" in err
-        needed = fock.cutoff_for(2.0, math.sqrt(2.0) * 0.5)
-        assert f"use cutoff >= {needed}" in err
-
-    @pytest.mark.parametrize("cutoff,code", [("30", 0), ("27", 1)])
-    def test_explicit_cutoff_sets_only_the_concentration_checks(self, capsys, cutoff, code):
-        # the heterodyne grid picks its own cutoff (33 at the defaults), so a
-        # smaller --cutoff runs the cascade: 30 passes, 27 fails the joint bound
-        got, out, _ = run_cli(capsys, "oracle-check", "--cutoff", cutoff, "--json")
-        assert got == code
-        failing = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
-        assert failing == ([] if code == 0 else ["concentration-joint-n2"])
+    def test_there_is_no_cutoff_flag(self, capsys):
+        # the truncation budget picks every cutoff; the flag is refused as unknown
+        with pytest.raises(SystemExit) as info:
+            cli.main(["oracle-check", "--cutoff", "40"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --cutoff 40" in err and "Traceback" not in err
 
     def test_accepted_run_prints_no_warning(self, capsys):
         # the displacement window once warned of a leak here, against the tail rule
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, _, err = run_cli(capsys, "oracle-check", "--zeta-re", "3", "--n-mean", "0.1")
-        assert code == 1 and caught == []
-        assert err == "FAILED: concentration-joint-n2\n"
+        assert code == 0 and caught == [] and err == ""
 
     @pytest.mark.parametrize(
         "argv,needed",
         [
-            (("--n-mean", "3"), "cutoff 97,"),
-            (("--n-mean", "10", "--deep"), "cutoff 290,"),
-            (("--n-mean", "1e17"), "cutoff 2763102111592854528,"),
-            (("--cutoff", "200"), "cutoff 200,"),
+            (("--n-mean", "3"), 85),
+            (("--n-mean", "10", "--deep"), 248),
+            (("--n-mean", "1e17"), 2253578524506428800),
+            (("--n-mean", "2", "--zeta-re", "1"), 72),
         ],
-        ids=["n3", "n10-deep", "n1e17", "explicit-200"],
+        ids=["n3", "n10-deep", "n1e17", "n2-zeta1"],
     )
     def test_infeasible_cutoff_exits_2(self, capsys, argv, needed):
         code, _, err = run_cli(capsys, "oracle-check", *argv)
         assert code == 2
-        assert needed in err and "limit 70" in err
-
-    @pytest.mark.parametrize("cutoff", ["0", "1", "-5"])
-    def test_cutoff_below_two_exits_2(self, capsys, cutoff):
-        # 0 must not read as unset in some checks and as a cutoff in others
-        with pytest.raises(SystemExit) as info:
-            cli.main(["oracle-check", "--cutoff", cutoff])
-        assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert "--cutoff" in err and "at least 2" in err and "Traceback" not in err
+        assert f"at least {needed} " in err and "at most 70 " in err
 
     def test_unreachable_tail_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "oracle-check", "--n-mean", "1e308")
@@ -726,40 +707,36 @@ class TestOracleCheckCommand:
         elapsed = time.perf_counter() - start
         assert code == 2
         assert elapsed < 1.0
-        needed = fock.cutoff_for(1.0, math.sqrt(2.0) * 1e5, fock._DISTANCE_RULE_TOL)
+        needed = fock.cutoff_for(1.0, math.sqrt(2.0) * 1e5)
         assert needed > 2e10
-        assert f"cutoff {needed}," in err and "limit 70" in err
+        assert f"at least {needed} " in err and "at most 70 " in err
 
-    @pytest.mark.parametrize("zeta_re", ["1e200", "1e300"])
-    def test_overflowing_amplitude_exits_2(self, capsys, zeta_re):
-        code, _, err = run_cli(capsys, "oracle-check", "--zeta-re", zeta_re)
-        assert code == 2
-        assert "no finite cutoff" in err
-
-    @pytest.mark.parametrize("argv", [("--zeta-re", "1e200", "--cutoff", "20"),
-                                      ("--zeta-im", "1e308", "--cutoff", "16")])
-    def test_overflowing_amplitude_at_an_explicit_cutoff_exits_2(self, capsys, argv):
-        # the tail gate squares the amplitude, which overflows float64
+    @pytest.mark.parametrize(
+        "argv", [("--zeta-re", "1e200"), ("--zeta-re", "1e300"), ("--zeta-im", "1e308")]
+    )
+    def test_overflowing_amplitude_exits_2(self, capsys, argv):
+        # the budget squares the cascade's amplitude, which overflows float64
         code, out, err = run_cli(capsys, "oracle-check", *argv)
         assert code == 2 and out == ""
-        assert err.startswith("error: no finite cutoff reaches tail 1e-08 at amplitude ")
+        assert err.startswith("error: no finite cutoff meets the truncation budget at amplitude ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("n_mean", ["1e-8", "1e-14", "1e-20", "1e-300", "5e-324"])
-    def test_tiny_n_mean_reaches_every_check(self, capsys, n_mean):
-        # the RLD sums invert nothing, so no density is singular; the joint
-        # check still fails near 1e-6 here (README's exit-1 list)
+    def test_tiny_n_mean_passes_every_check(self, capsys, n_mean):
+        # the RLD sums invert nothing, so no density is singular; the budget's
+        # vacuum term sets the cutoff, so the joint check passes too
         code, out, err = run_cli(capsys, "oracle-check", "--n-mean", n_mean, "--json")
-        checks = {c["name"]: c for c in json.loads(out)["checks"]}
-        assert checks["rld-2param"]["pass"] and checks["rld-3param"]["pass"]
+        checks = json.loads(out)["checks"]
         assert "singular" not in (out + err).lower()
-        failing = [name for name, c in checks.items() if not c["pass"]]
-        assert all(name.startswith("concentration-") for name in failing)
-        assert code == (1 if failing else 0)
+        assert code == 0 and all(c["pass"] for c in checks)
 
     def test_rld_check_converges_where_the_tail_rule_cutoff_truncated(self, capsys):
-        # the dense check failed both at 1.2e-2, from truncation of the family
-        code, out, _ = run_cli(capsys, "oracle-check", "--zeta-re", "1.2", "--n-mean", "2", "--json")
+        # the dense check failed both at 1.2e-2 at zeta 1.2, N = 2, from
+        # truncation of the family; the cascade's budget there, cutoff 76, is
+        # now above the limit, and at N = 1.5 (cutoff 63) every check passes
+        code, _, err = run_cli(capsys, "oracle-check", "--zeta-re", "1.2", "--n-mean", "2")
+        assert code == 2 and "at least 76 " in err
+        code, out, _ = run_cli(capsys, "oracle-check", "--zeta-re", "1.2", "--n-mean", "1.5", "--json")
         assert code == 0
         assert all(c["pass"] for c in json.loads(out)["checks"])
         code, out, _ = run_cli(capsys, "oracle-check", "--zeta-re", "2", "--n-mean", "0.5", "--json")
@@ -790,11 +767,11 @@ class TestOracleCheckCommand:
         assert "concentration-n3" in checks
         kinds = {name: c.get("kind") for name, c in checks.items() if "joint" in name}
         assert kinds == {
-            "concentration-joint-n2": "rank-frobenius-bound",
-            "concentration-joint-n3": "rank-frobenius-bound",
+            "concentration-joint-n2": "row-norm-bound",
+            "concentration-joint-n3": "row-norm-bound",
         }
         cascade = checks["concentration-cascade"]
-        assert cascade["kind"] == "telescoped-rank-frobenius-bound" and cascade["tol"] == 1e-6
+        assert cascade["kind"] == "telescoped-row-norm-bound" and cascade["tol"] == 1e-6
         assert cascade["max_dev"] == (
             checks["concentration-joint-n2"]["max_dev"] + checks["concentration-joint-n3"]["max_dev"]
         )
@@ -826,16 +803,18 @@ class TestOracleCheckCommand:
         assert amplitudes[-1] == 0.3 + 0.4j
         assert all(type(z) is float for z in amplitudes[:-1])
 
-    @pytest.mark.parametrize("argv,cutoff", [(("--deep",), 40), (("--cutoff", "30"), 30)])
-    def test_concentration_records_hold_the_numbers_behind_their_verdict(self, capsys, argv, cutoff):
-        # every concentration record holds the cascade's cutoff and the two
-        # tails that require_cutoff read there; the other records do not, and
-        # the text lines stay as they were
+    @pytest.mark.parametrize(
+        "argv,n_mean,cutoff", [(("--deep",), 1.0, 40), (("--n-mean", "0.5"), 0.5, 25)]
+    )
+    def test_concentration_records_hold_the_numbers_behind_their_verdict(
+        self, capsys, argv, n_mean, cutoff
+    ):
+        # every concentration record holds the cascade's cutoff and its tail
+        # there; the other records do not, and the text lines stay as they were
         code, out, _ = run_cli(capsys, "oracle-check", *argv, "--json")
         assert code == 0
         n_copies = 3 if "--deep" in argv else 2
-        thermal, coherent = fock.require_cutoff(1.0, math.sqrt(n_copies) * 0.5, cutoff)
-        gate = {"cutoff": cutoff, "thermal_tail": thermal, "coherent_tail": coherent}
+        gate = {"cutoff": cutoff, "tail": fock.tail(n_mean, n_copies * 0.5 * 0.5, cutoff)}
         checks = json.loads(out)["checks"]
         names = [c["name"] for c in checks if c["name"].startswith("concentration")]
         assert len(names) == (5 if n_copies == 3 else 2)
@@ -847,19 +826,30 @@ class TestOracleCheckCommand:
         assert [line.split()[1] for line in text.splitlines()] == [c["name"] for c in checks]
         assert "tail" not in text and "cutoff" not in text
 
-    def test_joint_bound_fails_where_the_marginals_pass(self, capsys):
-        # at the default cutoff 20 the marginals pass but the joint output is
-        # 3.0e-6 from the product target (bound 3.0e-5); cutoff 46 certifies it
-        code, out, err = run_cli(capsys, "oracle-check", "--n-mean", "0.25", "--zeta-re", "1")
-        assert code == 1
-        assert "FAILED: concentration-joint-n2\n" in err
-        line = next(x for x in out.splitlines() if "concentration-joint-n2" in x)
-        assert line.startswith("check concentration-joint-n2 max dev") and line.endswith("FAIL")
-        code, out, _ = run_cli(
-            capsys, "oracle-check", "--n-mean", "0.25", "--zeta-re", "1", "--cutoff", "46", "--json"
-        )
-        assert code == 0
-        assert all(c["pass"] for c in json.loads(out)["checks"])
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (("--n-mean", "0.25", "--zeta-re", "1"), 0),
+            (("--n-mean", "0.1", "--zeta-re", "0.5"), 0),
+            (("--n-mean", "0.5", "--zeta-re", "1"), 0),
+            (("--deep", "--n-mean", "1", "--zeta-re", "1"), 0),
+            (("--n-mean", "0.05"), 0),
+            (("--n-mean", "1", "--zeta-re", "1.5"), 0),
+            (("--zeta-re", "2", "--n-mean", "0.5"), 0),
+            (("--n-mean", "2", "--zeta-re", "2"), 2),
+            (("--deep", "--n-mean", "1", "--zeta-re", "2"), 2),
+        ],
+    )
+    def test_inputs_that_failed_a_check_now_pass_or_exit_2(self, capsys, argv, code):
+        # each exited 1 under the old cutoff rule and rank-Frobenius bound; the
+        # budget raises their cutoffs and the row-norm bound tightens the joint
+        # check, so each passes, or exits 2 with its cutoff above the limit
+        got, out, err = run_cli(capsys, "oracle-check", *argv, "--json")
+        assert got == code
+        if code == 2:
+            assert "at most 70 " in err and out == ""
+        else:
+            assert all(c["pass"] for c in json.loads(out)["checks"])
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(states, "heterodyne_pdf", lambda params, alpha: 0.0)
@@ -1033,55 +1023,25 @@ _EDGE_FLOATS = st.sampled_from(
 )
 
 
-def _gate_bounds(cutoff):
-    """N and |zeta| below which the cascade's gate accepts cutoff at up to 3 copies.
-
-    The thermal tail (N / (N + 1))^cutoff and the Poisson bound at 3 |zeta|^2
-    must both fall below the tail tolerance.  The bound rises with its mean
-    up to the cutoff, so bisection finds the largest mean; 0.99 keeps clear
-    of both edges.
-    """
-    tol = fock.DEFAULT_TAIL_TOL
-    q = tol ** (1.0 / cutoff)
-    low, high = 0.0, float(cutoff)
-    for _ in range(60):
-        mid = (low + high) / 2.0
-        if fock.poisson_tail_bound(mid, cutoff) < tol:
-            low = mid
-        else:
-            high = mid
-    return 0.99 * q / (1.0 - q), 0.99 * math.sqrt(low / 3.0)
-
-
 @st.composite
 def _oracle_argv(draw):
     """oracle-check flags bounded so that no example runs a large cascade.
 
-    In about half of them --cutoff is at most 40, and N and zeta are finite
-    and lie where the cascade's gate accepts that cutoff.  In the rest N <=
-    0.5 and |zeta| <= 1, and about a quarter of the values are edge values;
-    the ones that would need a large cutoff are refused before any work.
+    N is at most 0.5 and each coordinate of zeta at most 0.49 in size, so
+    |zeta| < 0.7 and the budgeted cutoff is at most 30, with --deep too.
+    About a quarter of the values are edge values; the ones that would need
+    a large cutoff are refused before any work.
     """
     argv = ["oracle-check", "--json"]
-    if draw(st.booleans()):
-        cutoff = draw(st.integers(2, 40))
-        n_max, zeta_max = _gate_bounds(cutoff)
-        coordinate = st.floats(-zeta_max / math.sqrt(2.0), zeta_max / math.sqrt(2.0))
-        # N and zeta_re always: the defaults, N = 1 and zeta = 0.5, need cutoff 27
-        argv += [f"--cutoff={cutoff}", f"--n-mean={draw(st.floats(0.0, n_max, exclude_min=True))!r}"]
-        argv.append(f"--zeta-re={draw(coordinate)!r}")
-        if draw(st.booleans()):
-            argv.append(f"--zeta-im={draw(coordinate)!r}")
-    else:
-        values = {
-            "n-mean": st.floats(0.0, 0.5, exclude_min=True),
-            "zeta-re": st.floats(-0.7, 0.7),
-            "zeta-im": st.floats(-0.7, 0.7),
-        }
-        for flag, finite in values.items():
-            if flag == "n-mean" or draw(st.booleans()):
-                value = draw(_EDGE_FLOATS if draw(st.integers(0, 3)) == 0 else finite)
-                argv.append(f"--{flag}={value!r}")
+    values = {
+        "n-mean": st.floats(0.0, 0.5, exclude_min=True),
+        "zeta-re": st.floats(-0.49, 0.49),
+        "zeta-im": st.floats(-0.49, 0.49),
+    }
+    for flag, finite in values.items():
+        if flag == "n-mean" or draw(st.booleans()):
+            value = draw(_EDGE_FLOATS if draw(st.integers(0, 3)) == 0 else finite)
+            argv.append(f"--{flag}={value!r}")
     if draw(st.booleans()):
         argv.append("--deep")
     return argv
@@ -1102,9 +1062,10 @@ def _refuse_constant(name):
 @example(argv=["oracle-check", "--json", "--n-mean=1e-320", "--zeta-re=1e-300"])
 @example(argv=["oracle-check", "--json", "--n-mean=1e-300", "--zeta-re=1.5"])
 @example(argv=["oracle-check", "--json", "--n-mean=1e-08"])
-@example(argv=["oracle-check", "--json", "--zeta-re=1e200", "--cutoff=20"])
-@example(argv=["oracle-check", "--json", "--cutoff=30"])  # exits 0
-@example(argv=["oracle-check", "--json", "--cutoff=27"])  # exits 1 on concentration-joint-n2
+@example(argv=["oracle-check", "--json", "--n-mean=1e-14"])
+@example(argv=["oracle-check", "--json", "--n-mean=0.1", "--zeta-re=0.5"])
+@example(argv=["oracle-check", "--json", "--n-mean=0.25", "--zeta-re=1"])
+@example(argv=["oracle-check", "--json", "--zeta-re=1e200"])
 def test_any_oracle_flags_end_in_a_finite_result_or_an_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1112,11 +1073,12 @@ def test_any_oracle_flags_end_in_a_finite_result_or_an_exit_code(argv):
             code = cli.main(argv)
         except SystemExit as exc:  # argparse refusing a flag
             code = exc.code
-    assert code in (0, 1, 2, 3)
+    # an accepted input passes every check: none exits 1
+    assert code in (0, 2, 3), (code, err.getvalue())
     assert "Traceback" not in err.getvalue() and "singular" not in err.getvalue().lower()
-    if code in (0, 1):
+    if code == 0:
         checks = json.loads(out.getvalue(), parse_constant=_refuse_constant)["checks"]
-        assert all(math.isfinite(c["max_dev"]) for c in checks)
+        assert all(math.isfinite(c["max_dev"]) and c["pass"] for c in checks)
 
 
 def test_cli_import_loads_no_scipy():

@@ -15,10 +15,8 @@ import dtslab
 
 PACKAGE = pathlib.Path(dtslab.__file__).parent
 
-# helpers kept for planned work: the coherent tail bound for the oracle's
-# error budget, and the exact finite-n targets for every weight
+# a helper kept for planned work: the exact finite-n targets for every weight
 ALLOWED_UNREFERENCED = {
-    "fock.displaced_thermal_tail_bound",
     "estimator.expected_finite_n_trace",
 }
 

@@ -159,25 +159,31 @@ def partial_trace(op: np.ndarray, keep: str) -> np.ndarray:
     return marginal
 
 
+def row_norm_bound(d: np.ndarray) -> float:
+    """1/2 sum_r ||d[r, :]||_2: the joint bound of `fock._concentration_step`, on a whole matrix."""
+    return float(np.sum(np.linalg.norm(d, axis=1))) / 2
+
+
 def dense_concentration_cascade(
     zeta: complex, n_mean: float, n_copies: int, cutoff: int
-) -> list[tuple[fock.ConcentrationReport, float]]:
+) -> list[tuple[fock.ConcentrationReport, float, float]]:
     """Dense reference of `fock.verify_concentration_cascade`, out of place and in numpy.kron order.
 
     It forms each step's whole input np.kron(carried, fresh), the dense
     unitary U and Y = U input U^T, both triangles of it; its marginals are
-    `partial_trace`s, and the joint bound is (cutoff / 2) ||D||_F for the
+    `partial_trace`s, and the joint bound is the row-norm bound of the
     whole D = Y - kron(targets).  Each report comes with the exact joint
-    trace distance, from a dense eigensolve.  At a complex zeta it runs in
-    complex128, where `fock` runs at |zeta|: the reference for the
-    phase-covariance argument.
+    trace distance, from a dense eigensolve, and the rank-Frobenius bound
+    (cutoff / 2) ||D||_F.  At a complex zeta it runs in complex128, where
+    `fock` runs at |zeta|: the reference for the phase-covariance argument.
 
     It sums in other orders than `fock`, so the two agree within a rounding
     budget (`within_rounding_budget`), not bit for bit.
     """
     fresh = fock.displaced_thermal_density(zeta, n_mean, cutoff)
     target_second = fock.thermal_density(n_mean, cutoff)
-    tails = fock.require_cutoff(n_mean, math.sqrt(n_copies) * abs(zeta), cutoff)
+    modulus = abs(complex(zeta))
+    tail_bound = fock.tail(n_mean, n_copies * modulus * modulus, cutoff)
     carried = fresh
     reports = []
     for i in range(1, n_copies):
@@ -193,11 +199,11 @@ def dense_concentration_cascade(
             phi=phi,
             dist_first=trace_distance(partial_trace(joint, "first"), target_first),
             dist_second=trace_distance(partial_trace(joint, "second"), target_second),
-            joint_bound=cutoff * float(np.linalg.norm(diff)) / 2,
-            thermal_tail=tails[0],
-            coherent_tail=tails[1],
+            joint_bound=row_norm_bound(diff),
+            tail=tail_bound,
         )
-        reports.append((report, trace_distance(diff, np.zeros_like(diff))))
+        exact = trace_distance(diff, np.zeros_like(diff))
+        reports.append((report, exact, rank_frobenius_bound(diff) / 2))
         carried = target_first
     return reports
 
@@ -219,21 +225,24 @@ def within_rounding_budget(report: fock.ConcentrationReport, reference: fock.Con
       sqrt(c) 4 c^2 u, plus the rounding of the sums, 2 c u sqrt(c); a trace
       distance moves by at most half the trace norm of that, at most
       sqrt(c) / 2 times its Frobenius norm: 3 c^3 u with room to spare.
-    - The joint bound (c / 2) ||D||_F moves by at most (c / 2) 4 c^2 u =
-      2 c^3 u through D, and by c^4 u of itself through the c^4 squares summed.
+    - The joint bound 1/2 sum_r ||D[r, :]||_2 moves through D by at most
+      1/2 sum_r ||D[r, :] - D'[r, :]||_2 <= (c / 2) ||D - D'||_F, by the
+      triangle inequality on each row and Cauchy-Schwarz over the c^2 rows:
+      (c / 2) 4 c^2 u = 2 c^3 u.  Each computation also rounds its own sum:
+      a row's squared norm sums c^2 squares, within c^2 u of itself, which
+      the square root halves, and the c^2 roots are summed within c^2 u, so
+      each is within 3/2 c^2 u of its bound, and the two within 3 c^2 u.
     A complex product rounds at most about sqrt(2) times as much as a real
     one, so against a complex reference every term at most doubles: the
     budget is 8 c^3 u on each distance (twice 3 c^3 u, rounded up), and
-    4 c^3 u + 2 c^4 u joint_bound on the joint bound.
+    4 c^3 u + 6 c^2 u joint_bound on the joint bound.
     """
     c, u = report.cutoff, 2.0**-53
-    if (report.cutoff, report.phi, report.thermal_tail, report.coherent_tail) != (
-        reference.cutoff, reference.phi, reference.thermal_tail, reference.coherent_tail
-    ):
+    if (report.cutoff, report.phi, report.tail) != (reference.cutoff, reference.phi, reference.tail):
         return False
     distances = (report.dist_first - reference.dist_first, report.dist_second - reference.dist_second)
     joint = abs(report.joint_bound - reference.joint_bound)
-    joint_budget = (4 * c**3 + 2 * c**4 * reference.joint_bound) * u
+    joint_budget = (4 * c**3 + 6 * c**2 * reference.joint_bound) * u
     return max(map(abs, distances)) <= 8 * c**3 * u and joint <= joint_budget
 
 
@@ -241,7 +250,7 @@ class TestThermalDensity:
     def test_n1_d2(self):
         rho = fock.thermal_density(1.0, 2)
         assert np.allclose(rho, np.diag([0.5, 0.25]))
-        assert fock.thermal_tail(1.0, 2) == pytest.approx(0.25, abs=1e-15)
+        assert fock.tail(1.0, 0.0, 2) == pytest.approx(0.25, abs=1e-15)
 
     def test_small_n_is_vacuum(self):
         rho = fock.thermal_density(1e-6, 8)
@@ -252,7 +261,7 @@ class TestThermalDensity:
     @pytest.mark.parametrize("n_mean,cutoff", [(0.5, 17), (1.0, 30), (2.0, 46)])
     def test_trace_plus_tail_is_one(self, n_mean, cutoff):
         rho = fock.thermal_density(n_mean, cutoff)
-        assert np.trace(rho).real + fock.thermal_tail(n_mean, cutoff) == pytest.approx(
+        assert np.trace(rho).real + fock.tail(n_mean, 0.0, cutoff) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -307,9 +316,7 @@ class TestDisplacedThermal:
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         trace = np.trace(rho).real
         assert trace <= 1.0 + 1e-12
-        deficit_bound = fock.thermal_tail(n_mean, cutoff) + fock.displaced_thermal_tail_bound(
-            n_mean, abs(zeta), cutoff
-        )
+        deficit_bound = fock.tail(n_mean, abs(zeta) ** 2, cutoff) + fock.tail(n_mean, 0.0, cutoff)
         assert trace >= 1.0 - deficit_bound
         assert np.linalg.eigvalsh(rho).min() > -1e-10
 
@@ -317,13 +324,8 @@ class TestDisplacedThermal:
         for zeta, n_mean, cutoff in ((0.5, 0.5, 17), (1.0, 0.5, 17), (1.0, 2.0, 46)):
             rho = fock.displaced_thermal_density(zeta, n_mean, cutoff)
             deficit = 1.0 - np.trace(rho).real
-            bound = fock.thermal_tail(n_mean, cutoff) + fock.displaced_thermal_tail_bound(
-                n_mean, abs(zeta), cutoff
-            )
+            bound = fock.tail(n_mean, abs(zeta) ** 2, cutoff) + fock.tail(n_mean, 0.0, cutoff)
             assert 0.0 <= deficit <= bound
-
-    def test_tail_bound_reduces_to_thermal_at_zero_amplitude(self):
-        assert fock.displaced_thermal_tail_bound(1.0, 0.0, 30) == fock.thermal_tail(1.0, 30)
 
     def test_a_real_amplitude_gives_an_exactly_symmetric_density(self):
         # the cascade reads one triangle of each step and refuses a density
@@ -588,8 +590,8 @@ class TestConcentration:
             tracemalloc.stop()
 
     def test_real_amplitude_memory(self):
-        # cutoff 40: a step holds one slab buffer of at most 96 cutoff^2
-        # entries, 1.2 MiB, never a 19.5 MiB two-mode operator
+        # cutoff 38: a step holds one slab buffer of at most 96 cutoff^2
+        # entries, 1.1 MiB, never a 15.9 MiB two-mode operator
         assert self.cascade_peak_mib(0.5) < 3.5
 
     def test_complex_amplitude_memory(self):
@@ -609,10 +611,12 @@ class TestConcentration:
     @staticmethod
     def assert_matches_dense_reference(zeta: complex, n_mean: float, cutoff: int) -> None:
         # within the rounding budget of the reference at |zeta|, where the
-        # cascade runs, and of the complex reference at zeta itself
-        reports = fock.verify_concentration_cascade(zeta, n_mean, n_copies=3, cutoff=cutoff)
+        # cascade runs, and of the complex reference at zeta itself; the
+        # slab edges need cutoffs below the truncation budget, so the steps
+        # run without the cascade's gate
+        reports = fock._cascade(zeta, n_mean, 3, cutoff)
         for z in (abs(zeta), zeta):
-            references = [r for r, _ in dense_concentration_cascade(z, n_mean, 3, cutoff)]
+            references = [r for r, *_ in dense_concentration_cascade(z, n_mean, 3, cutoff)]
             assert len(reports) == len(references) == 2
             assert all(map(within_rounding_budget, reports, references))
 
@@ -640,7 +644,7 @@ class TestConcentration:
         self.assert_matches_dense_reference(zeta, n_mean, cutoff)
 
     @pytest.mark.parametrize("cutoff,n_mean", [(14, 0.2), (26, 0.5)])
-    def test_joint_bound_is_the_rank_frobenius_bound_of_the_whole_difference(
+    def test_joint_bound_is_the_row_norm_bound_of_the_whole_difference(
         self, monkeypatch, cutoff, n_mean
     ):
         # each slab, once the step has subtracted the target from it, is
@@ -654,13 +658,14 @@ class TestConcentration:
                 slabs.append((start, p, q, slab.copy()))
 
         monkeypatch.setattr(fock, "_joint_slabs", stitching)
-        report = fock.verify_concentration_cascade(0.5, n_mean, n_copies=2, cutoff=cutoff)[0]
+        report = fock._cascade(0.5, n_mean, 2, cutoff)[0]
         diff = stitched_joint(slabs, cutoff)
         assert not np.any(np.isnan(diff))
-        # the same c^4 squares summed in two orders, each sum within
-        # (c^4 - 1) 2^-53 of the exact one; the square root halves that
-        whole = rank_frobenius_bound(diff) / 2
-        assert abs(report.joint_bound - whole) <= cutoff**4 * 2.0**-53 * whole
+        # the same entries summed in two orders: each row's c^2 squares
+        # within c^2 2^-53 of the exact sum, which the square root halves,
+        # and the c^2 roots within c^2 2^-53, in each computation
+        whole = row_norm_bound(diff)
+        assert abs(report.joint_bound - whole) <= 3 * cutoff**2 * 2.0**-53 * whole
 
     @pytest.mark.parametrize(
         "zeta,n_mean,cutoff",
@@ -668,18 +673,19 @@ class TestConcentration:
          (0.3 + 0.4j, 0.5, 26)],
     )
     def test_joint_bound_dominates_the_exact_distance(self, zeta, n_mean, cutoff):
-        # ||D||_F <= ||D||_1 <= cutoff ||D||_F for D of side cutoff^2, so the
-        # bound is at least the exact distance and at most cutoff times it;
-        # the ratio itself is not bounded (10 to 16 was measured)
-        reports = fock.verify_concentration_cascade(zeta, n_mean, n_copies=3, cutoff=cutoff)
-        for report, (_, exact) in zip(reports, dense_concentration_cascade(zeta, n_mean, 3, cutoff)):
-            assert exact <= report.joint_bound <= cutoff * exact
+        # the exact distance is at most the row-norm bound (the triangle
+        # inequality over the rows), which is at most the rank-Frobenius
+        # bound (Cauchy-Schwarz over them), both from the dense difference
+        reports = fock._cascade(zeta, n_mean, 3, cutoff)
+        references = dense_concentration_cascade(zeta, n_mean, 3, cutoff)
+        for report, (_, exact, frobenius) in zip(reports, references):
+            assert exact <= report.joint_bound <= frobenius
 
     def test_a_step_forms_no_kron(self, monkeypatch):
         # the input is written block by block and the product target is
         # subtracted through the thermal weights: no np.kron in a step
         cutoff, n_mean = 14, 0.2
-        expected = fock.verify_concentration_cascade(0.5, n_mean, n_copies=2, cutoff=cutoff)
+        expected = fock._cascade(0.5, n_mean, 2, cutoff)
         calls = []
         kron = np.kron
 
@@ -688,7 +694,7 @@ class TestConcentration:
             return kron(a, b)
 
         monkeypatch.setattr(np, "kron", counting)
-        assert fock.verify_concentration_cascade(0.5, n_mean, n_copies=2, cutoff=cutoff) == expected
+        assert fock._cascade(0.5, n_mean, 2, cutoff) == expected
         assert calls == []
 
     @staticmethod
@@ -746,7 +752,7 @@ class TestConcentration:
                     expected.append(square.copy())
 
         monkeypatch.setattr(fock, "_joint_slabs", recording)
-        fock.verify_concentration_cascade(0.5, 0.2, n_copies=2, cutoff=14)
+        fock._cascade(0.5, 0.2, 2, 14)
         assert 0 < len(expected) < count == 4
         assert len(gated) == len(expected)
         assert all(np.array_equal(g, x) for g, x in zip(gated, expected))
@@ -763,18 +769,22 @@ class TestConcentration:
         with pytest.raises(DomainError, match="exactly symmetric densities"):
             fock._concentration_step(
                 math.pi / 4, fock._beam_splitter_spectra(cutoff), densities["carried"],
-                densities["fresh"], target_first, fock.thermal_density(n_mean, cutoff), (0.0, 0.0),
+                densities["fresh"], target_first, fock.thermal_density(n_mean, cutoff), 0.0,
             )
 
     def test_overflowing_amplitude_at_an_explicit_cutoff_is_refused(self):
-        # sqrt(3) 1e200 squared overflows float64; the tail gate names it
+        # sqrt(3) 1e200 squared overflows float64; the budget's search names it
         with pytest.raises(PreconditionError, match="no finite cutoff .* at amplitude 1.73205e\\+200"):
             fock.verify_concentration_cascade(1e200, 1.0, cutoff=20)
 
-    def test_tail_precondition_names_required_cutoff(self):
-        with pytest.raises(PreconditionError, match="use cutoff >= 46$"):
-            fock.verify_concentration_cascade(0.5, 2.0, n_copies=2, cutoff=5)
-        fock.require_cutoff(2.0, math.sqrt(2.0) * 0.5, 46)
+    @pytest.mark.parametrize("cutoff", [5, 61, 71])
+    def test_an_explicit_cutoff_outside_the_budget_and_the_limit_is_refused(self, cutoff):
+        # N = 2 at amplitude sqrt(2) 0.5 needs cutoff 62; one comparison
+        # refuses below it and above the limit, naming the numbers
+        assert fock.cutoff_for(2.0, math.sqrt(2.0) * 0.5) == 62
+        match = f"at least 62 .* at most 70 .*, got {cutoff}$"
+        with pytest.raises(PreconditionError, match=match):
+            fock.verify_concentration_cascade(0.5, 2.0, n_copies=2, cutoff=cutoff)
 
 
 class TestNumericRld:
@@ -878,95 +888,154 @@ class TestPovmProbabilities:
         assert np.all((0.0 <= photon) & (photon <= 1.0))
 
 
+def exact_tails(n_mean: float, mu: float, cutoffs: list[int]) -> list[float]:
+    """P(X >= cutoff) for each cutoff, X the photon count of a displaced thermal state.
+
+    From the Laguerre pmf N^n / (N+1)^(n+1) e^{-mu/(N+1)} L_n(-mu / (N (N+1))),
+    written as e^{-mu/(N+1)} / (N+1) sum_k C(n, k) N^(n-k) mu^k / ((N+1)^(n+k) k!):
+    the terms are all positive and summed in logs, so it holds at N = 1e-300.
+    A tail above 1e-3 is 1 minus the pmf below the cutoff; a smaller one is
+    the pmf summed from the cutoff over the next 500 counts, which cover it
+    to 1e-13 of itself for N up to 10, the largest N that needs them here.
+    """
+    if mu == 0.0:
+        return [(n_mean / (n_mean + 1.0)) ** c for c in cutoffs]
+    top = max(cutoffs) + 500
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, top + 1)))])
+    n, k = np.arange(top)[:, None], np.arange(top)[None, :]
+    above = k > n
+    n_k = np.where(above, 0, n - k)
+    terms = (log_fact[n] - log_fact[np.where(above, 0, k)] - log_fact[n_k] - log_fact[k]
+             + n_k * math.log(n_mean) + k * math.log(mu) - (n + k) * math.log1p(n_mean))
+    terms[above] = -np.inf
+    peak = terms.max(axis=1, keepdims=True)
+    log_pmf = peak[:, 0] + np.log(np.exp(terms - peak).sum(axis=1))
+    pmf = np.exp(log_pmf - mu / (n_mean + 1.0) - math.log1p(n_mean))
+    tails = []
+    for c in cutoffs:
+        complement = 1.0 - math.fsum(pmf[:c])
+        upper = pmf[c:]
+        if complement <= 1e-3:
+            # far above the mean the terms fall by a ratio r that shrinks toward
+            # N / (N + 1), so what is left beyond the last is at most r / (1 - r) of it
+            r = upper[-1] / upper[-2] if upper[-2] > 0 else 0.0
+            assert r < 1.0 and upper[-1] * r / (1.0 - r) <= 1e-13 * upper.sum()
+        tails.append(complement if complement > 1e-3 else math.fsum(upper))
+    return tails
+
+
+def meets_budget(n_mean: float, amplitude: float, cutoff: int) -> bool:
+    """The truncation budget of `fock.cutoff_for`, as its docstring states it."""
+    mu = amplitude * amplitude
+    vacuum_loss = 2.0 * math.sqrt(fock.tail(0.0, mu, cutoff)) / (n_mean + 1.0)
+    return fock.tail(n_mean, mu, cutoff) <= 1e-8 and vacuum_loss <= 1e-7
+
+
+class TestTail:
+    def test_never_below_the_exact_tail(self):
+        # N from 1e-300 to 1e3, amplitude 0 to 30, cutoffs up to 200; the
+        # bound is at least the exact tail, within the reference's rounding
+        ratios = []
+        for n_mean in (1e-300, 1e-14, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 1e3):
+            for amplitude in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0):
+                mu = amplitude * amplitude
+                cutoffs = [2, 5, 10, 20, 40, 70, 100, 150, 200]
+                for cutoff, exact in zip(cutoffs, exact_tails(n_mean, mu, cutoffs)):
+                    bound = fock.tail(n_mean, mu, cutoff)
+                    assert bound >= exact * (1.0 - 1e-9), (n_mean, amplitude, cutoff, bound, exact)
+                    if exact > 1e-300:
+                        ratios.append(bound / exact)
+        # the thermal end is exact; elsewhere the bound is looser
+        assert 1.0 - 1e-9 <= min(ratios) and max(ratios) < 1e4
+
+    def test_the_ends_are_exact(self):
+        for n_mean, cutoff in ((1e-14, 2), (0.5, 17), (1.0, 27), (1e17, 40)):
+            assert fock.tail(n_mean, 0.0, cutoff) == pytest.approx(
+                (n_mean / (n_mean + 1.0)) ** cutoff, rel=1e-13
+            )
+        assert fock.tail(0.0, 0.0, 2) == 0.0
+        for mu, cutoff in ((0.5, 13), (2.0, 10), (100.0, 150)):
+            poisson = math.exp(-mu) * (math.e * mu / cutoff) ** cutoff
+            assert fock.tail(0.0, mu, cutoff) == pytest.approx(poisson, rel=1e-12)
+            # the bisection meets the Poisson end as N falls
+            assert fock.tail(1e-300, mu, cutoff) == pytest.approx(poisson, rel=1e-9)
+
+    def test_near_pure_tail_is_the_poisson_bound(self):
+        assert fock.tail(1e-14, 0.5, 13) == pytest.approx(1.1e-13, rel=0.1)
+
+    def test_is_one_up_to_the_mean(self):
+        assert fock.tail(1.0, 2.0, 3) == 1.0 == fock.tail(0.0, 5.0, 5)
+
+
 class TestCutoffRule:
-    def test_tails_below_tolerance(self):
-        for n_mean in (0.5, 1.0, 2.0):
-            for amplitude in (0.0, 0.7, 3.5):
-                d = fock.cutoff_for(n_mean, amplitude)
-                assert fock.thermal_tail(n_mean, d) < fock.DEFAULT_TAIL_TOL
-                assert fock.poisson_tail_bound(amplitude**2, d) < fock.DEFAULT_TAIL_TOL
-
-    def test_minimality(self):
-        d = fock.cutoff_for(1.0, 0.0)
-        assert fock.thermal_tail(1.0, d - 1) >= fock.DEFAULT_TAIL_TOL
-
-    @staticmethod
-    def linear_scan(n_mean, amplitude, tol):
-        """The rule by definition: step the cutoff up until both tails pass."""
-        d = 2
-        while (
-            fock.thermal_tail(n_mean, d) >= tol
-            or fock.poisson_tail_bound(amplitude**2, d) >= tol
-        ):
-            d += 1
-        return d
-
     def test_search_matches_linear_scan(self):
-        for n_mean in (0.01, 0.5, 1.0, 3.0):
-            for amplitude in (0.0, 1e-3, 0.5, 1.0, 1.2247, 2.5, 6.0, 20.0):
-                for tol in (1e-12, 1e-8, 0.5, 0.999):
-                    assert fock.cutoff_for(n_mean, amplitude, tol) == (
-                        self.linear_scan(n_mean, amplitude, tol)
-                    ), (n_mean, amplitude, tol)
-        # the Poisson search alone, from the least start and from a raised one
-        # (a thermal cutoff above the Poisson one)
-        for amplitude in (0.0, 1e-3, 0.5, 1.0, 1.2247, 2.5, 6.0, 20.0):
-            for tol in (1e-12, 1e-8, 0.5, 0.999):
-                for start in (2, 40):
-                    d = start
-                    while fock.poisson_tail_bound(amplitude**2, d) >= tol:
-                        d += 1
-                    assert fock._least_poisson_cutoff(amplitude**2, tol, start) == d, (
-                        amplitude, tol, start
-                    )
+        # the least cutoff that meets the budget, stepped up from 2
+        for n_mean in (1e-300, 1e-14, 0.01, 0.25, 0.5, 1.0, 3.0):
+            for amplitude in (0.0, 1e-3, 0.5, 1.0, 1.2247, 2.5, 6.0):
+                d = 2
+                while not meets_budget(n_mean, amplitude, d):
+                    d += 1
+                assert fock.cutoff_for(n_mean, amplitude) == d, (n_mean, amplitude)
+
+    def test_the_oracle_workload_and_the_rld_start(self):
+        # oracle-check --deep, and --n-mean 0.5: the cascade at sqrt(n) 0.5,
+        # the heterodyne grid at 0.5; the RLD check starts at zero amplitude
+        assert [fock.cutoff_for(1.0, math.sqrt(3.0) * 0.5), fock.cutoff_for(1.0, 0.5)] == [40, 36]
+        assert [fock.cutoff_for(0.5, math.sqrt(2.0) * 0.5), fock.cutoff_for(0.5, 0.5)] == [25, 24]
+        assert [fock.cutoff_for(1.0), fock.cutoff_for(0.5)] == [27, 17]
 
     def test_large_amplitude_search_is_minimal(self):
-        mu = 1e10
-        d = fock.cutoff_for(1.0, math.sqrt(mu))
-        assert fock.poisson_tail_bound(mu, d) < fock.DEFAULT_TAIL_TOL
-        assert fock.poisson_tail_bound(mu, d - 1) >= fock.DEFAULT_TAIL_TOL
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(DomainError):
-            fock.cutoff_for(1.0, 0.0, tol=2.0)
+        amplitude = 1e5
+        d = fock.cutoff_for(1.0, amplitude)
+        assert 1e10 < d < 1.1e10
+        assert meets_budget(1.0, amplitude, d) and not meets_budget(1.0, amplitude, d - 1)
 
     def test_huge_n_mean_needs_a_finite_cutoff(self):
-        # N/(N+1) rounds to 1 here; the rule still returns the needed cutoff
+        # N/(N+1) rounds to 1 here; the search still returns the needed cutoff
         d = fock.cutoff_for(1e17, 0.0)
-        assert 1.8e18 < d < 1.9e18
-        with pytest.raises(PreconditionError, match="no finite cutoff"):
-            fock.cutoff_for(1e308, 0.0, tol=1e-12)
+        assert 1.8e18 < d < 1.9e18 and meets_budget(1e17, 0.0, d)
+        with pytest.raises(PreconditionError, match="no finite cutoff .* at n_mean 1e\\+308"):
+            fock.cutoff_for(1e308, 0.0)
+        with pytest.raises(PreconditionError, match="no finite cutoff .* at amplitude 1e\\+200"):
+            fock.cutoff_for(1.0, 1e200)
 
     def test_limit_refuses_before_allocating(self):
-        # the cascade's default cutoffs at amplitude sqrt(2) 0.5
+        # the cascade's budgeted cutoffs at amplitude sqrt(2) 0.5
         amplitude = math.sqrt(2.0) * 0.5
-        assert fock.cutoff_for(2.0, amplitude, fock._DISTANCE_RULE_TOL) == 69 <= fock.MAX_CUTOFF
-        assert fock.cutoff_for(3.0, amplitude, fock._DISTANCE_RULE_TOL) == 97
-        with pytest.raises(PreconditionError, match="cutoff 97, above the limit 70"):
+        assert fock.cutoff_for(2.0, amplitude) == 62 <= fock.MAX_CUTOFF
+        assert fock.cutoff_for(3.0, amplitude) == 85
+        with pytest.raises(PreconditionError, match="at least 85 .* at most 70 .*, got 85$"):
             fock.verify_concentration_cascade(0.5, 3.0, n_copies=2)
         tracemalloc.start()
         try:
-            # the size limit comes before the tail rule, which cutoff 71 passes
-            with pytest.raises(PreconditionError, match="cutoff 71, above the limit 70"):
+            with pytest.raises(PreconditionError, match="at most 70 .*, got 71$"):
                 fock.verify_concentration_cascade(0.5, 1.0, cutoff=71)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**10
 
-    def test_grid_cutoff_stays_small_wherever_the_cascade_gate_accepts(self):
-        # oracle_checks runs the heterodyne grid, at amplitude 3 + |zeta|, only
-        # after the cascade's gate has accepted (N, zeta, n_copies, cutoff), so
-        # the grid needs no size gate of its own; its worst case here is 96
-        worst = 0
-        for n_mean in (1e-300, 1e-8, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 3.3, 3.4):
-            for modulus in np.linspace(0.0, 5.0, 501):
+
+class TestOracleGrid:
+    def test_every_check_passes_or_the_cascade_refuses(self):
+        # N x |zeta| x n_copies: every record of oracle_checks passes, or the
+        # cascade's gate refuses (exit 2); the heterodyne grid's cutoff is at
+        # most the cascade's.  Cells whose cutoff is above 50 are left out for
+        # time: a cell up to 50 takes at most about 0.2 s
+        ran = refused = 0
+        for n_mean in (1e-14, 1e-8, 0.01, 0.1, 0.25, 0.5, 1.0, 2.0):
+            for modulus in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5):
                 for n_copies in (2, 3):
-                    amplitude = math.sqrt(n_copies) * modulus
-                    for cutoff in (2, 10, 20, 27, 30, 40, 46, 50, 60, 69, 70):
-                        try:
-                            fock.require_cutoff(n_mean, amplitude, cutoff)
-                        except PreconditionError:
-                            continue
-                        worst = max(worst, fock.cutoff_for(n_mean, 3.0 + modulus))
-        assert 90 < worst <= 100
+                    cutoff = fock.cutoff_for(n_mean, math.sqrt(n_copies) * modulus)
+                    assert fock.cutoff_for(n_mean, modulus) <= cutoff
+                    if cutoff > fock.MAX_CUTOFF:
+                        with pytest.raises(PreconditionError, match=f"at least {cutoff} "):
+                            fock.oracle_checks(modulus, n_mean, n_copies)
+                        refused += 1
+                    elif cutoff <= 50:
+                        checks = fock.oracle_checks(modulus, n_mean, n_copies)
+                        failing = [c["name"] for c in checks if not c["pass"]]
+                        assert failing == [], (n_mean, modulus, n_copies, failing)
+                        assert all(c["cutoff"] == cutoff for c in checks if "cutoff" in c)
+                        ran += 1
+        assert ran > 40 and refused > 5

@@ -12,10 +12,10 @@ def rank_frobenius_bound(d: np.ndarray) -> float:
     By Cauchy-Schwarz on the eigenvalues, ||d||_1 <= sqrt(rank d) ||d||_F, and
     the rank is at most the side.  The bound is tight when d has full rank
     and eigenvalues of one modulus, and never more than sqrt(side) times
-    the trace norm.  It is the whole-matrix form of the concentration
-    step's joint bound, which sums the same squared norm slab by slab
-    (`fock._concentration_step`), and it skips the Hermiticity gate under
-    the same rule: at a norm at or below _GATE_FREE_NORM the gate cannot
+    the trace norm.  It is the global bound that the concentration step's
+    row-norm bound never exceeds (`fock._concentration_step`; the tests hold
+    exact <= rows <= this), and it skips the Hermiticity gate under the
+    step's rule: at a norm at or below _GATE_FREE_NORM the gate cannot
     fail, because the residual is at most max |d| <= ||d||_F, under the
     tolerance, which is at least 1e-9.
     """
