@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -684,15 +685,22 @@ class TestOracleCheckCommand:
         [
             (("--n-mean", "3"), 85),
             (("--n-mean", "10", "--deep"), 248),
-            (("--n-mean", "1e17"), 2253578524506428800),
             (("--n-mean", "2", "--zeta-re", "1"), 72),
         ],
-        ids=["n3", "n10-deep", "n1e17", "n2-zeta1"],
+        ids=["n3", "n10-deep", "n2-zeta1"],
     )
     def test_infeasible_cutoff_exits_2(self, capsys, argv, needed):
         code, _, err = run_cli(capsys, "oracle-check", *argv)
         assert code == 2
-        assert f"at least {needed} " in err and "at most 70 " in err
+        assert f"cutoff of {needed}, above the limit of 70 " in err
+
+    def test_huge_n_mean_exits_2_naming_its_cutoff(self, capsys):
+        # at N = 1e17 adjacent cutoffs round to one tail, so the named cutoff
+        # is only as exact as the tail's bisection resolves it
+        code, _, err = run_cli(capsys, "oracle-check", "--n-mean", "1e17")
+        assert code == 2
+        match = re.search(r"cutoff of (\d+), above the limit of 70 ", err)
+        assert match and 1.8e18 < int(match.group(1)) < 2.5e18
 
     def test_unreachable_tail_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "oracle-check", "--n-mean", "1e308")
@@ -709,10 +717,21 @@ class TestOracleCheckCommand:
         assert elapsed < 1.0
         needed = fock.cutoff_for(1.0, math.sqrt(2.0) * 1e5)
         assert needed > 2e10
-        assert f"at least {needed} " in err and "at most 70 " in err
+        assert f"cutoff of {needed}, above the limit of 70 " in err
+
+    @pytest.mark.parametrize("zeta", ["1e10", "1e20", "1e100"])
+    def test_huge_finite_amplitude_exits_2_naming_its_cutoff(self, capsys, zeta):
+        # the tail's exponent rounds here, which once overflowed; the needed
+        # cutoff is above the squared amplitude, and refused by the limit
+        code, out, err = run_cli(capsys, "oracle-check", "--zeta-re", zeta)
+        assert code == 2 and out == ""
+        match = re.search(r"cutoff of (\d+), above the limit of 70 ", err)
+        assert match and int(match.group(1)) > 2 * float(zeta) ** 2
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "argv", [("--zeta-re", "1e200"), ("--zeta-re", "1e300"), ("--zeta-im", "1e308")]
+        "argv",
+        [("--zeta-re", "1e200"), ("--zeta-re", "1e300"), ("--zeta-im", "1e308"), ("--zeta-re", "1.2e154")],
     )
     def test_overflowing_amplitude_exits_2(self, capsys, argv):
         # the budget squares the cascade's amplitude, which overflows float64
@@ -735,7 +754,7 @@ class TestOracleCheckCommand:
         # truncation of the family; the cascade's budget there, cutoff 76, is
         # now above the limit, and at N = 1.5 (cutoff 63) every check passes
         code, _, err = run_cli(capsys, "oracle-check", "--zeta-re", "1.2", "--n-mean", "2")
-        assert code == 2 and "at least 76 " in err
+        assert code == 2 and "cutoff of 76, " in err
         code, out, _ = run_cli(capsys, "oracle-check", "--zeta-re", "1.2", "--n-mean", "1.5", "--json")
         assert code == 0
         assert all(c["pass"] for c in json.loads(out)["checks"])
@@ -847,7 +866,7 @@ class TestOracleCheckCommand:
         got, out, err = run_cli(capsys, "oracle-check", *argv, "--json")
         assert got == code
         if code == 2:
-            assert "at most 70 " in err and out == ""
+            assert "above the limit of 70 " in err and out == ""
         else:
             assert all(c["pass"] for c in json.loads(out)["checks"])
 
