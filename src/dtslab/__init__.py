@@ -29,7 +29,7 @@ from .bounds import (
     rld_inverse_2param,
     rld_inverse_3param,
 )
-from .errors import DomainError, NumericalError, PreconditionError
+from .errors import DomainError, PreconditionError
 from .estimator import (
     ExperimentConfig,
     MseMatrix,
@@ -43,7 +43,6 @@ __all__ = [
     "DomainError",
     "ExperimentConfig",
     "MseMatrix",
-    "NumericalError",
     "PreconditionError",
     "ProtocolKind",
     "ThetaPoint",

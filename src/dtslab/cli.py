@@ -1,7 +1,7 @@
 """Command-line front-end: bounds | simulate | oracle-check.
 
-Exit codes are a stable contract: 0 success, 1 check failure or numerical
-breakdown, 2 usage/input error, 3 mathematical-domain error.
+Exit codes are a stable contract: 0 success, 1 a failed `oracle-check`
+verdict, 2 usage/input error, 3 mathematical-domain error.
 
 All randomized output is fully determined by --seed.  Simulation runs on
 one thread, one chunk of trials at a time; --threads is accepted and
@@ -34,7 +34,7 @@ from .bounds import (
     load_weight,
     optimal_gaussian_tradeoff,
 )
-from .errors import DomainError, NumericalError, PreconditionError
+from .errors import DomainError
 from .estimator import (
     ExperimentConfig,
     ProtocolKind,
@@ -428,7 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", help="write the summary JSON here (plus a .manifest.json)")
     p_sim.add_argument("--trial-csv", help="write per-trial records to this CSV file")
     p_sim.add_argument("--config", help="JSON file mirroring the flags; flags override it")
-    p_sim.add_argument("--json", action="store_true", default=None)
+    p_sim.add_argument(
+        "--json",
+        action="store_true",
+        default=None,
+        help="print the --ratio-table grid as JSON; a single run always prints JSON",
+    )
     p_sim.add_argument(
         "--ratio-table",
         action="store_true",
@@ -455,15 +460,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, list(argv))
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,8 @@
 """Exception taxonomy shared by all modules.
 
-The CLI maps these onto its stable exit codes: check failures and
-numerical breakdowns exit 1, usage/precondition problems exit 2,
-mathematical-domain violations exit 3.
+The CLI maps these onto its stable exit codes: usage/precondition
+problems exit 2, mathematical-domain violations exit 3.  Exit 1 is not
+an exception: it means only that an `oracle-check` verdict failed.
 """
 
 
@@ -11,8 +11,4 @@ class DomainError(ValueError):
 
 
 class PreconditionError(ValueError):
-    """A run precondition cannot be satisfied (e.g. Fock cutoff below the tail rule)."""
-
-
-class NumericalError(RuntimeError):
-    """A numerical procedure failed to converge or is too ill-conditioned to trust."""
+    """A run precondition cannot be satisfied (e.g. a Fock cutoff above the oracle's limit)."""

@@ -430,6 +430,19 @@ class TestBeamSplitter:
         assert np.max(np.abs(u.T @ u - np.eye(d * d))) < 1e-13
         assert np.max(np.abs(u @ u.T - np.eye(d * d))) < 1e-13
 
+    @pytest.mark.parametrize("phi", [math.pi / 4, 2.0])
+    def test_blocks_at_the_cutoff_limit(self, phi):
+        # each block is one real product W (cos + sin)(phi w) W^T with signs,
+        # which is the exponential only where cos(phi H) vanishes at odd j + k
+        # and sin(phi H) at even j + k
+        spectra = fock._beam_splitter_spectra(fock.MAX_CUTOFF)
+        for (counts, block), (_, w, v) in zip(fock._beam_splitter_blocks(phi, spectra), spectra):
+            assert block.dtype == np.float64 and block.flags.c_contiguous
+            assert np.max(np.abs(block.T @ block - np.eye(len(counts)))) < 1e-13
+            odd = np.add.outer(np.arange(len(w)), np.arange(len(w))) % 2 == 1
+            assert np.max(np.abs(((v * np.cos(phi * w)) @ v.T)[odd]), initial=0.0) < 1e-14
+            assert np.max(np.abs(((v * np.sin(phi * w)) @ v.T)[~odd])) < 1e-14
+
     def test_blocks_reject_small_cutoff(self):
         with pytest.raises(DomainError):
             fock._beam_splitter_spectra(1)
