@@ -54,11 +54,13 @@ from .linalg import require_hermitian, trace_distance
 
 # the tolerance of every concentration check, from which `cutoff_for` budgets the truncation
 CONCENTRATION_TOL = 1e-6
-# a cascade step costs about cutoff**5 / 2 flops (0.23 s at 70, measured) and holds
-# one slab of about _SLAB cutoff**2 entries, not a two-mode operator: N = 2's
-# budgeted cutoff 62 at zeta 0.5 fits, N = 3's 85 does not
+# a cascade step costs about cutoff**5 / 2 flops and holds one slab of about _SLAB
+# cutoff**2 entries, not a two-mode operator (at 70, measured on 2 CPUs: 0.19 s, an
+# 8.3 MiB tracemalloc peak and 12.6 MiB of resident growth in a fresh interpreter):
+# N = 2's budgeted cutoff 62 at zeta 0.5 fits, N = 3's 85 does not
 MAX_CUTOFF = 70
 _SLAB = 96  # most entries of a slab of a step's joint output, in units of cutoff**2
+_ROWS = 256  # most rows of a slab that the column pass multiplies at once
 # a slab's square whose Frobenius norm is at or below this skips the Hermiticity gate;
 # the 1% under the gate's 1e-9 floor covers the rounding of the computed norm
 _GATE_FREE_NORM = 0.99e-9
@@ -343,11 +345,15 @@ def _joint_slabs(blocks: list[tuple[range, np.ndarray]], carried: np.ndarray, fr
     1. for each row block T, X[T, S], entries carried[m, p] fresh[T - m, q],
        is written to a scratch buffer and left-multiplied by u_T into the
        slab;
-    2. the columns of each block of S are right-multiplied by its u^T.
+    2. the slab is taken in chunks of at most _ROWS rows, and in each chunk
+       the columns of each block of S are right-multiplied by its u^T into
+       a product buffer of _ROWS cutoff entries, then copied back.
 
     Over all slabs that is about half the flops of the whole Y.  Every slab
     is a C-ordered view of one buffer, as large as the largest slab, which
-    the next slab overwrites; the operands are float64.
+    the next slab overwrites; the scratch and product buffers are reused
+    too, so no product of either pass is taller than a block or a chunk.
+    The operands are float64.
     """
     cutoff = carried.shape[0]
     side = cutoff * cutoff
@@ -362,6 +368,7 @@ def _joint_slabs(blocks: list[tuple[range, np.ndarray]], carried: np.ndarray, fr
     extents = [(starts[run.start], starts[run.stop]) for run in runs]
     buffer = np.empty(max((side - start) * (stop - start) for start, stop in extents))
     scratch = np.empty(cutoff * max(stop - start for start, stop in extents))
+    product = np.empty(_ROWS * cutoff)
     for run, (start, stop) in zip(runs, extents):
         width = stop - start
         slab = buffer[: (side - start) * width].reshape(side - start, width)
@@ -374,10 +381,14 @@ def _joint_slabs(blocks: list[tuple[range, np.ndarray]], carried: np.ndarray, fr
             descending = right[total - counts.stop + 1 : total - counts.start + 1][::-1]
             np.multiply(left[counts.start : counts.stop], descending, out=x)
             np.matmul(u, x, out=slab[starts[total] - start : starts[total + 1] - start])
-        del left, right  # freed before the column pass, whose products allocate
-        for total in run:
-            columns = slice(starts[total] - start, starts[total + 1] - start)
-            slab[:, columns] = slab[:, columns] @ blocks[total][1].T
+        del left, right  # freed before the slab is yielded and the next one's are taken
+        for row in range(0, side - start, _ROWS):
+            chunk = slab[row : row + _ROWS]
+            for total in run:
+                part = chunk[:, starts[total] - start : starts[total + 1] - start]
+                out = product[: part.size].reshape(part.shape)
+                np.matmul(part, blocks[total][1].T, out=out)
+                part[...] = out
         yield start, p, q, slab
 
 

@@ -483,6 +483,25 @@ class TestBeamSplitter:
         dense = (u @ np.kron(a, b) @ u.T)[np.ix_(order, order)]
         assert np.max(np.abs(stitched_joint(slabs, d) - dense)) < 1e-12
 
+    def test_block_conjugation_matches_dense_at_the_chunk_edges(self, monkeypatch):
+        # the slabs of the test above, their column pass in chunks of 7 rows:
+        # the first slab's first chunk ends at row 7, inside block 3 (rows 6
+        # to 9); the slabs of 28 and 21 rows end with a whole chunk; the last
+        # slab has 6 rows, fewer than one chunk
+        monkeypatch.setattr(fock, "_SLAB", 2)
+        monkeypatch.setattr(fock, "_ROWS", 7)
+        d = 9
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(2, d, d))
+        a, b = a + a.T, b + b.T
+        u = beam_splitter(fock.concentration_angle(2), d)
+        slabs = self.joint_slabs(fock.concentration_angle(2), a, b)
+        assert [len(slab) for *_, slab in slabs] == [81, 80, 78, 75, 71, 66, 60, 53, 45, 36, 28, 21, 15, 6]
+        assert 7 not in fock._block_order([(counts, None) for counts in fock._photon_blocks(d)])[0]
+        order = np.concatenate(block_indices(d))
+        dense = (u @ np.kron(a, b) @ u.T)[np.ix_(order, order)]
+        assert np.max(np.abs(stitched_joint(slabs, d) - dense)) < 1e-12
+
     def test_block_conjugation_keeps_a_real_operator_real(self):
         d = 20
         a = fock.displaced_thermal_density(0.5, 1.0, d)
@@ -624,6 +643,27 @@ class TestConcentration:
         # blocks and spectra
         assert self.cascade_peak_mib(0.5, cutoff=fock.MAX_CUTOFF) < 11
 
+    def test_the_column_pass_makes_no_slab_tall_product(self):
+        # after the first slab, which allocates the slab, scratch and product
+        # buffers, a cutoff-70 step's slabs add only their columns of the
+        # two densities (0.77 MiB); a product as tall as the slab, of its
+        # rows by one block, would raise it to 1.48 MiB
+        cutoff = fock.MAX_CUTOFF
+        a = fock.displaced_thermal_density(0.5, 1.0, cutoff)
+        blocks = beam_splitter_blocks(math.pi / 4, cutoff)
+        tracemalloc.start()
+        try:
+            slabs = fock._joint_slabs(blocks, a, a)
+            next(slabs)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in slabs:
+                pass
+            rise = (tracemalloc.get_traced_memory()[1] - held) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert rise <= 1.0
+
     @staticmethod
     def assert_matches_dense_reference(zeta: complex, n_mean: float, cutoff: int) -> None:
         # within the rounding budget of the reference at |zeta|, where the
@@ -658,6 +698,13 @@ class TestConcentration:
     def test_matches_dense_reference_at_the_slab_edges(self, monkeypatch, cutoff, n_mean, zeta, slab):
         monkeypatch.setattr(fock, "_SLAB", slab)
         self.assert_matches_dense_reference(zeta, n_mean, cutoff)
+
+    def test_matches_dense_reference_at_the_chunk_edges(self, monkeypatch):
+        # the chunk edges of TestBeamSplitter's slab and chunk test, at a
+        # complex amplitude
+        monkeypatch.setattr(fock, "_SLAB", 2)
+        monkeypatch.setattr(fock, "_ROWS", 7)
+        self.assert_matches_dense_reference(0.12 + 0.16j, 0.05, 9)
 
     @pytest.mark.parametrize("cutoff,n_mean", [(14, 0.2), (26, 0.5)])
     def test_joint_bound_is_the_row_norm_bound_of_the_whole_difference(
