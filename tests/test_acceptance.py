@@ -25,10 +25,10 @@ from dtslab.bounds import (
 from dtslab.estimator import (
     ExperimentConfig,
     ProtocolKind,
-    expected_finite_n_trace,
     monte_carlo_mse,
 )
 from dtslab.states import heterodyne_pdf, photon_pmf
+from test_estimator import expected_finite_n_trace
 
 N_GRID = (0.5, 1.0, 2.0)
 

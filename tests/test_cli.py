@@ -591,6 +591,25 @@ class TestSimulateCommand:
         assert scaled["ratio"] == pytest.approx(base["ratio"], rel=rel, abs=0.0)
         assert scaled["ratio_se"] == pytest.approx(base["ratio_se"], rel=rel, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "protocol, weight, n_mean",
+        [
+            ("collective", (3, [0.0] * 9), "1"),
+            ("known-n", (2, [0.0] * 4), "1"),
+            ("collective", (3, [5e-324] + [0.0] * 8), "1e-300"),  # 0.5 * 5e-324 rounds to 0
+        ],
+    )
+    def test_zero_bound_exits_3_before_any_output(self, capsys, tmp_path, protocol, weight, n_mean):
+        path = _weight_path(tmp_path, weight)
+        code, out, err = run_cli(
+            capsys, "simulate", "--protocol", protocol, f"--n-mean={n_mean}", "--weight", path,
+            "--n-copies", "10", "--trials", "100",
+            "--out", str(tmp_path / "s.json"), "--trial-csv", str(tmp_path / "t.csv"),
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error: C_R is 0 ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["w.txt"]
+
     def test_weight_scale_that_overflows_the_moments_exits_3(self, capsys, tmp_path):
         code, out, err = self._known_n_at_weight_scale(capsys, tmp_path, 1e308)
         assert code == 3 and out == ""
@@ -877,6 +896,29 @@ class TestOracleCheckCommand:
         assert "FAIL" in out
 
 
+@st.composite
+def _weight_files(draw):
+    """(dim, row-major entries) of a weight file, symmetric in about half of them.
+
+    The dimension runs over -2..4, so some files have no 2x2 or 3x3 shape.
+    """
+    dim = draw(st.integers(-2, 4))
+    entries = draw(st.lists(st.floats(), min_size=dim * dim, max_size=dim * dim))
+    if draw(st.booleans()):
+        for i in range(dim):
+            for j in range(i):
+                entries[i * dim + j] = entries[j * dim + i]
+    return dim, entries
+
+
+def _weight_path(tmp_path, weight):
+    """Write (dim, row-major entries) as a weight file; return its path."""
+    dim, entries = weight
+    path = tmp_path / "w.txt"
+    path.write_text(f"{dim}\n" + " ".join(map(repr, entries)) + "\n")
+    return str(path)
+
+
 _finite = st.floats(-1e3, 1e3)
 # each key's own kind of value, bounded so that no example starts a large run
 # or a large pool; trials is always present, because the defaults (100000, or
@@ -893,7 +935,7 @@ _CONFIG_OPTIONAL = {
     "zeta_im": _finite,
     "n_copies": st.integers(-1, 50),
     "seed": st.one_of(st.integers(0, 2**64 - 1), st.integers(-(2**70), 2**70)),
-    "weight": st.sampled_from(["identity2", "identity3"]),
+    "weight": st.one_of(st.sampled_from(["identity2", "identity3"]), _weight_files()),
     "clip_nonneg": st.booleans(),
     "threads": st.integers(-2, 4),
     "json": st.booleans(),
@@ -930,28 +972,34 @@ def _config_values(draw):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(values=_config_values())
+@example(values={"trials": 100, "protocol": "collective", "n_mean": 1.0,
+                 "weight": (3, [1.6, 0.0, 0.0, 0.0, 0.4, 0.0, 0.0, 0.0, 1.0])})
+@example(values={"trials": 100, "protocol": "collective", "n_mean": 1.0, "weight": (3, [0.0] * 9)})
+@example(values={"trials": 100, "protocol": "known-n", "n_mean": 1.0, "weight": (2, [0.0] * 4)})
+# C_R = 0.5 * 5e-324, which rounds to 0
+@example(values={"trials": 100, "protocol": "collective", "n_mean": 1e-300,
+                 "weight": (3, [5e-324] + [0.0] * 8)})
+# C_R = N(N+1) = 1e-320, and the separable trace is about 1: the ratio overflows
+@example(values={"trials": 100, "protocol": "separable", "n_mean": 1e-320,
+                 "weight": (3, [0.0] * 8 + [1.0])})
 def test_any_config_values_end_in_an_exit_code(tmp_path, values):
-    # every --config input ends in a result or a stable exit code, never a traceback
+    # every --config input ends in a result or a stable exit code, never a
+    # traceback, and `simulate` never exits 1 (a failed oracle verdict)
+    if isinstance(values.get("weight"), tuple):  # a weight file
+        values = {**values, "weight": _weight_path(tmp_path, values["weight"])}
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(values))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["simulate", "--config", str(config)])
-    assert code in (0, 1, 2, 3)
+    assert code in (0, 2, 3)
+    if code == 0 and out.getvalue().startswith("{"):
+        payload = json.loads(out.getvalue(), parse_constant=_refuse_non_finite)
+        assert "table" in payload or payload["expected_ratio_large_n"] is not None
 
 
-@st.composite
-def _weight_files(draw):
-    """(dim, row-major entries) of a weight file, symmetric in about half of them.
-
-    The dimension runs over -2..4, so some files have no 2x2 or 3x3 shape.
-    """
-    dim = draw(st.integers(-2, 4))
-    entries = draw(st.lists(st.floats(), min_size=dim * dim, max_size=dim * dim))
-    if draw(st.booleans()):
-        for i in range(dim):
-            for j in range(i):
-                entries[i * dim + j] = entries[j * dim + i]
-    return dim, entries
+def _refuse_non_finite(constant):
+    raise AssertionError(f"the summary holds {constant}")
 
 
 # G is indefinite: its (1,3) principal minor is negative by 2.2e-5 of its
@@ -966,10 +1014,7 @@ _PSD_WIDE_SCALE_WEIGHT = (3, [6.8e141, 0.0, 1.968755952371954e171, 0.0, 6.8e141,
 
 def _bounds_argv(tmp_path, weight, n_mean):
     """`bounds --json` argv for a weight file holding (dim, row-major entries)."""
-    dim, entries = weight
-    path = tmp_path / "w.txt"
-    path.write_text(f"{dim}\n" + " ".join(map(repr, entries)) + "\n")
-    return "bounds", "--weight", str(path), f"--n-mean={n_mean}", "--json"
+    return "bounds", "--weight", _weight_path(tmp_path, weight), f"--n-mean={n_mean}", "--json"
 
 
 @settings(
@@ -992,12 +1037,9 @@ def _bounds_argv(tmp_path, weight, n_mean):
 @example(weight=(2, [1.0, 0.1, 0.1, 0.01]), n_mean=1.0)
 @example(weight=(-1, [5.0]), n_mean=1.0)
 def test_any_weight_file_ends_in_a_finite_bound_or_exit_3(tmp_path, weight, n_mean):
-    dim, entries = weight
-    path = tmp_path / "w.txt"
-    path.write_text(f"{dim}\n" + " ".join(map(repr, entries)) + "\n")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["bounds", "--weight", str(path), f"--n-mean={n_mean!r}", "--json"])
+        code = cli.main(list(_bounds_argv(tmp_path, weight, repr(n_mean))))
     assert code in (0, 3) and "Traceback" not in err.getvalue()
     if code == 0:
         payload = json.loads(out.getvalue())

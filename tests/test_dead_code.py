@@ -15,11 +15,6 @@ import dtslab
 
 PACKAGE = pathlib.Path(dtslab.__file__).parent
 
-# a helper kept for planned work: the exact finite-n targets for every weight
-ALLOWED_UNREFERENCED = {
-    "estimator.expected_finite_n_trace",
-}
-
 
 def modules():
     return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
@@ -51,7 +46,7 @@ def test_every_top_level_definition_is_referenced_or_exported():
                     elsewhere.extend(other_tree.body)
             if node.name not in names_in(elsewhere) and node.name not in dtslab.__all__:
                 unreferenced.add(f"{module}.{node.name}")
-    assert unreferenced == ALLOWED_UNREFERENCED
+    assert unreferenced == set()
 
 
 def test_every_module_level_constant_is_named():

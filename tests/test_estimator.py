@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from dtslab.estimator import (
     ProtocolKind,
     _chunk_estimates,
     compare_to_bounds,
-    expected_finite_n_trace,
     monte_carlo_mse,
 )
 from dtslab.rng import box_muller, uniform_block
@@ -37,6 +37,30 @@ def make_config(protocol, n_copies=100, trials=1000, seed=42, n_mean=1.0):
         seed=seed,
         weight=WeightMatrix.identity(dim),
     )
+
+
+def expected_finite_n_trace(config):
+    """Exact finite-n value of n Tr(G V), for every weight.
+
+    V is diagonal (see `compare_to_bounds`), so n Tr(G V) is
+    (N+1)(G11 + G22) + G33 L n/(n-1), with L = N(N+1) for the collective
+    count total, (N+1)^2 for the separable spread, and no G33 term for
+    known-n.  None for a separable run with clip_nonneg, whose clipped N
+    estimate has no closed form; the collective estimate K/(n-1) is never
+    negative, so clipping leaves its value.
+    """
+    protocol = config.protocol
+    if config.clip_nonneg and protocol is ProtocolKind.SEPARABLE_HETERODYNE:
+        return None
+    n, big_n, g = config.n_copies, config.theta.n_mean, config.weight.entries
+    amplitude_part = (big_n + 1.0) * float(g[0, 0] + g[1, 1])
+    if protocol is ProtocolKind.KNOWN_N_HETERODYNE:
+        return amplitude_part
+    if protocol is ProtocolKind.COLLECTIVE_CONCENTRATION:
+        photon_var = big_n * (big_n + 1.0)
+    else:
+        photon_var = (big_n + 1.0) ** 2
+    return amplitude_part + float(g[2, 2]) * n * photon_var / (n - 1.0)
 
 
 def single_trial(config, t):
@@ -474,14 +498,47 @@ class TestMonteCarlo:
 
     def test_clipped_separable_run_has_no_finite_n_target(self):
         # clipping moves the separable N estimate, which can be negative; the
-        # collective estimate K/(n-1) never is, so its target stands
+        # collective estimate K/(n-1) never is, so its target stands.  The
+        # large-n target holds for both, since P(N_hat < 0) falls exponentially in n
         for protocol in ProtocolKind:
-            config = dataclasses.replace(make_config(protocol), clip_nonneg=True)
-            expected = expected_finite_n_trace(make_config(protocol))
+            config = dataclasses.replace(make_config(protocol, trials=100), clip_nonneg=True)
+            raw = make_config(protocol, trials=100)
+            expected = expected_finite_n_trace(raw)
             if protocol is ProtocolKind.SEPARABLE_HETERODYNE:
                 assert expected_finite_n_trace(config) is None
             else:
                 assert expected_finite_n_trace(config) == expected
+            large_n = compare_to_bounds(monte_carlo_mse(config), config).expected_ratio_large_n
+            assert large_n == compare_to_bounds(monte_carlo_mse(raw), raw).expected_ratio_large_n
+
+    # an anisotropic amplitude weight, and weights whose off-diagonal
+    # entries must not enter
+    ANISOTROPIC = np.diag([1.6, 0.4, 1.0])
+    FULL = np.array([[1.6, 0.3, 0.2], [0.3, 0.4, -0.1], [0.2, -0.1, 1.0]])
+    KNOWN_N = np.array([[1.6, 0.3], [0.3, 0.4]])
+
+    @pytest.mark.parametrize(
+        "protocol, weight, n_copies",
+        [
+            (ProtocolKind.COLLECTIVE_CONCENTRATION, ANISOTROPIC, 10),
+            (ProtocolKind.COLLECTIVE_CONCENTRATION, ANISOTROPIC, 1000),
+            (ProtocolKind.SEPARABLE_HETERODYNE, ANISOTROPIC, 10),
+            (ProtocolKind.SEPARABLE_HETERODYNE, ANISOTROPIC, 1000),
+            (ProtocolKind.KNOWN_N_HETERODYNE, KNOWN_N, 10),
+            (ProtocolKind.SEPARABLE_HETERODYNE, FULL, 10),
+        ],
+    )
+    def test_finite_n_law_for_every_weight(self, protocol, weight, n_copies):
+        config = ExperimentConfig(
+            protocol=protocol,
+            theta=ThetaPoint.from_zeta(0.5 + 0j, 1.0),
+            n_copies=n_copies,
+            trials=200_000,
+            seed=7,
+            weight=WeightMatrix(weight),
+        )
+        mse = monte_carlo_mse(config)
+        assert abs(mse.n_trace_gv - expected_finite_n_trace(config)) < 3.0 * mse.se_trace
 
     def test_known_n_trace_is_constant_in_n(self):
         for n_copies in (2, 10, 100):
@@ -518,14 +575,31 @@ class TestMonteCarlo:
 
 class TestCompare:
     def test_expected_ratios_at_identity(self):
-        coll = make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, trials=200)
-        sep = make_config(ProtocolKind.SEPARABLE_HETERODYNE, trials=200)
-        known = make_config(ProtocolKind.KNOWN_N_HETERODYNE, trials=200)
-        assert compare_to_bounds(monte_carlo_mse(coll), coll).expected_ratio_large_n == 1.0
-        assert compare_to_bounds(monte_carlo_mse(sep), sep).expected_ratio_large_n == pytest.approx(
-            4.0 / 3.0
-        )
-        assert compare_to_bounds(monte_carlo_mse(known), known).expected_ratio_large_n == 1.0
+        # bit for bit the identity's limits 1 and (N+3)/(N+2)
+        for n_mean, protocol in itertools.product((0.5, 1.0, 2.0), ProtocolKind):
+            config = make_config(protocol, trials=200, n_mean=n_mean)
+            expected = compare_to_bounds(monte_carlo_mse(config), config).expected_ratio_large_n
+            if protocol is ProtocolKind.SEPARABLE_HETERODYNE:
+                assert expected == (n_mean + 3.0) / (n_mean + 2.0)
+            else:
+                assert expected == 1.0
+
+    def test_anisotropic_expected_ratios(self):
+        # C_R = 2(N + 1/2) g1 + sqrt(g1^2 - g2^2) + g0 N(N+1) = 3 + 0.8 + 2 = 5.8;
+        # plain heterodyne leaves (N+1)(G11 + G22) = 4 over the amplitude part
+        for protocol, trace in ((ProtocolKind.COLLECTIVE_CONCENTRATION, 6.0),
+                                (ProtocolKind.SEPARABLE_HETERODYNE, 8.0)):
+            config = ExperimentConfig(
+                protocol=protocol,
+                theta=ThetaPoint.from_zeta(0.5 + 0j, 1.0),
+                n_copies=10,
+                trials=200,
+                seed=0,
+                weight=WeightMatrix(np.diag([1.6, 0.4, 1.0])),
+            )
+            comparison = compare_to_bounds(monte_carlo_mse(config), config)
+            assert comparison.c_r == pytest.approx(5.8, rel=1e-15)
+            assert comparison.expected_ratio_large_n == pytest.approx(trace / 5.8, rel=1e-15)
 
     def test_bound_values(self):
         coll = make_config(ProtocolKind.COLLECTIVE_CONCENTRATION, trials=200)
@@ -533,7 +607,7 @@ class TestCompare:
         assert compare_to_bounds(monte_carlo_mse(coll), coll).c_r == pytest.approx(6.0)
         assert compare_to_bounds(monte_carlo_mse(known), known).c_r == pytest.approx(4.0)
 
-    def test_non_identity_weight_has_no_expected_ratio(self):
+    def test_non_identity_weight_has_an_expected_ratio(self):
         config = ExperimentConfig(
             protocol=ProtocolKind.COLLECTIVE_CONCENTRATION,
             theta=ThetaPoint.from_zeta(0.7071 + 0j, 1.0),
@@ -543,9 +617,25 @@ class TestCompare:
             weight=WeightMatrix(np.diag([2.0, 1.0, 0.5])),
         )
         comparison = compare_to_bounds(monte_carlo_mse(config), config)
-        assert comparison.expected_ratio_large_n is None
         # bound for diag(2, 1, 0.5): g0 N(N+1) + 2(N+1/2) g1 + sqrt(g1^2 - g2^2)
-        assert comparison.c_r == pytest.approx(0.5 * 2.0 + 3.0 * 1.5 + math.sqrt(1.5**2 - 0.25))
+        c_r = 0.5 * 2.0 + 3.0 * 1.5 + math.sqrt(1.5**2 - 0.25)
+        assert comparison.c_r == pytest.approx(c_r)
+        # (N+1)(G11 + G22) + G33 N(N+1) = 6 + 1
+        assert comparison.expected_ratio_large_n == pytest.approx(7.0 / c_r, rel=1e-15)
+
+    def test_ratio_that_overflows_is_refused(self):
+        # G33 alone gives C_R = N(N+1) = 1e-320, and the separable trace is
+        # about (N+1)^2 = 1, so the ratio to C_R is past float64
+        config = ExperimentConfig(
+            protocol=ProtocolKind.SEPARABLE_HETERODYNE,
+            theta=ThetaPoint(0.0, 0.0, 1e-320),
+            n_copies=10,
+            trials=200,
+            seed=0,
+            weight=WeightMatrix(np.diag([0.0, 0.0, 1.0])),
+        )
+        with pytest.raises(DomainError, match="overflows float64"):
+            compare_to_bounds(monte_carlo_mse(config), config)
 
 
 class TestConfigValidation:
