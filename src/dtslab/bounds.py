@@ -106,14 +106,6 @@ class WeightMatrix:
         _require_dim(dim)
         return cls(np.eye(dim))
 
-    @classmethod
-    def from_two_param_gs(cls, g1: float, g2: float, g3: float) -> "WeightMatrix":
-        return cls(np.array([[g1 + g2, g3], [g3, g1 - g2]]))
-
-    @classmethod
-    def from_three_param_gs(cls, g0: float, g1: float, g2: float, g3: float) -> "WeightMatrix":
-        return cls(np.array([[g1 + g2, g3, 0.0], [g3, g1 - g2, 0.0], [0.0, 0.0, g0]]))
-
     def two_param_gs(self) -> tuple:
         """(g1, g2, g3) of the upper 2x2 block as exact `Fraction`s.
 

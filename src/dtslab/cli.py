@@ -8,7 +8,9 @@ one thread, one chunk of trials at a time; --threads is accepted and
 ignored, so summaries are byte-identical for any value.  Summary JSON
 carries the deterministic run description (config echo, algorithm
 identifiers, version); volatile facts (command line, wall time) go to a
-.manifest.json file written next to --out.
+.manifest.json file written next to --out (or the trial CSV without it).
+No exit other than 0 leaves an output file: each is written beside its
+path and renamed onto it only when the run has succeeded.
 
 --trial-csv writes one CSV row per trial, chunk by chunk as the trials
 are reduced, through `csvtext.RowWriter`: the bytes `csv.writer` would
@@ -86,19 +88,6 @@ def _theta_echo(theta: ThetaPoint) -> dict:
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _write_manifest(out_path: str, argv: list[str], wall: float, outputs: list[str]):
-    manifest = {
-        "command": "dtslab " + " ".join(argv),
-        "threads": 1,
-        "wall_time_s": wall,
-        "outputs": outputs,
-        "version": __version__,
-        "algorithms": _ALGORITHMS,
-    }
-    with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(_dump_json(manifest))
 
 
 # ---------------------------------------------------------------------------
@@ -193,21 +182,24 @@ def _merge_config_file(args) -> None:
             setattr(args, action.dest, value)
 
 
-def _simulate_once(config: ExperimentConfig, csv_path: str | None):
-    if not csv_path:
-        return monte_carlo_mse(config)
-    with open(csv_path, "wb") as fh:
-        writer = csvtext.RowWriter(fh, CSV_COLUMNS)
+def _staged(staged: list, path: str):
+    """Open the file that takes the output meant for `path`.
 
-        def sink(start, zeta_hat, n_hat, errors):
-            # IEEE products are the correctly rounded squares, which libm's
-            # pow (float ** 2) is not always; the MSE reduction uses them too
-            squares = list((errors * errors).T)
-            if len(squares) == 2:
-                squares.append(None)
-            writer.write(start, [zeta_hat.real, zeta_hat.imag, n_hat, *squares])
-
-        return monte_carlo_mse(config, trial_sink=sink)
+    For a regular file, or a new one, that is a new file beside the file
+    the path resolves to, which the run renames onto it once it has
+    succeeded.  Anything else, such as a directory or /dev/null, is opened
+    as itself, so a directory is refused here, as writing it would be.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        return open(path, "wb")
+    target = os.path.realpath(path)  # a symbolic link keeps pointing at its output
+    temporary = f"{target}.{os.getpid()}.tmp"
+    try:
+        fh = open(temporary, "wb")
+    except OSError as exc:  # name the output, as opening it would
+        raise OSError(exc.errno, exc.strerror, path) from None
+    staged.append((temporary, target))
+    return fh
 
 
 def _refuse_colliding_outputs(out: str | None, trial_csv: str | None) -> None:
@@ -245,6 +237,12 @@ def _summary_payload(config: ExperimentConfig, mse, comparison) -> dict:
 
 
 def cmd_simulate(args, argv) -> int:
+    """One run, or the --ratio-table grid; no exit other than 0 leaves an output file.
+
+    Every output is written to a temporary file beside its path, and all of
+    them are renamed onto their paths only once the run and its summary
+    have succeeded; any exception removes them.
+    """
     _merge_config_file(args)
     # a stream key takes the seed as a 64-bit word, so every run's seed must be one
     seed = args.seed if args.seed is not None else 0
@@ -252,19 +250,59 @@ def cmd_simulate(args, argv) -> int:
     if not 0 <= seed <= top:
         raise ValueError(f"--seed must be in [0, {top}], got {seed}")
     if args.ratio_table:
-        return _cmd_ratio_table(args, argv, seed)
-    if args.protocol is None:
-        raise ValueError("--protocol is required (collective | separable | known-n)")
-    if args.n_mean is None:
-        raise ValueError("--n-mean is required")
-    protocol = ProtocolKind(args.protocol)
-    n_copies = args.n_copies if args.n_copies is not None else 100
-    trials = args.trials if args.trials is not None else 100000
-    if n_copies < 2:
-        raise ValueError(f"--n-copies must be at least 2, got {n_copies}")
+        for dest in ("protocol", "n_mean", "theta1", "theta2", "zeta_re", "zeta_im",
+                     "n_copies", "weight", "clip_nonneg", "trial_csv"):
+            if getattr(args, dest) is not None:  # a flag, or a --config key
+                raise ValueError(f"--ratio-table runs a fixed grid; drop --{dest.replace('_', '-')}")
+    else:
+        if args.protocol is None:
+            raise ValueError("--protocol is required (collective | separable | known-n)")
+        if args.n_mean is None:
+            raise ValueError("--n-mean is required")
+        n_copies = args.n_copies if args.n_copies is not None else 100
+        if n_copies < 2:
+            raise ValueError(f"--n-copies must be at least 2, got {n_copies}")
+    trials = args.trials if args.trials is not None else (20000 if args.ratio_table else 100000)
     if trials < 100:
         raise ValueError(f"--trials must be at least 100, got {trials}")
     _refuse_colliding_outputs(args.out, args.trial_csv)
+    staged = []  # (temporary, path) of each output written so far
+    try:
+        start_time = time.perf_counter()
+        if args.ratio_table:
+            payload = _ratio_table(seed, trials, args.json)
+        else:
+            payload = _single_run(args, seed, trials, n_copies, staged)
+        wall = time.perf_counter() - start_time
+        summary = _dump_json(payload)
+        if args.json or not args.ratio_table:
+            sys.stdout.write(summary)
+        outputs = [path for path in (args.out, args.trial_csv) if path]
+        if args.out:
+            with _staged(staged, args.out) as fh:
+                fh.write(summary.encode())
+        if outputs:
+            manifest = {
+                "command": "dtslab " + " ".join(argv),
+                "wall_time_s": wall,
+                "outputs": outputs,
+                "version": __version__,
+                "algorithms": _ALGORITHMS,
+            }
+            with _staged(staged, outputs[0] + ".manifest.json") as fh:
+                fh.write(_dump_json(manifest).encode())
+        for temporary, path in staged:
+            os.replace(temporary, path)
+    except BaseException:
+        for temporary, _ in staged:
+            if os.path.exists(temporary):
+                os.remove(temporary)
+        raise
+    return 0
+
+
+def _single_run(args, seed: int, trials: int, n_copies: int, staged: list) -> dict:
+    protocol = ProtocolKind(args.protocol)
     theta = _theta_from_args(args)
     weight = load_weight(
         args.weight or ("identity2" if protocol is ProtocolKind.KNOWN_N_HETERODYNE else "identity3")
@@ -278,32 +316,30 @@ def cmd_simulate(args, argv) -> int:
         weight=weight,
         clip_nonneg=bool(args.clip_nonneg),
     )
-    start_time = time.perf_counter()
-    mse = _simulate_once(config, args.trial_csv)
-    wall = time.perf_counter() - start_time
-    comparison = compare_to_bounds(mse, config)
-    text = _dump_json(_summary_payload(config, mse, comparison))
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    outputs = [path for path in (args.out, args.trial_csv) if path]
-    if outputs:
-        _write_manifest(outputs[0], argv, wall, outputs)
-    return 0
+    if not args.trial_csv:
+        mse = monte_carlo_mse(config)
+    else:
+        with _staged(staged, args.trial_csv) as fh:
+            writer = csvtext.RowWriter(fh, CSV_COLUMNS)
+
+            def sink(start, zeta_hat, n_hat, errors):
+                # IEEE products are the correctly rounded squares, which libm's
+                # pow (float ** 2) is not always; the MSE reduction uses them too
+                squares = list((errors * errors).T)
+                if len(squares) == 2:
+                    squares.append(None)
+                writer.write(start, [zeta_hat.real, zeta_hat.imag, n_hat, *squares])
+
+            mse = monte_carlo_mse(config, trial_sink=sink)
+    return _summary_payload(config, mse, compare_to_bounds(mse, config))
 
 
-def _cmd_ratio_table(args, argv, seed: int) -> int:
-    """Artifact convenience grid: collective vs separable ratio over (N, n)."""
-    for dest in ("protocol", "n_mean", "theta1", "theta2", "zeta_re", "zeta_im",
-                 "n_copies", "weight", "clip_nonneg", "trial_csv"):
-        if getattr(args, dest) is not None:  # a flag, or a --config key
-            raise ValueError(f"--ratio-table runs a fixed grid; drop --{dest.replace('_', '-')}")
-    trials = args.trials if args.trials is not None else 20000
-    if trials < 100:
-        raise ValueError(f"--trials must be at least 100, got {trials}")
+def _ratio_table(seed: int, trials: int, as_json: bool) -> dict:
+    """Artifact convenience grid: collective vs separable ratio over (N, n); its summary.
+
+    Unless `as_json`, the grid is printed here as a table.
+    """
     weight = WeightMatrix.identity(3)
-    start_time = time.perf_counter()
     rows = []
     cell = 0
     for n_mean in (0.5, 1.0, 2.0):
@@ -336,19 +372,7 @@ def _cmd_ratio_table(args, argv, seed: int) -> int:
                     "c_r": cell_rows["collective"].c_r,
                 }
             )
-    wall = time.perf_counter() - start_time
-    payload = {
-        "table": rows,
-        "trials": trials,
-        "seed": seed,
-        "weight": weight.entries.tolist(),
-        "note": "artifact output: empirical n*Tr(V)/C_R grid, identity weight",
-        "algorithms": _ALGORITHMS,
-        "version": __version__,
-    }
-    if args.json:
-        sys.stdout.write(_dump_json(payload))
-    else:
+    if not as_json:
         print("artifact ratio grid (n*TrV / C_R, identity weight)")
         print(f"{'N':>5} {'n':>6} {'collective':>12} {'separable':>12} {'C_R':>8}")
         for row in rows:
@@ -357,11 +381,15 @@ def _cmd_ratio_table(args, argv, seed: int) -> int:
                 f"{row['collective_ratio']:>12.4f} {row['separable_ratio']:>12.4f} "
                 f"{row['c_r']:>8.3f}"
             )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_dump_json(payload))
-        _write_manifest(args.out, argv, wall, [args.out])
-    return 0
+    return {
+        "table": rows,
+        "trials": trials,
+        "seed": seed,
+        "weight": weight.entries.tolist(),
+        "note": "artifact output: empirical n*Tr(V)/C_R grid, identity weight",
+        "algorithms": _ALGORITHMS,
+        "version": __version__,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +397,7 @@ def _cmd_ratio_table(args, argv, seed: int) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_oracle_check(args, argv) -> int:
-    zeta = complex(args.zeta_re if args.zeta_re is not None else 0.5, args.zeta_im or 0.0)
-    n_mean = args.n_mean if args.n_mean is not None else 1.0
-    checks = fock.oracle_checks(zeta, n_mean, 3 if args.deep else 2)
+    checks = fock.oracle_checks(complex(args.zeta_re, args.zeta_im), args.n_mean, 3 if args.deep else 2)
     ok = all(c["pass"] for c in checks)
     if args.json:
         sys.stdout.write(_dump_json({"checks": checks, "pass": ok, "version": __version__}))
@@ -443,9 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate, parser=p_sim)  # --config reads its actions
 
     p_oracle = sub.add_parser("oracle-check", help="certify analytic laws against the Fock oracle")
-    p_oracle.add_argument("--n-mean", type=float)
-    p_oracle.add_argument("--zeta-re", type=float)
-    p_oracle.add_argument("--zeta-im", type=float)
+    p_oracle.add_argument("--n-mean", type=float, default=1.0)
+    p_oracle.add_argument("--zeta-re", type=float, default=0.5)
+    p_oracle.add_argument("--zeta-im", type=float, default=0.0)
     p_oracle.add_argument("--deep", action="store_true", help="also verify the n=3 cascade")
     p_oracle.add_argument("--json", action="store_true")
     p_oracle.set_defaults(func=cmd_oracle_check)

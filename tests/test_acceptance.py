@@ -78,7 +78,7 @@ def test_criterion_1_closed_form_consistency():
     worst = 0.0
     for _ in range(100):
         g1, g2, g3 = random_two_param_gs(rng)
-        weight = WeightMatrix.from_two_param_gs(g1, g2, g3)
+        weight = WeightMatrix(np.array([[g1 + g2, g3], [g3, g1 - g2]]))
         for n_mean in N_GRID:
             closed = c_r_closed_2param(g1, g2, g3, n_mean)
             general = c_r_general(weight, n_mean)
@@ -86,7 +86,7 @@ def test_criterion_1_closed_form_consistency():
     for _ in range(100):
         g1, g2, g3 = random_two_param_gs(rng)
         g0 = rng.uniform(0.0, 2.0)
-        weight = WeightMatrix.from_three_param_gs(g0, g1, g2, g3)
+        weight = WeightMatrix(np.array([[g1 + g2, g3, 0.0], [g3, g1 - g2, 0.0], [0.0, 0.0, g0]]))
         for n_mean in N_GRID:
             closed = c_r_closed_3param(g0, g1, g2, g3, n_mean)
             general = c_r_general(weight, n_mean)

@@ -62,15 +62,16 @@ class TestThetaPoint:
 
 class TestWeightMatrix:
     def test_two_param_decomposition_roundtrip(self):
-        w = WeightMatrix.from_two_param_gs(1.2, 0.3, -0.4)
+        w = WeightMatrix(np.array([[1.2 + 0.3, -0.4], [-0.4, 1.2 - 0.3]]))
         assert w.two_param_gs() == pytest.approx((1.2, 0.3, -0.4), abs=1e-15)
         assert np.allclose(w.entries, [[1.5, -0.4], [-0.4, 0.9]])
         # the matrix round-trip is exact
-        again = WeightMatrix.from_two_param_gs(*w.two_param_gs())
+        g1, g2, g3 = w.two_param_gs()
+        again = WeightMatrix(np.array([[g1 + g2, g3], [g3, g1 - g2]]))
         assert np.array_equal(again.entries, w.entries)
 
     def test_three_param_block_roundtrip(self):
-        w = WeightMatrix.from_three_param_gs(0.7, 1.0, 0.2, 0.1)
+        w = WeightMatrix(np.array([[1.2, 0.1, 0.0], [0.1, 0.8, 0.0], [0.0, 0.0, 0.7]]))
         assert w.three_param_gs() == pytest.approx((0.7, 1.0, 0.2, 0.1), abs=1e-15)
 
     def test_off_block_entries_leave_closed_form_equal_to_general(self):
@@ -78,7 +79,7 @@ class TestWeightMatrix:
         # (3,3) entry is the bound of the full weight
         m = np.array([[1.5, 0.25, 0.5], [0.25, 0.75, -0.375], [0.5, -0.375, 1.25]])
         w = WeightMatrix(m)
-        block = WeightMatrix.from_three_param_gs(1.25, 1.125, 0.375, 0.25)
+        block = WeightMatrix(np.array([[1.5, 0.25, 0.0], [0.25, 0.75, 0.0], [0.0, 0.0, 1.25]]))
         assert w.three_param_gs() == (1.25, 1.125, 0.375, 0.25)
         for n_mean in (1e-12, 0.5, 1.0, 7.3, 1e150):
             general = c_r_general(w, n_mean)
@@ -445,7 +446,7 @@ class TestClosedForms:
         rng = np.random.default_rng(19)
         for _ in range(100):
             g0, g1, g2, g3 = random_block_3(rng)
-            w = WeightMatrix.from_three_param_gs(g0, g1, g2, g3)
+            w = WeightMatrix(np.array([[g1 + g2, g3, 0.0], [g3, g1 - g2, 0.0], [0.0, 0.0, g0]]))
             closed = c_r_closed_3param(g0, g1, g2, g3, n_mean)
             general = c_r_general(w, n_mean)
             assert abs(closed - general) < 1e-10
@@ -500,7 +501,7 @@ class TestGaussianTradeoff:
         closed = c_r_closed_2param(g1, g2, g3, n_mean)
         t = optimal_gaussian_tradeoff(g1, g2, g3, n_mean)
         assert t.achieved == pytest.approx(closed, abs=1e-6)
-        g = WeightMatrix.from_two_param_gs(g1, g2, g3).entries
+        g = WeightMatrix(np.array([[g1 + g2, g3], [g3, g1 - g2]])).entries
         sigma_rho = (n_mean + 0.5) * np.eye(2)
         for r in np.linspace(-2.0, 2.0, 41):
             for phi in np.linspace(0.0, math.pi, 37):

@@ -5,9 +5,11 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -284,18 +286,18 @@ class TestSimulateCommand:
         assert manifest["outputs"] == [str(out)]
         assert "wall_time_s" in manifest
 
-    def test_manifest_records_threads_used(self, capsys, tmp_path):
-        # 500 trials are one chunk, so one worker runs whatever is asked for
+    def test_manifest_has_no_threads_key(self, capsys, tmp_path):
+        # simulation runs on one thread whatever --threads asks, so the manifest does not say
         out = tmp_path / "s.json"
         run_cli(capsys, *SIM_ARGS, "--threads", "64", "--out", str(out))
-        assert json.loads((tmp_path / "s.json.manifest.json").read_text())["threads"] == 1
+        assert "threads" not in json.loads((tmp_path / "s.json.manifest.json").read_text())
         grid = tmp_path / "g.json"
         code, _, _ = run_cli(
             capsys, "simulate", "--ratio-table", "--trials", "100", "--threads", "64",
             "--out", str(grid),
         )
         assert code == 0
-        assert json.loads((tmp_path / "g.json.manifest.json").read_text())["threads"] == 1
+        assert "threads" not in json.loads((tmp_path / "g.json.manifest.json").read_text())
 
     @pytest.mark.parametrize(
         "flag,value",
@@ -610,6 +612,38 @@ class TestSimulateCommand:
         assert err.startswith("error: C_R is 0 ") and err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["w.txt"]
 
+    @pytest.mark.parametrize("csv_before", [None, b"trial\nkept\n"])
+    @pytest.mark.parametrize(
+        "extra, expected_code, first_line",
+        [
+            # refused after the run, which has written the trial CSV
+            (["--protocol", "known-n", "--weight", "w.txt"], 3,
+             "error: the weight's scale 1e+308 is too large: the MSE moments overflow float64"),
+            (["--protocol", "collective", "--out", "missing/s.json"], 2,
+             "error: [Errno 2] No such file or directory: 'missing/s.json'"),
+            # the manifest's path is refused after the summary and the CSV are written
+            (["--protocol", "collective", "--out", "s.json"], 2,
+             "error: [Errno 21] Is a directory: 's.json.manifest.json'"),
+        ],
+    )
+    def test_failed_run_leaves_no_output_file(
+        self, capsys, tmp_path, monkeypatch, extra, expected_code, first_line, csv_before
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "w.txt").write_text("2\n1e308 0\n0 1e308\n")
+        (tmp_path / "s.json.manifest.json").mkdir()  # in the way of --out s.json's manifest
+        if csv_before is not None:
+            (tmp_path / "t.csv").write_bytes(csv_before)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        code, _, err = run_cli(
+            capsys, "simulate", "--n-mean", "1", "--n-copies", "10", "--trials", "100",
+            *extra, "--trial-csv", "t.csv",
+        )
+        assert code == expected_code and err.splitlines()[0] == first_line
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        if csv_before is not None:
+            assert (tmp_path / "t.csv").read_bytes() == csv_before
+
     def test_weight_scale_that_overflows_the_moments_exits_3(self, capsys, tmp_path):
         code, out, err = self._known_n_at_weight_scale(capsys, tmp_path, 1e308)
         assert code == 3 and out == ""
@@ -911,6 +945,27 @@ def _weight_files(draw):
     return dim, entries
 
 
+@st.composite
+def _psd_weight_files(draw, dim):
+    """(dim, row-major entries) of a weight file holding A A^T.
+
+    A is dim x rank, so a rank below dim gives a rank-deficient product,
+    and the product is scaled by 2^e over many binades.  In about half of
+    them each diagonal entry is lowered by up to 4e-12 of itself, which
+    takes a rank-deficient product to either side of the PSD test's
+    tolerance, PSD_MINOR_TOL = 1e-12 of each minor's terms.
+    """
+    rank = draw(st.integers(1, dim))
+    a = [draw(st.lists(st.floats(-2.0, 2.0), min_size=rank, max_size=rank)) for _ in range(dim)]
+    binade = draw(st.integers(-200, 200))
+    g = [[math.ldexp(math.fsum(x * y for x, y in zip(a[i], a[j])), binade) for j in range(dim)]
+         for i in range(dim)]
+    if draw(st.booleans()):
+        for i in range(dim):
+            g[i][i] -= draw(st.floats(0.0, 4e-12)) * g[i][i]
+    return dim, [x for row in g for x in row]
+
+
 def _weight_path(tmp_path, weight):
     """Write (dim, row-major entries) as a weight file; return its path."""
     dim, entries = weight
@@ -940,7 +995,11 @@ _CONFIG_OPTIONAL = {
     "threads": st.integers(-2, 4),
     "json": st.booleans(),
     "ratio_table": st.booleans(),
+    # relative paths, which land in the example's own directory
+    "out": st.just("s.json"),
+    "trial_csv": st.just("t.csv"),
 }
+_OUTPUT_KEYS = ("out", "trial_csv")
 
 
 @st.composite
@@ -964,6 +1023,25 @@ def _config_values(draw):
     return values
 
 
+@st.composite
+def _weighted_runs(draw):
+    """A --config object whose run reads its weight file: every other key is in range.
+
+    The weight is a file of the protocol's dimension that holds a PSD matrix
+    or one just outside the PSD test's tolerance.
+    """
+    protocol = draw(st.sampled_from(["collective", "separable", "known-n"]))
+    return {
+        "trials": draw(st.integers(100, 1000)),
+        "protocol": protocol,
+        "n_mean": draw(st.floats(1e-300, 1e9)),
+        "n_copies": draw(st.integers(2, 50)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "weight": draw(_psd_weight_files(2 if protocol == "known-n" else 3)),
+        **draw(st.fixed_dictionaries({}, optional={k: _CONFIG_OPTIONAL[k] for k in _OUTPUT_KEYS})),
+    }
+
+
 @settings(
     max_examples=60,
     deadline=None,
@@ -971,7 +1049,7 @@ def _config_values(draw):
     derandomize=True,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(values=_config_values())
+@given(values=st.one_of(_weighted_runs(), _config_values()))
 @example(values={"trials": 100, "protocol": "collective", "n_mean": 1.0,
                  "weight": (3, [1.6, 0.0, 0.0, 0.0, 0.4, 0.0, 0.0, 0.0, 1.0])})
 @example(values={"trials": 100, "protocol": "collective", "n_mean": 1.0, "weight": (3, [0.0] * 9)})
@@ -984,15 +1062,25 @@ def _config_values(draw):
                  "weight": (3, [0.0] * 8 + [1.0])})
 def test_any_config_values_end_in_an_exit_code(tmp_path, values):
     # every --config input ends in a result or a stable exit code, never a
-    # traceback, and `simulate` never exits 1 (a failed oracle verdict)
+    # traceback, and `simulate` never exits 1 (a failed oracle verdict); no
+    # exit other than 0 leaves an output file
+    run_dir = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
     if isinstance(values.get("weight"), tuple):  # a weight file
-        values = {**values, "weight": _weight_path(tmp_path, values["weight"])}
-    config = tmp_path / "cfg.json"
+        values = {**values, "weight": _weight_path(run_dir, values["weight"])}
+    config = run_dir / "cfg.json"
     config.write_text(json.dumps(values))
+    before = sorted(run_dir.iterdir())
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(["simulate", "--config", str(config)])
+    cwd = os.getcwd()
+    os.chdir(run_dir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["simulate", "--config", str(config)])
+    finally:
+        os.chdir(cwd)
     assert code in (0, 2, 3)
+    if code != 0:
+        assert sorted(run_dir.iterdir()) == before
     if code == 0 and out.getvalue().startswith("{"):
         payload = json.loads(out.getvalue(), parse_constant=_refuse_non_finite)
         assert "table" in payload or payload["expected_ratio_large_n"] is not None

@@ -3,9 +3,11 @@
 The package has no linter, so this walks its source with `ast`.  A
 top-level function or class is live when some other code in the package
 names it (as a name or an attribute), or when `dtslab.__all__` exports
-it.  A module-level constant is live when some code in the package other
-than its own assignment names it.  An import is used when its module names
-what it binds, or exports it from `__all__`.
+it.  A method that is not a dunder is live when some other code in the
+package names it; tests do not count.  A module-level constant is live
+when some code in the package other than its own assignment names it.  An
+import is used when its module names what it binds, or exports it from
+`__all__`.
 """
 
 import ast
@@ -32,6 +34,22 @@ def names_in(nodes):
     return found
 
 
+def names_outside(trees, excluded):
+    """Every identifier the package names outside the `excluded` node."""
+    found = set()
+    stack = list(trees.values())
+    while stack:
+        node = stack.pop()
+        if node is excluded:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
 def test_every_top_level_definition_is_referenced_or_exported():
     trees = modules()
     unreferenced = set()
@@ -39,13 +57,28 @@ def test_every_top_level_definition_is_referenced_or_exported():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            # references from anywhere in the package except the definition itself
-            elsewhere = [other for other in tree.body if other is not node]
-            for other_module, other_tree in trees.items():
-                if other_module != module:
-                    elsewhere.extend(other_tree.body)
-            if node.name not in names_in(elsewhere) and node.name not in dtslab.__all__:
+            if node.name not in names_outside(trees, node) and node.name not in dtslab.__all__:
                 unreferenced.add(f"{module}.{node.name}")
+    assert unreferenced == set()
+
+
+def test_every_method_is_referenced():
+    # a method, classmethod, staticmethod or property is live when some other
+    # code in the package names it as an attribute or a name; dunders are
+    # called by the language, not by name
+    trees = modules()
+    unreferenced = set()
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                if node.name not in names_outside(trees, node):
+                    unreferenced.add(f"{module}.{cls.name}.{node.name}")
     assert unreferenced == set()
 
 

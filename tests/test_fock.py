@@ -915,10 +915,26 @@ class TestTruncatedRldInverse:
         assert np.array_equal(inverse, inverse.conj().T)
         assert np.all(inverse[:2, 2] == 0) and np.all(inverse[2, :2] == 0)
 
+    @pytest.mark.parametrize("n_mean", [1e-14, 0.5, 2.4, 1e4])
+    def test_sums_at_the_budget_edge_are_within_their_stated_remainders(self, n_mean):
+        # the inverse gives the sums back: S / ((N + 1) / 2) = (N + 1/2) / a and
+        # V / (N (N + 1)) = N (N + 1) / inverse[2, 2]; c 2^-53 is the sums'
+        # rounding and four more roundings are those of the closed forms
+        c = 4 * fock.cutoff_for(n_mean)
+        r = n_mean / (n_mean + 1.0)
+        inverse = fock.truncated_rld_inverse(n_mean)
+        rounding = (c + 4) * 2.0**-53
+        s_remainder = r ** (c - 1) * (c + n_mean) / (n_mean + 1.0)
+        v_remainder = r**c * (1.0 + c * c / (n_mean * (n_mean + 1.0)))
+        assert abs((n_mean + 0.5) / inverse[0, 0].real - 1.0) <= s_remainder + rounding
+        assert abs(n_mean * (n_mean + 1.0) / inverse[2, 2].real - 1.0) <= v_remainder + rounding
+
     def test_cap_refuses_before_allocating(self):
+        cutoff = 4 * fock.cutoff_for(1e17)
         tracemalloc.start()
         try:
-            with pytest.raises(PreconditionError, match=f"above its cap {2**20}"):
+            message = f"^the RLD check at N = 1e\\+17 needs cutoff {cutoff}, above its cap {2**20}$"
+            with pytest.raises(PreconditionError, match=message):
                 fock.truncated_rld_inverse(1e17)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
