@@ -26,12 +26,13 @@ subnormals, inf and nan take `repr` one value at a time; a blank field
 takes no float work.
 
 Rows go out in blocks of `BLOCK_ROWS` = 1024.  A block is laid out in
-32-byte slots, one per field, of four little-endian words: the sign and
-"0." with its zeros right-aligned in the first, then the 17 digits with
-the point put among them, the exponent and the ",".  A mask, one table
-row per form, digit count and sign, keeps the characters of the field's
-actual form, so a positional field is one run of bytes and its ","
-another, and one boolean index turns the block into its bytes.
+32-byte slots, one per field, of four little-endian words: the "," that
+comes before the field, the sign and "0." with its zeros right-aligned
+in the first, then the 17 digits with the point put among them and the
+exponent.  A mask, one table row per form, digit count and sign, keeps
+the characters of the field's actual form, so a positional field with
+its "," is one run of bytes, and one boolean index turns the block into
+its bytes.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ import numpy as np
 BLOCK_ROWS = 1024  # rows per block: a 7-field block's text and mask are 0.45 MiB
 _DIGITS = 17  # a double needs at most 17 significant digits; an index as many
 
-# One field's slot is four words: the sign and "0." with its zeros,
-# right-aligned in the first; from byte _TEXT the 17 digits with the point
-# among them, "e", the exponent's sign and three digits, and ",".  The
-# index slot holds the CRLF that ends the row before, its 17 zero-padded
-# digits and its ",".
+# One field's slot is four words: its leading ",", the sign and "0." with
+# its zeros, right-aligned in the first; from byte _TEXT the 17 digits
+# with the point among them, "e", the exponent's sign and three digits,
+# and at _SEP the "," of a blank field.  The index slot holds the CRLF
+# that ends the row before and its 17 zero-padded digits.
 _TEXT = 8
 _EXP = _TEXT + _DIGITS + 1
 _SEP = _EXP + 5
@@ -69,8 +70,8 @@ _DECPT_MIN = -307
 # blank field's, then the index's at _INDEX_ROW + its digit count
 _BLANK_ROW = 22 * 36
 _INDEX_ROW = _BLANK_ROW + 1
-# the index's digits in ASCII, and its "," after them
-_INDEX_FILL = np.array([[0x3030303030303030], [0x3030303030303030], [0x2C30]], dtype=np.uint64)
+# the index's digits in ASCII
+_INDEX_FILL = np.array([[0x3030303030303030], [0x3030303030303030], [0x30]], dtype=np.uint64)
 
 
 @functools.cache
@@ -278,20 +279,20 @@ def _layout_tables() -> _Tables:
         for shown in range(1, _DIGITS + 1):
             for negative in (0, 1):
                 slot = masks[form * 36 + 2 * shown + negative]
+                start = _TEXT - 1 - negative  # the "," and the sign
                 if form >= 20:
-                    slot[_TEXT - negative : _TEXT + shown + (shown > 1)] = True
+                    slot[start : _TEXT + shown + (shown > 1)] = True
                     slot[_EXP:_SEP] = True
                     slot[_EXP + 2] = form == 21
                 elif decpt <= 0:  # "0." and -decpt zeros
-                    slot[_TEXT - negative - 2 + decpt : _TEXT + shown] = True
+                    slot[start - 2 + decpt : _TEXT + shown] = True
                 else:
-                    slot[_TEXT - negative : _TEXT + max(shown, decpt + 1) + 1] = True
-                slot[_SEP] = True
+                    slot[start : _TEXT + max(shown, decpt + 1) + 1] = True
     masks[_BLANK_ROW, _SEP] = True
     for count in range(_DIGITS + 1):  # 0 has one digit
         row = masks[_INDEX_ROW + count]
         row[_TEXT - 2 : _TEXT] = True  # the CRLF of the row before
-        row[_TEXT + _DIGITS - max(count, 1) : _TEXT + _DIGITS + 1] = True
+        row[_TEXT + _DIGITS - max(count, 1) : _TEXT + _DIGITS] = True
     form_row, prefix, keep, move, fill = [], [], [], [], []
     for decpt in range(_DECPT_MIN, -_DECPT_MIN + 3):
         if -4 < decpt <= 16:
@@ -300,11 +301,12 @@ def _layout_tables() -> _Tables:
             form, point = (20 if abs(decpt - 1) < 100 else 21), 1
         form_row.append(form * 36)
         lead = b"0." + b"0" * -decpt if decpt <= 0 and form < 20 else b""
-        prefix += [_le_words(sign.rjust(8, b"\0"))[0] for sign in (lead, b"-" + lead)]
+        prefix += [_le_words(sign.rjust(8, b"\0"))[0] for sign in (b"," + lead, b",-" + lead)]
         keep.append(_le_words(b"\xff" * point + b"\0" * (24 - point)))
         move.append(_le_words(b"\0" * (point + 1) + b"\xff" * (23 - point)))
         text = bytearray(b"0" * 24)  # a digit's byte is its value OR "0"
         text[point] = ord(".")
+        # the "," at _SEP stays for a column that a later write leaves blank
         text[_EXP - _TEXT :] = b"e%+04d," % (decpt - 1)
         fill.append(_le_words(bytes(text)))
     words = (np.array(t, dtype=np.uint64).T.copy() for t in (keep, move, fill))
@@ -416,11 +418,10 @@ class RowWriter:
         del words
         np.take(_layout_tables().masks, row.ravel(), axis=0,
                 out=mask.reshape(-1, _SLOT), mode="clip")
-        mask[:, -1, _SEP] = False  # the next row's CRLF ends the row
         for i, j in (divmod(at, len(present)) for at in special):
-            field = np.frombuffer(repr(float(values[i, j])).encode(), dtype=np.uint8)
+            field = np.frombuffer(b"," + repr(float(values[i, j])).encode(), dtype=np.uint8)
             text[i, present[j], : len(field)] = field
-            mask[i, present[j], :_SEP] = False
+            mask[i, present[j]] = False
             mask[i, present[j], : len(field)] = True
         # from the first row's index to the CRLF after the last row
         end = rows * text[0].size + _TEXT

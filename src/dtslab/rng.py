@@ -19,11 +19,14 @@ two consecutive uniforms:
 Gamma and Poisson variates come from exact rejection samplers whose
 attempt j on a stream reads a fixed block of counters, so a draw stays a
 function of (seed, stream, counter) however many attempts its neighbours
-need; each sampler loops over the streams still pending:
+need; each sampler loops over the streams still pending.  Attempt 0
+reads the per-stream arrays (keys, means, constants) in place, as every
+stream is pending then; later attempts gather them for the streams left:
 
     gamma    Marsaglia & Tsang, ACM TOMS 26 (2000), shape >= 1: attempt j
-             reads counters start + 3j .. start + 3j + 2 (one Box-Muller
-             normal and one uniform), accepted more than 95% of the time
+             reads counters start + 3j .. start + 3j + 2 (one normal and
+             one uniform), accepted more than 95% of the time; the normal
+             is z0 above, the cosine alone, without its sine partner
     poisson  inversion of the uniform at counter start for means below
              10; above, Hoermann's PTRS, Insurance: Math. Econ. 12 (1993):
              attempt j reads counters start + 2j and start + 2j + 1
@@ -57,9 +60,13 @@ _TWO_POW_MINUS_53 = 1.0 / 9007199254740992.0
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MULT1
-    z = (z ^ (z >> np.uint64(27))) * _MULT2
-    return z ^ (z >> np.uint64(31))
+    """The SplitMix64 finalizer, applied to z in place; returns z."""
+    z ^= z >> np.uint64(30)
+    z *= _MULT1
+    z ^= z >> np.uint64(27)
+    z *= _MULT2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def stream_keys(seed: int, stream_indices: np.ndarray) -> np.ndarray:
@@ -81,8 +88,14 @@ def uniform_block(keys: np.ndarray, counter_start: int, count: int) -> np.ndarra
     counter_start + count - 1.
     """
     counters = np.arange(counter_start, counter_start + count, dtype=np.uint64)
-    w = _mix64(keys[..., None] + (counters + np.uint64(1)) * _GAMMA)
-    return (w >> np.uint64(11)).astype(np.float64) * _TWO_POW_MINUS_53
+    # mixed as (count, streams), so each ufunc call runs along the keys and
+    # not along a last axis of `count` words; the last step writes the
+    # (streams, count) result
+    w = _mix64(((counters + np.uint64(1)) * _GAMMA)[:, None] + keys)
+    w >>= np.uint64(11)
+    out = np.empty((keys.shape[0], count))
+    np.multiply(w, _TWO_POW_MINUS_53, out=out.T)
+    return out
 
 
 def box_muller(u: np.ndarray) -> np.ndarray:
@@ -99,13 +112,18 @@ def _log1pmx(w: np.ndarray) -> np.ndarray:
     The difference cancels for small |w|; there the series -w^2/2 + w^3/3
     - ... is summed to w^11, which leaves 2e-21 relative at |w| < 0.01.
     """
-    out = np.log1p(w) - w
+    out = np.log1p(w)
+    out -= w
     small = np.abs(w) < 0.01
     ws = w[small]
-    acc = np.zeros_like(ws)
-    for m in range(11, 1, -1):
-        acc = acc * ws + (-1.0) ** (m + 1) / m
-    out[small] = acc * ws * ws
+    # Horner's rule in place, from the w^11 coefficient
+    acc = np.full(ws.shape, 1 / 11)
+    for m in range(10, 1, -1):
+        acc *= ws
+        acc += (-1.0) ** (m + 1) / m
+    acc *= ws
+    acc *= ws
+    out[small] = acc
     return out
 
 
@@ -113,18 +131,22 @@ def gamma(keys: np.ndarray, shape: float, counter_start: int) -> np.ndarray:
     """Gamma(shape, 1) draws for shape >= 1, one per stream key (Marsaglia-Tsang).
 
     With d = shape - 1/3 and c = 1/sqrt(9d), attempt j turns counters
-    counter_start + 3j, + 1 into a normal x (the first of a Box-Muller pair)
-    and counter + 2 into a uniform u.  With v = (1 + c x)^3 = 1 + w, the
-    draw d v is accepted when v > 0 and log(1 - u) < x^2/2 + d (log1p(w) - w).
+    counter_start + 3j, + 1 into a normal x, the first of the Box-Muller
+    pair: only its cosine is formed, by the operations `box_muller` applies.
+    Counter + 2 gives a uniform u.  With v = (1 + c x)^3 = 1 + w, the draw
+    d v is accepted when v > 0 and log(1 - u) < x^2/2 + d (log1p(w) - w).
+    Attempt 0 reads `keys` in place; later attempts gather the keys of the
+    streams still pending.
     """
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     out = np.empty(keys.shape[0])
     pending = np.arange(keys.shape[0])
+    pending_keys = keys
     attempt = 0
     while pending.size:
-        u = uniform_block(keys[pending], counter_start + 3 * attempt, 3)
-        x = box_muller(u[:, :2])[:, 0]
+        u = uniform_block(pending_keys, counter_start + 3 * attempt, 3)
+        x = np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos((2.0 * np.pi) * u[:, 1])
         t = c * x
         w = t * (3.0 + t * (3.0 + t))  # (1 + t)^3 - 1 without cancellation
         live = w > -1.0
@@ -133,6 +155,7 @@ def gamma(keys: np.ndarray, shape: float, counter_start: int) -> np.ndarray:
         # the draw from (1 + t)^3, which keeps its relative precision near v = 0
         out[pending[accept]] = d * (1.0 + t[accept]) ** 3
         pending = pending[~accept]
+        pending_keys = keys[pending]
         attempt += 1
     return out
 
@@ -148,18 +171,26 @@ def _log_poisson_pmf(k: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
     For k >= 10 the Stirling form of log k! turns this into
     k (log1p(y) - y) - log(2 pi k)/2 - s(k) with y = (lam - k)/k, which has
-    no cancellation however large lam is.
+    no cancellation however large lam is.  When no k is below 10, the usual
+    case in PTRS, that form takes the whole arrays in one pass.
     """
-    out = np.empty(k.shape)
     low = k < 10
+    if not low.any():
+        return _log_poisson_pmf_high(k, lam)
+    out = np.empty(k.shape)
     kl = k[low]
     out[low] = -lam[low] + kl * np.log(lam[low]) - _LOG_FACTORIAL[kl.astype(np.int64)]
-    kh = k[~low]
-    inv = 1.0 / kh
+    high = ~low
+    out[high] = _log_poisson_pmf_high(k[high], lam[high])
+    return out
+
+
+def _log_poisson_pmf_high(k: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The Stirling form of `_log_poisson_pmf` for k >= 10."""
+    inv = 1.0 / k
     inv2 = inv * inv
     series = inv * (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 * (1 / 1680 - inv2 / 1188))))
-    out[~low] = kh * _log1pmx((lam[~low] - kh) / kh) - _HALF_LOG_2PI - 0.5 * np.log(kh) - series
-    return out
+    return k * _log1pmx((lam - k) / k) - _HALF_LOG_2PI - 0.5 * np.log(k) - series
 
 
 def _poisson_inversion(keys: np.ndarray, mu: np.ndarray, counter: int) -> np.ndarray:
@@ -190,29 +221,35 @@ def _poisson_inversion(keys: np.ndarray, mu: np.ndarray, counter: int) -> np.nda
 
 
 def _poisson_ptrs(keys: np.ndarray, lam: np.ndarray, counter_start: int) -> np.ndarray:
-    """Poisson draws for means >= 10 by transformed rejection with squeeze."""
+    """Poisson draws for means >= 10 by transformed rejection with squeeze.
+
+    Attempt 0 reads the per-stream arrays in place; each later attempt
+    gathers them once for the streams still pending.
+    """
     b = 0.931 + 2.53 * np.sqrt(lam)
     a = -0.059 + 0.02483 * b
     log_inv_alpha = np.log(1.1239 + 1.1328 / (b - 3.4))
     v_r = 0.9277 - 3.6224 / (b - 2.0)
     out = np.empty(lam.shape)
     pending = np.arange(lam.shape[0])
+    per_stream = (keys, lam, a, b, v_r, log_inv_alpha)
+    kp, lp, ap, bp, vp, lip = per_stream
     attempt = 0
     while pending.size:
-        r = uniform_block(keys[pending], counter_start + 2 * attempt, 2)
-        lp, ap, bp = lam[pending], a[pending], b[pending]
+        r = uniform_block(kp, counter_start + 2 * attempt, 2)
         u = r[:, 0] - 0.5
         v = 1.0 - r[:, 1]  # in (0, 1], so log(v) is finite
         us = 0.5 - np.abs(u)
         # us = 0 (u = -1/2, one uniform in 2**53) gives k = -inf, which is rejected
         with np.errstate(divide="ignore"):
             k = np.floor((2.0 * ap / us + bp) * u + lp + 0.43)
-        accept = (us >= 0.07) & (v <= v_r[pending])
+        accept = (us >= 0.07) & (v <= vp)
         test = ~accept & (k >= 0) & ~((us < 0.013) & (v > us))
-        lhs = np.log(v[test]) + log_inv_alpha[pending][test] - np.log(ap[test] / us[test] ** 2 + bp[test])
+        lhs = np.log(v[test]) + lip[test] - np.log(ap[test] / us[test] ** 2 + bp[test])
         accept[test] = lhs <= _log_poisson_pmf(k[test], lp[test])
         out[pending[accept]] = k[accept]
         pending = pending[~accept]
+        kp, lp, ap, bp, vp, lip = (x[pending] for x in per_stream)
         attempt += 1
     return out
 
@@ -221,7 +258,9 @@ def poisson(keys: np.ndarray, means: np.ndarray, counter_start: int) -> np.ndarr
     """Poisson draws (as float64 counts) of the given means, one per stream key.
 
     Means below 10 invert the uniform at counter_start; larger means run
-    PTRS, attempt j reading counters counter_start + 2j and + 1.
+    PTRS, attempt j reading counters counter_start + 2j and + 1.  PTRS's
+    first attempt reads the keys, means and per-stream constants in place;
+    later attempts gather them for the streams still pending.
     """
     means = np.asarray(means, dtype=np.float64)
     out = np.empty(means.shape)

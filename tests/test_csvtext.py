@@ -248,6 +248,25 @@ def test_blank_fields_take_no_float_work(monkeypatch):
     assert out.getvalue() == expected_rows(header, 0, columns)
 
 
+def test_columns_may_change_presence_between_writes():
+    # a slot keeps the bytes of its last value; a blank field must still
+    # write only its ","
+    rng = np.random.default_rng(5)
+    header = ["trial", "a", "b", "c"]
+    calls = [
+        (0, [-rng.random(9) * 1e-3, rng.random(9), np.full(9, 5e-324)]),
+        (9, [None, rng.random(4), None]),
+        (13, [rng.random(3), None, -rng.random(3) * 1e300]),
+    ]
+    out = io.BytesIO()
+    writer = csvtext.RowWriter(out, header)
+    for start, columns in calls:
+        writer.write(start, columns)
+    want = [expected_rows(header, start, columns) for start, columns in calls]
+    want[1:] = [rows.split(b"\r\n", 1)[1] for rows in want[1:]]  # one header
+    assert out.getvalue() == b"".join(want)
+
+
 def test_index_has_at_most_17_digits():
     out = io.BytesIO()
     writer = csvtext.RowWriter(out, ["i", "x"])
