@@ -28,9 +28,10 @@ joint output is symmetric, so the step forms only its block-lower triangle,
 in block order (each block's states in one contiguous run of rows), one
 slab of columns at a time: a run of whole photon blocks with the rows of
 every block from its own on, about _SLAB cutoff^2 entries in one reused
-buffer (`_joint_slabs`).  Each slab adds its share of both marginals and
-of the joint bound, counting each entry below its square for its mirror
-too, before the next overwrites it (`_concentration_step`).  Each block
+buffer (`_joint_slabs`).  Each slab adds its share of both marginals'
+lower triangles, whose terms all lie in the triangle, and of the joint
+bound, counting each entry below its square for its mirror too, before
+the next overwrites it (`_concentration_step`).  Each block
 exponential is built from one real tridiagonal eigensolve, taken once per
 cascade for all its angles (`_beam_splitter_spectra`).  The joint output
 is certified against the product target by the row-norm bound, from the
@@ -76,39 +77,47 @@ def tail(n_mean: float, mu: float, cutoff: int) -> float:
     """Chernoff bound on P(X >= cutoff) for the photon count X of a displaced thermal state.
 
     X, of the state with thermal number N and squared amplitude mu, has
-    E[s^X] = exp(mu (s-1) / d) / d with d = 1 - N(s-1), for 1 <= s < 1 + 1/N,
-    so P(X >= cutoff) <= min_s E[s^X] / s^cutoff by Markov's inequality.  The
-    log of the ratio is convex in u = log s (a cumulant generating function
-    less a line), so its minimum is where its slope changes sign, found by
-    bisection on (0, min(log1p(1/N), log(cutoff/mu))): the slope is
-    mu + N - cutoff at 0, where the bound is 1 unless that is negative, and
-    at least s mu - cutoff, so it is not negative at s = cutoff/mu.  Any u
-    gives a bound, so the bisection's precision decides only how tight it
-    is.  The ends are exact: at mu = 0 the thermal tail (N/(N+1))^cutoff, and
-    at N = 0 the Poisson bound, whose minimiser is s = cutoff/mu.
+    E[s^X] = exp(mu t / d) / d with t = s - 1 and d = 1 - N t, for
+    0 <= t < 1/N, so P(X >= c) <= min_s E[s^X] / s^c for c = cutoff, by
+    Markov's inequality.  The log of the ratio is convex in log s (a
+    cumulant generating function less a line), and its slope
+    s (mu / d^2 + N / d) - c is zero where
+
+        (c + 1) N^2 t^2 - B t + C = 0,  B = N (2c + 1 - N) + mu,  C = c - mu - N.
+
+    The slope at t = 0 is -C, so the bound is 1 unless C > 0.  Then the
+    quadratic is C > 0 at t = 0 and -mu (N + 1) / N < 0 at t = 1/N, and its
+    root in between is the minimiser, t = 2C / (B + sqrt(disc)), with
+    d = (x + mu (2N + 1) + sqrt(disc)) / (B + sqrt(disc)).  The discriminant
+    is disc = (x + mu)^2 + 4 c mu x for x = N (N + 1), so no term of either
+    formula cancels, and d stays accurate near the pole t = 1/N.  At N = 0
+    the root is the Poisson bound's s = c / mu.  Every term is divided by
+    K = c max(N, mu / c), which is never formed: for c >= 1 that leaves
+    B / K between 1 and 4 and every other term below 5, so no term that
+    matters overflows or underflows.  Only t can overflow, where N and
+    mu / c are both below 1e-308: the bound is then below 1e-307 and reads
+    0, as it does where max(N, mu / c) rounds to 0.  At mu = 0 the bound is
+    the exact thermal tail (N / (N + 1))^c.
     """
     if mu == 0.0:
         return math.exp(-cutoff * math.log1p(1.0 / n_mean)) if n_mean > 0 else 0.0
     if cutoff <= mu + n_mean:
         return 1.0
-    if n_mean == 0.0:
-        exponent = cutoff - mu + cutoff * math.log(mu / cutoff)
-    else:
-        low, high = 0.0, min(math.log(cutoff / mu), math.log1p(1.0 / n_mean))
-        for _ in range(60):
-            u = (low + high) / 2.0
-            t = math.expm1(u)
-            d = 1.0 - n_mean * t
-            # the slope s (mu / d^2 + N / d) - cutoff is negative, written without a division
-            if d > 0.0 and (t + 1.0) * (mu + n_mean * d) < cutoff * d * d:
-                low = u
-            else:
-                high = u
-        t = math.expm1(low)
-        exponent = mu * t / (1.0 - n_mean * t) - math.log1p(-n_mean * t) - cutoff * low
+    scale = max(n_mean, mu / cutoff)  # K / c
+    if scale == 0.0:  # N = 0 and mu / c rounds to 0, so c > 2 and the bound is below e^-1400
+        return 0.0
+    alpha, beta = n_mean / scale, mu / cutoff / scale  # N c / K and mu / K, the larger 1
+    x = alpha * ((n_mean + 1.0) / cutoff)  # x / K
+    root = math.hypot(x + beta, 2.0 * math.sqrt(alpha * beta) * math.sqrt(n_mean + 1.0))
+    denominator = alpha * (2.0 + (1.0 - n_mean) / cutoff) + beta + root
+    excess = 2.0 * ((cutoff - mu - n_mean) / cutoff)  # 2C / c
+    t = excess / denominator / scale
+    d = (x + 2.0 * (beta * n_mean) + beta + root) / denominator
+    # mu t / d, over c, is 2C mu / (c (B + sqrt(disc)) d)
+    exponent = cutoff * (excess * (beta / denominator) / d - math.log1p(t)) - math.log(d)
     # where cutoff / mu rounds to within a few ulps of 1 (mu above about 1e17), the
-    # exponent's two terms of order mu u cancel to their rounding, which can be far
-    # above 0; a bound above 1 says nothing, so it is capped there and never overflows
+    # exponent's terms of order mu t cancel to their rounding, which can be far above
+    # 0; a bound above 1 says nothing, so it is capped there and never overflows
     return math.exp(min(exponent, 0.0))
 
 
@@ -404,8 +413,6 @@ class ConcentrationReport:
     from their targets; joint_bound is an upper bound (the row-norm bound,
     1/2 sum_r ||D[r, :]||_2, `_concentration_step`) on the trace distance of
     the joint output from the product of the targets, not that distance.
-    tail is `tail(N, mu, cutoff)` at the cascade's largest squared
-    amplitude mu, the first part of the truncation budget (`cutoff_for`).
     """
 
     cutoff: int
@@ -413,7 +420,6 @@ class ConcentrationReport:
     dist_first: float
     dist_second: float
     joint_bound: float
-    tail: float
 
 
 def verify_concentration_cascade(
@@ -484,16 +490,12 @@ def _cascade(zeta: complex, n_mean: float, n_copies: int, cutoff: int) -> list[C
     spectra = _beam_splitter_spectra(cutoff)
     fresh = displaced_thermal_density(modulus, n_mean, cutoff)
     target_second = thermal_density(n_mean, cutoff)
-    tail_bound = tail(n_mean, n_copies * modulus * modulus, cutoff)
     carried = fresh
     reports = []
     for i in range(1, n_copies):
         target_first = displaced_thermal_density(math.sqrt(i + 1.0) * modulus, n_mean, cutoff)
-        reports.append(
-            _concentration_step(
-                concentration_angle(i), spectra, carried, fresh, target_first, target_second, tail_bound
-            )
-        )
+        phi = concentration_angle(i)
+        reports.append(_concentration_step(phi, spectra, carried, fresh, target_first, target_second))
         carried = target_first
     return reports
 
@@ -505,7 +507,6 @@ def _concentration_step(
     fresh: np.ndarray,
     target_first: np.ndarray,
     target_second: np.ndarray,
-    tail_bound: float,
 ) -> ConcentrationReport:
     """Certificates of one cascade step, from one triangle of its joint output.
 
@@ -516,16 +517,21 @@ def _concentration_step(
     (`_joint_slabs`), and reads every entry above it as its mirror.  The
     slab Y[R, S] holds the square Y[S, S] whole, and below it rows that
     stand also for their mirrors: the square's entries count once, and
-    each entry below it counts for itself and its mirror.  A slab adds its
-    share of both partial traces, an entry below the square adding to [a, b]
-    and [b, a]; a marginal's terms are gathered from the slab and summed
-    into it by one product with a 0/1 matrix, so the marginals are the
-    partial traces of the triangle and its mirror, up to the order of their
-    sums.  Then the product target is subtracted in place.  The thermal target is diagonal, so
-    kron(target_first, target_second) is nonzero only where the mode-2
-    counts of row and column agree; its entries there, target_first *
-    weight, are subtracted from those rows, the ones the first marginal
-    reads, and the other entries stay as they are.  Last, the slab adds
+    each entry below it counts for itself and its mirror.  The marginals
+    are symmetric too, and in block order the state (m, n) is at or after
+    (p, n) exactly when m >= p.  So each term of a marginal's lower
+    triangle, Y[(m, n), (p, n)] of marginal_first[m, p] with m >= p, and
+    Y[(p, n), (p, q)] of marginal_second[n, q] with n >= q, lies in its
+    column's slab, at or below the diagonal.  A slab gathers those terms,
+    masked by counts >= kept, and sums them into the lower triangles by one
+    product with a 0/1 matrix; after the last slab each strict lower
+    triangle is mirrored once, so the marginals are exactly symmetric, and
+    each lower entry is its partial trace up to the order of its sum.
+    Then the product target is subtracted in place.  The thermal target
+    is diagonal, so kron(target_first, target_second) is nonzero only
+    where the mode-2 counts of row and column agree; its entries there,
+    target_first * weight, are subtracted from those rows, the ones the
+    first marginal reads, and the other entries stay as they are.  Last, the slab adds
     the squared norms of its rows to `rows`, one entry per row of the
     difference, and each row of its square also the squared norm of its
     column below the square, the mirror of that row's entries to the right.
@@ -543,7 +549,6 @@ def _concentration_step(
     breaks the symmetry; it is skipped where the square's norm is at most
     _GATE_FREE_NORM, where it cannot fail: the residual is at most
     max |D[S, S]| <= ||D[S, S]||_F, under the gate's tolerance.
-    `tail_bound`, the cascade's tail, goes into the report as it is.
     """
     if not (np.array_equal(carried, carried.T) and np.array_equal(fresh, fresh.T)):
         raise DomainError("the concentration step needs exactly symmetric densities")
@@ -553,6 +558,7 @@ def _concentration_step(
     _, mode1, mode2 = _block_order(blocks)
     position = np.empty((cutoff, cutoff), dtype=np.intp)  # the row of each state (m, n)
     position[mode1, mode2] = np.arange(cutoff * cutoff)
+    counts = np.arange(cutoff)
     marginal_first, marginal_second = np.zeros((2, cutoff, cutoff))
     rows = np.zeros(cutoff * cutoff)
     for start, p, q, slab in _joint_slabs(blocks, carried, fresh):
@@ -564,12 +570,10 @@ def _concentration_step(
         first = (position[:, q] - start) * width + k
         second = (position[p].T - start) * width + k
         for at, marginal, kept in ((first, marginal_first, p), (second, marginal_second, q)):
-            y = np.where(at >= 0, slab.take(at, mode="clip"), 0.0)
+            # the terms of the lower triangle, each at or below its column's diagonal
+            y = np.where(counts[:, None] >= kept, slab.take(at, mode="clip"), 0.0)
             # one product with a 0/1 matrix sums the columns of equal kept count
-            select = np.equal.outer(kept, np.arange(cutoff)).astype(float)
-            marginal += y @ select
-            y[at < width * width] = 0.0  # an entry below the square adds to its mirror too
-            marginal += (y @ select).T
+            marginal += y @ np.equal.outer(kept, counts).astype(float)
         # the product target is nonzero only where the first marginal reads
         inside = first >= 0
         slab.reshape(-1)[first[inside]] -= (target_first[:, p] * weights[q])[inside]
@@ -578,13 +582,14 @@ def _concentration_step(
         rows[start : start + width] += np.einsum("ij,ij->j", slab[width:], slab[width:])
         if not math.sqrt(norms[:width].sum()) <= _GATE_FREE_NORM:
             require_hermitian(slab[:width], "the concentration step")
+    for marginal in (marginal_first, marginal_second):
+        marginal += np.tril(marginal, -1).T
     return ConcentrationReport(
         cutoff=cutoff,
         phi=phi,
         dist_first=trace_distance(marginal_first, target_first),
         dist_second=trace_distance(marginal_second, target_second),
         joint_bound=float(np.sqrt(rows).sum()) / 2,
-        tail=tail_bound,
     )
 
 
@@ -690,7 +695,8 @@ def oracle_checks(zeta: complex, n_mean: float, n_copies: int) -> list[dict]:
     # at the n_copies cutoff; then the product structure of each step's joint
     # output, and of the whole cascade's (the sum telescopes)
     first, tol = reports[0], CONCENTRATION_TOL
-    gate = {"cutoff": first.cutoff, "tail": first.tail}
+    modulus = abs(complex(zeta))
+    gate = {"cutoff": first.cutoff, "tail": tail(n_mean, n_copies * modulus * modulus, first.cutoff)}
     record("concentration-n2", max(first.dist_first, first.dist_second), tol, **gate)
     if n_copies > 2:
         dev = max(max(r.dist_first, r.dist_second) for r in reports)

@@ -753,12 +753,13 @@ class TestOracleCheckCommand:
         assert f"cutoff of {needed}, above the limit of 70 " in err
 
     def test_huge_n_mean_exits_2_naming_its_cutoff(self, capsys):
-        # at N = 1e17 adjacent cutoffs round to one tail, so the named cutoff
-        # is only as exact as the tail's bisection resolves it
+        # at N = 1e17 adjacent cutoffs are 256 apart in float64, and the tail
+        # is within about 1e-15 of its minimum, which moves the least cutoff
+        # that meets the budget by about 1e-15 / log s, a few hundred
         code, _, err = run_cli(capsys, "oracle-check", "--n-mean", "1e17")
         assert code == 2
         match = re.search(r"cutoff of (\d+), above the limit of 70 ", err)
-        assert match and 1.8e18 < int(match.group(1)) < 2.5e18
+        assert match and 2.25357852450e18 < int(match.group(1)) < 2.25357852451e18
 
     def test_unreachable_tail_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "oracle-check", "--n-mean", "1e308")

@@ -1,9 +1,13 @@
 import cmath
+import decimal
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from dtslab import fock
 from dtslab.bounds import ThetaPoint, rld_inverse_2param, rld_inverse_3param
@@ -182,8 +186,6 @@ def dense_concentration_cascade(
     """
     fresh = fock.displaced_thermal_density(zeta, n_mean, cutoff)
     target_second = fock.thermal_density(n_mean, cutoff)
-    modulus = abs(complex(zeta))
-    tail_bound = fock.tail(n_mean, n_copies * modulus * modulus, cutoff)
     carried = fresh
     reports = []
     for i in range(1, n_copies):
@@ -200,7 +202,6 @@ def dense_concentration_cascade(
             dist_first=trace_distance(partial_trace(joint, "first"), target_first),
             dist_second=trace_distance(partial_trace(joint, "second"), target_second),
             joint_bound=row_norm_bound(diff),
-            tail=tail_bound,
         )
         exact = trace_distance(diff, np.zeros_like(diff))
         reports.append((report, exact, rank_frobenius_bound(diff) / 2))
@@ -238,7 +239,7 @@ def within_rounding_budget(report: fock.ConcentrationReport, reference: fock.Con
     4 c^3 u + 6 c^2 u joint_bound on the joint bound.
     """
     c, u = report.cutoff, 2.0**-53
-    if (report.cutoff, report.phi, report.tail) != (reference.cutoff, reference.phi, reference.tail):
+    if (report.cutoff, report.phi) != (reference.cutoff, reference.phi):
         return False
     distances = (report.dist_first - reference.dist_first, report.dist_second - reference.dist_second)
     joint = abs(report.joint_bound - reference.joint_bound)
@@ -832,13 +833,23 @@ class TestConcentration:
         with pytest.raises(DomainError, match="exactly symmetric densities"):
             fock._concentration_step(
                 math.pi / 4, fock._beam_splitter_spectra(cutoff), densities["carried"],
-                densities["fresh"], target_first, fock.thermal_density(n_mean, cutoff), 0.0,
+                densities["fresh"], target_first, fock.thermal_density(n_mean, cutoff),
             )
 
     def test_overflowing_amplitude_is_refused(self):
         # sqrt(3) 1e200 squared overflows float64; the budget's search names it
         with pytest.raises(PreconditionError, match="no finite cutoff .* at amplitude 1.73205e\\+200"):
             fock.verify_concentration_cascade(1e200, 1.0)
+
+    @pytest.mark.parametrize("zeta,n_mean,n_copies", [(0.5, 1.0, 3), (0.5, 0.5, 2), (1.0, 1.5, 2)])
+    def test_the_marginals_are_exactly_symmetric(self, monkeypatch, zeta, n_mean, n_copies):
+        # each marginal is summed from its lower triangle and mirrored, so it
+        # equals its transpose to the bit; both of every step reach trace_distance
+        marginals = []
+        monkeypatch.setattr(fock, "trace_distance", lambda a, b: marginals.append(a) or 0.0)
+        fock.verify_concentration_cascade(zeta, n_mean, n_copies=n_copies)
+        assert len(marginals) == 2 * (n_copies - 1)
+        assert all(np.array_equal(m, m.T) for m in marginals)
 
 
 class TestNumericRld:
@@ -1001,7 +1012,120 @@ def meets_budget(n_mean: float, amplitude: float, cutoff: int) -> bool:
     return fock.tail(n_mean, mu, cutoff) <= 1e-8 and vacuum_loss <= 1e-7
 
 
+def bisecting_tail(n_mean: float, mu: float, cutoff: int) -> float:
+    """The reference for `fock.tail`: the same bound, minimised by 60 halvings of log s.
+
+    The log bound is convex in u = log s, so its minimiser is where its
+    slope s (mu / d^2 + N / d) - cutoff changes sign, with d = 1 - N (s - 1);
+    this bisects for it on (0, min(log(cutoff / mu), log1p(1 / N))), and at
+    N = 0 takes the Poisson minimiser s = cutoff / mu.  It raises where
+    mu / cutoff underflows at N = 0, and near the pole, where
+    1 - N (s - 1) cancels, its precision rests on the halving count.
+    """
+    if mu == 0.0:
+        return math.exp(-cutoff * math.log1p(1.0 / n_mean)) if n_mean > 0 else 0.0
+    if cutoff <= mu + n_mean:
+        return 1.0
+    if n_mean == 0.0:
+        exponent = cutoff - mu + cutoff * math.log(mu / cutoff)
+    else:
+        low, high = 0.0, min(math.log(cutoff / mu), math.log1p(1.0 / n_mean))
+        for _ in range(60):
+            u = (low + high) / 2.0
+            t = math.expm1(u)
+            d = 1.0 - n_mean * t
+            if d > 0.0 and (t + 1.0) * (mu + n_mean * d) < cutoff * d * d:
+                low = u
+            else:
+                high = u
+        t = math.expm1(low)
+        exponent = mu * t / (1.0 - n_mean * t) - math.log1p(-n_mean * t) - cutoff * low
+    return math.exp(min(exponent, 0.0))
+
+
+def decimal_minimum(n_mean: float, mu: float, cutoff: int) -> float:
+    """min_s E[s^X] / s^cutoff in 60-digit decimal arithmetic, by 200 halvings of log s.
+
+    Independent of `fock.tail`'s closed form: it bisects for the sign
+    change of the slope, as `bisecting_tail` does, with 60 digits, so
+    1 - N (s - 1) keeps its digits up to the pole at any N.
+    """
+    with decimal.localcontext() as context:
+        context.prec = 60
+        n, m, c = decimal.Decimal(n_mean), decimal.Decimal(mu), decimal.Decimal(cutoff)
+
+        def slope_is_negative(u):
+            s = u.exp()
+            d = 1 - n * (s - 1)
+            return s * (m / (d * d) + n / d) < c
+
+        low, high = decimal.Decimal(0), (c / m).ln()
+        if n:
+            high = min(high, (1 + 1 / n).ln())
+        for _ in range(200):
+            middle = (low + high) / 2
+            low, high = (middle, high) if slope_is_negative(middle) else (low, middle)
+        t = low.exp() - 1
+        d = 1 - n * t
+        return float((m * t / d - d.ln() - c * low).exp())
+
+
+def log_uniform(low: float, high: float):
+    """Floats in [low, high], uniform in their logarithm."""
+    return st.floats(math.log(low), math.log(high)).map(lambda u: min(max(math.exp(u), low), high))
+
+
+@st.composite
+def tail_inputs(draw):
+    """(N, mu, cutoff): N 0 or in [5e-324, 1e200], mu in [1e-300, 1.4e308], cutoff in (mu + N, 1e30]."""
+    n_mean = draw(st.one_of(st.just(0.0), log_uniform(5e-324, 1e200)))
+    mu = draw(log_uniform(1e-300, 1.4e308))
+    assume(mu + n_mean < 1e30)
+    return n_mean, mu, draw(log_uniform(mu + n_mean, 1e30).filter(lambda c: c > mu + n_mean))
+
+
 class TestTail:
+    @settings(max_examples=500, deadline=None, database=None, derandomize=True)
+    @given(inputs=tail_inputs())
+    @example(inputs=(5e-324, 1e-300, 1e30))
+    @example(inputs=(1e-300, 1e-300, 1e30))
+    @example(inputs=(0.0, 1e-300, 1e30))
+    def test_never_looser_than_the_bisection(self, inputs):
+        # no input raises, every bound is a probability, and none is above
+        # the bisected one by more than rounding; the bisection itself
+        # raises where mu / cutoff underflows at N = 0
+        bound = fock.tail(*inputs)
+        assert math.isfinite(bound) and 0.0 <= bound <= 1.0
+        try:
+            reference = bisecting_tail(*inputs)
+        except ValueError:
+            assert inputs[0] == 0.0 and inputs[1] / inputs[2] == 0.0
+            return
+        assert bound <= reference * (1.0 + 1e-12), (inputs, bound, reference)
+
+    def test_where_a_scale_of_the_cutoff_underflows(self):
+        # N / cutoff and mu / cutoff both underflow here, which a scale of
+        # the cutoff alone turns into a division by zero; the bound reads 0,
+        # where the bisection reads 1 and 0
+        assert fock.tail(5e-324, 1e-300, 1e30) == 0.0 < bisecting_tail(5e-324, 1e-300, 1e30) == 1.0
+        assert fock.tail(1e-300, 1e-300, 1e30) == 0.0 == bisecting_tail(1e-300, 1e-300, 1e30)
+
+    @pytest.mark.parametrize(
+        "n_mean,mu,cutoff",
+        [
+            (1.0, 0.75, 40),
+            (0.5, 0.5, 25),
+            (1e-14, 0.5, 13),
+            (2.0, 0.5, 62),
+            (1e-300, 1.0, 30),
+            (3.0, 900.0, 1200),
+            (1e17, 0.5, 2253578524506428800),
+            (1e17, 2.25, 2253578524506428800),
+        ],
+    )
+    def test_matches_a_60_digit_minimum(self, n_mean, mu, cutoff):
+        assert fock.tail(n_mean, mu, cutoff) == pytest.approx(decimal_minimum(n_mean, mu, cutoff), rel=2e-13)
+
     def test_never_below_the_exact_tail(self):
         # N from 1e-300 to 1e3, amplitude 0 to 30, cutoffs up to 200; the
         # bound is at least the exact tail, within the reference's rounding
@@ -1027,7 +1151,7 @@ class TestTail:
         for mu, cutoff in ((0.5, 13), (2.0, 10), (100.0, 150)):
             poisson = math.exp(-mu) * (math.e * mu / cutoff) ** cutoff
             assert fock.tail(0.0, mu, cutoff) == pytest.approx(poisson, rel=1e-12)
-            # the bisection meets the Poisson end as N falls
+            # the minimiser meets the Poisson end as N falls
             assert fock.tail(1e-300, mu, cutoff) == pytest.approx(poisson, rel=1e-9)
 
     def test_near_pure_tail_is_the_poisson_bound(self):
@@ -1035,8 +1159,9 @@ class TestTail:
 
     def test_is_one_up_to_the_mean(self):
         assert fock.tail(1.0, 2.0, 3) == 1.0 == fock.tail(0.0, 5.0, 5)
-        # and where the exponent is rounding above 0: cutoff / mu is 1 + 2^-52
-        # here, and the exponent's two terms of order 1e4 cancel to about 5e3
+        # and where the exponent is its terms' rounding: cutoff / mu is
+        # 1 + 2^-52 here, and the terms of order 1e4 cancel to within about
+        # 1e-12 of the exponent, -1.3e-12; capped at 0, the bound reads 1
         assert fock.tail(0.0, 1e20, 10**20 + 16384) == 1.0
 
 
@@ -1099,6 +1224,40 @@ class TestCutoffRule:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**10
+
+    def test_the_readme_ranges_are_the_budgets(self):
+        # the figures of the README's "Supported ranges", recomputed from
+        # cutoff_for and MAX_CUTOFF; n copies run the cascade at sqrt(n) |zeta|,
+        # n = 2 by default and 3 with --deep
+        def needs(n_mean, zeta, n_copies=2):
+            return fock.cutoff_for(n_mean, math.sqrt(n_copies) * zeta)
+
+        def largest(accepted):
+            low, high = 0.01, 10.0
+            for _ in range(40):
+                middle = (low + high) / 2
+                low, high = (middle, high) if accepted(middle) else (low, middle)
+            return low
+
+        def n_mean_limit(zeta, n_copies):
+            return largest(lambda n: needs(n, zeta, n_copies) <= fock.MAX_CUTOFF)
+
+        def zeta_limit(n_copies):
+            return largest(lambda z: needs(1.0, z, n_copies) <= fock.MAX_CUTOFF)
+
+        phrases = [
+            f"The largest accepted `N` is about {n_mean_limit(0.5, 2):.2f} at `zeta = 0.5` "
+            f"({n_mean_limit(0.5, 3):.2f} with `--deep`) and about {n_mean_limit(2.0, 2):.2f} at "
+            f"`|zeta| = 2` ({n_mean_limit(2.0, 3):.2f} with `--deep`); at the default `N = 1` the "
+            f"largest `|zeta|` is about {zeta_limit(2):.1f} ({zeta_limit(3):.1f} with `--deep`).",
+            f"`N = 3` at `zeta = 0.5` needs cutoff {needs(3.0, 0.5)} and is refused with that number.",
+            f"At the defaults the cascade's cutoff is {needs(1.0, 0.5)}, {needs(1.0, 0.5, 3)} with "
+            f"`--deep` and {needs(0.5, 0.5)} at `--n-mean 0.5`, and "
+            f"`fock.verify_concentration_cascade` at `n_copies = 10` needs {needs(1.0, 0.5, 10)}.",
+            f"(`--zeta-re 1e5` needs cutoff {needs(1.0, 1e5)})",
+        ]
+        readme = " ".join((pathlib.Path(__file__).parents[1] / "README.md").read_text().split())
+        assert [phrase for phrase in phrases if phrase not in readme] == []
 
 
 class TestOracleGrid:
